@@ -48,6 +48,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _threshold(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < 1.0:  # also false for NaN
+        raise argparse.ArgumentTypeError(f"must be in [0, 1), got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="cbrsearch",
@@ -69,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("--index", required=True, help="index file to search")
     p_query.add_argument("--query", required=True, help="query text")
     p_query.add_argument("--scorer", choices=["cosine", "set"], default="cosine")
-    p_query.add_argument("--threshold", type=float, default=0.0,
+    p_query.add_argument("--threshold", type=_threshold, default=0.0,
                          help="keep matches scoring strictly above this (default 0)")
     p_query.add_argument("--top-k", type=_positive_int, help="print at most this many rows")
     p_query.add_argument("--format", choices=["table", "records"], default="table")
@@ -187,7 +194,7 @@ def _permute_title(title: str, seed: int, row: int) -> str:
 
 
 def _found(index: Index, text: str, scorer: str) -> tuple[int, float]:
-    results = rank(index, _query_for(index, text, scorer))
+    results = rank(index, _query_for(index, text, scorer), top_k=1)
     top = results.top.score if results.top else 0.0
     return results.total_matches, top
 

@@ -3,8 +3,10 @@
 A term's in-document frequency is its count divided by the document's token
 total; its corpus weight multiplies that by ``log10(corpus_size / df)`` where
 ``df`` is the number of documents containing the term. Every document gets a
-sparse weight vector, and an inverted posting list maps each term id to the
-``(doc_id, weight)`` pairs of the documents containing it.
+sparse weight vector and a dense ordinal, its position in corpus order. An
+inverted posting list maps each term id to the ``(ordinal, weight)`` pairs of
+the documents containing it, in ascending ordinal order; ``Index.doc_ids``
+maps an ordinal back to its case id.
 
 The :class:`Index` is an immutable snapshot: build it once, query it from any
 number of readers, and construct a new one to change the corpus.
@@ -154,9 +156,12 @@ class Index:
         vocabulary: term table with document frequencies.
         documents: doc_id -> DocumentVector, in corpus order.
         titles: doc_id -> original title, for display.
-        postings: term_id -> list of (doc_id, weight), sorted by doc_id.
+        postings: term_id -> list of (ordinal, weight), ascending by ordinal.
         norms: doc_id -> L2 norm of the document's weight vector.
         distinct_terms: doc_id -> number of distinct terms in the document.
+        doc_ids: ordinal -> doc_id; ordinals number documents in corpus order.
+        ordinal_norms: ordinal -> the same norm as ``norms``.
+        ordinal_distinct_terms: ordinal -> the same count as ``distinct_terms``.
     """
 
     __slots__ = (
@@ -167,6 +172,9 @@ class Index:
         "postings",
         "norms",
         "distinct_terms",
+        "doc_ids",
+        "ordinal_norms",
+        "ordinal_distinct_terms",
         "_idf",
     )
 
@@ -176,7 +184,7 @@ class Index:
         vocabulary: Vocabulary,
         documents: dict[str, DocumentVector],
         titles: dict[str, str],
-        postings: list[list[tuple[str, float]]],
+        postings: list[list[tuple[int, float]]],
         norms: dict[str, float],
         distinct_terms: dict[str, int],
     ):
@@ -187,6 +195,11 @@ class Index:
         self.postings = postings
         self.norms = norms
         self.distinct_terms = distinct_terms
+        self.doc_ids: tuple[str, ...] = tuple(documents)
+        self.ordinal_norms: list[float] = [norms[doc_id] for doc_id in self.doc_ids]
+        self.ordinal_distinct_terms: list[int] = [
+            distinct_terms[doc_id] for doc_id in self.doc_ids
+        ]
         self._idf = _idf_table(len(documents), vocabulary.document_frequencies)
 
     def __repr__(self) -> str:
@@ -198,6 +211,7 @@ class Index:
         return (
             self.config == other.config
             and self.vocabulary == other.vocabulary
+            and self.doc_ids == other.doc_ids
             and self.documents == other.documents
             and self.titles == other.titles
             and self.postings == other.postings
@@ -295,8 +309,11 @@ def _assemble(
     """Build an Index from per-document term counts.
 
     ``doc_rows`` holds (doc_id, title, counts-by-term-id) in corpus order.
-    Shared by the corpus builder and the on-disk loader so both compute
-    weights through the identical floating-point path.
+    Each document's ordinal is its position in ``doc_rows``, and postings are
+    appended as ``(ordinal, weight)`` while walking the rows, so every list
+    comes out ascending by ordinal without a sort. Shared by the corpus
+    builder and the on-disk loader so both compute weights through the
+    identical floating-point path.
     """
     df = [0] * len(id_to_term)
     for _, _, counts in doc_rows:
@@ -307,10 +324,10 @@ def _assemble(
 
     documents: dict[str, DocumentVector] = {}
     titles: dict[str, str] = {}
-    postings: list[list[tuple[str, float]]] = [[] for _ in id_to_term]
+    postings: list[list[tuple[int, float]]] = [[] for _ in id_to_term]
     norms: dict[str, float] = {}
     distinct_terms: dict[str, int] = {}
-    for doc_id, title, counts in doc_rows:
+    for ordinal, (doc_id, title, counts) in enumerate(doc_rows):
         token_total = sum(counts.values())
         ordered = sorted(counts)
         weights: dict[int, float] = {}
@@ -321,15 +338,13 @@ def _assemble(
             weights[tid] = weight
             raw[tid] = counts[tid]
             norm_sq += weight * weight
-            postings[tid].append((doc_id, weight))
+            postings[tid].append((ordinal, weight))
         documents[doc_id] = DocumentVector(
             doc_id=doc_id, weights=weights, raw_counts=raw, token_total=token_total
         )
         titles[doc_id] = title
         norms[doc_id] = math.sqrt(norm_sq)
         distinct_terms[doc_id] = len(ordered)
-    for plist in postings:
-        plist.sort(key=lambda entry: entry[0])
 
     vocabulary = Vocabulary(id_to_term, df)
     return Index(

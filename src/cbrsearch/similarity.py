@@ -5,13 +5,23 @@ vectors; the set-overlap scorer compares the bare term sets,
 ``|X ∩ Y| / (sqrt(|X|) * sqrt(|Y|))``, which is exactly the cosine of the
 corresponding 0/1 incidence vectors. Both return values in [0, 1], both are
 symmetric, and both are invariant to positive per-vector scaling of weights.
+
+Ranking reaches documents through the index's ordinal-keyed postings, so
+per-query state is a list indexed by document ordinal rather than a dict
+keyed by case id. With a ``top_k`` the best matches are selected without a
+full sort of the candidates; in every case ties still break by ascending
+case id.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import itemgetter, le, lt, neg, truediv
 
 from .index import Index, QueryTermSet, QueryVector
 
@@ -91,42 +101,57 @@ def set_similarity(x, y) -> float:
     return min(shared / (math.sqrt(len(x)) * math.sqrt(len(y))), 1.0)
 
 
-def _score_vector(index: Index, query: QueryVector) -> list[tuple[str, float]]:
-    """Cosine scores for every document reachable through the postings."""
+def _score_vector(index: Index, query: QueryVector) -> tuple[list[int], list[float]]:
+    """Cosine scores for every document reachable through the postings.
+
+    Dot products accumulate term at a time, in ascending term id, into a
+    list indexed by document ordinal; the candidates are the union of the
+    visited posting ordinals. Returns candidate ordinals and their scores.
+    """
     if not query.weights:
-        return []
-    accumulated: dict[str, float] = {}
+        return [], []
+    dots = [0.0] * index.corpus_size
+    candidates: set[int] = set()
     for tid in sorted(query.weights):
         query_weight = query.weights[tid]
-        for doc_id, doc_weight in index.postings[tid]:
-            accumulated[doc_id] = accumulated.get(doc_id, 0.0) + query_weight * doc_weight
+        plist = index.postings[tid]
+        for ordinal, doc_weight in plist:
+            dots[ordinal] += query_weight * doc_weight
+        candidates.update(map(itemgetter(0), plist))
     query_norm = 0.0
     for tid in sorted(query.weights):
         weight = query.weights[tid]
         query_norm += weight * weight
     query_norm = math.sqrt(query_norm)
-    scored = []
-    for doc_id, dot in accumulated.items():
-        denominator = query_norm * index.norms[doc_id]
-        score = min(dot / denominator, 1.0) if denominator else 0.0
-        scored.append((doc_id, score))
-    return scored
+    ordinals = list(candidates)
+    # dot / (query_norm * norm), clamped to 1.0 as min(score, 1.0) would
+    denominators = map(query_norm.__mul__, map(index.ordinal_norms.__getitem__, ordinals))
+    scores = list(map(truediv, map(dots.__getitem__, ordinals), denominators))
+    return ordinals, _clamp(scores)
 
 
-def _score_sets(index: Index, query: QueryTermSet) -> list[tuple[str, float]]:
-    """Set-overlap scores for every document sharing a term with the query."""
+def _score_sets(index: Index, query: QueryTermSet) -> tuple[list[int], list[float]]:
+    """Set-overlap scores for every document sharing a term with the query.
+
+    Returns candidate ordinals and their scores.
+    """
     if not query.term_ids:
-        return []
-    shared: dict[str, int] = {}
-    for tid in sorted(query.term_ids):
-        for doc_id, _weight in index.postings[tid]:
-            shared[doc_id] = shared.get(doc_id, 0) + 1
+        return [], []
+    shared: Counter[int] = Counter()
+    for tid in query.term_ids:
+        shared.update(map(itemgetter(0), index.postings[tid]))
     query_norm = math.sqrt(len(query.term_ids))
-    scored = []
-    for doc_id, overlap in shared.items():
-        score = overlap / (query_norm * math.sqrt(index.distinct_terms[doc_id]))
-        scored.append((doc_id, min(score, 1.0)))
-    return scored
+    ordinals = list(shared)
+    doc_norms = map(math.sqrt, map(index.ordinal_distinct_terms.__getitem__, ordinals))
+    scores = list(map(truediv, shared.values(), map(query_norm.__mul__, doc_norms)))
+    return ordinals, _clamp(scores)
+
+
+def _clamp(scores: list[float]) -> list[float]:
+    """``min(score, 1.0)`` for every score, bit for bit."""
+    if scores and max(scores) > 1.0:
+        return [1.0 if score > 1.0 else score for score in scores]
+    return scores
 
 
 def rank(
@@ -142,27 +167,31 @@ def rank(
     materialized; everything else scores zero implicitly. Matches must score
     strictly above *threshold*. Ordering is by descending score with ties
     broken by ascending case id, and ``top_k`` truncates the list without
-    changing the reported total.
+    changing the reported total; with ``top_k`` set, only the best ``top_k``
+    are selected, without sorting every match.
     """
-    if isinstance(query, QueryVector):
-        scorer = "cosine"
-        scored = _score_vector(index, query)
-    elif isinstance(query, QueryTermSet):
-        scorer = "set"
-        scored = _score_sets(index, query)
-    else:
-        raise TypeError(f"query must be QueryVector or QueryTermSet, got {type(query).__name__}")
     if top_k is not None and top_k < 1:
         raise ValueError(f"top_k must be positive, got {top_k}")
+    if isinstance(query, QueryVector):
+        scorer = "cosine"
+        ordinals, scores = _score_vector(index, query)
+    elif isinstance(query, QueryTermSet):
+        scorer = "set"
+        ordinals, scores = _score_sets(index, query)
+    else:
+        raise TypeError(f"query must be QueryVector or QueryTermSet, got {type(query).__name__}")
 
-    kept = [(doc_id, score) for doc_id, score in scored if score > threshold]
-    kept.sort(key=lambda item: (-item[1], item[0]))
-    total = len(kept)
-    if top_k is not None:
-        kept = kept[:top_k]
+    keep = list(map(lt, repeat(threshold), scores))
+    total = keep.count(True)
+    if top_k is not None and top_k < total:
+        # only scores at or above the k-th best can rank in the top k
+        cut = heapq.nlargest(top_k, compress(scores, keep))[-1]
+        keep = list(map(le, repeat(cut), scores))
+    case_ids = map(index.doc_ids.__getitem__, compress(ordinals, keep))
+    best = sorted(zip(map(neg, compress(scores, keep)), case_ids))[:top_k]
     matches = tuple(
-        RankedMatch(case_id=doc_id, score=score, rank=position)
-        for position, (doc_id, score) in enumerate(kept, start=1)
+        RankedMatch(case_id=doc_id, score=-negated, rank=position)
+        for position, (negated, doc_id) in enumerate(best, start=1)
     )
     return RankedResults(
         matches=matches,

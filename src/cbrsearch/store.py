@@ -117,6 +117,8 @@ def load_index(path: str | Path) -> Index:
         raise _corrupt(path, f"missing or malformed field ({exc})") from exc
     if config.fingerprint() != fingerprint:
         raise _corrupt(path, "preprocess fingerprint does not match stored configuration")
+    if not isinstance(vocab_rows, list) or not isinstance(doc_rows_raw, list):
+        raise _corrupt(path, "vocabulary and documents must be lists")
 
     id_to_term: list[str] = []
     stored_df: list[int] = []
@@ -127,8 +129,12 @@ def load_index(path: str | Path) -> Index:
             raise _corrupt(path, f"malformed vocabulary row {row!r}") from exc
         if tid != len(id_to_term) or not isinstance(term, str):
             raise _corrupt(path, "vocabulary ids are not dense and ascending")
+        if not isinstance(df, int):
+            raise _corrupt(path, f"malformed document frequency for term {term!r}")
         id_to_term.append(term)
-        stored_df.append(int(df))
+        stored_df.append(df)
+    if len(set(id_to_term)) != len(id_to_term):
+        raise _corrupt(path, "vocabulary repeats a term")
 
     doc_rows: list[tuple[str, str, dict[int, int]]] = []
     seen_ids: set[str] = set()
@@ -140,6 +146,10 @@ def load_index(path: str | Path) -> Index:
             counts = {int(tid): int(count) for tid, count in row["counts"]}
         except (KeyError, TypeError, ValueError) as exc:
             raise _corrupt(path, f"malformed document row ({exc})") from exc
+        if not isinstance(doc_id, str) or not doc_id:
+            raise _corrupt(path, f"document id {doc_id!r} is not a non-empty string")
+        if not isinstance(title, str):
+            raise _corrupt(path, f"title of document {doc_id!r} is not a string")
         if doc_id in seen_ids:
             raise _corrupt(path, f"duplicate document id {doc_id!r}")
         seen_ids.add(doc_id)

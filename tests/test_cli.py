@@ -374,6 +374,17 @@ class TestUsageErrors:
         )
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("threshold", ["nan", "-0.1", "1.0"])
+    def test_threshold_outside_unit_interval(self, indexed, capsys, threshold):
+        code, out, err = run_cli(
+            ["query", "--index", str(indexed), "--query", "sistem",
+             "--threshold", threshold],
+            capsys,
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--threshold" in err
+
     def test_help_exits_zero(self, capsys):
         code, out, _ = run_cli(["--help"], capsys)
         assert code == EXIT_OK

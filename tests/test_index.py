@@ -186,15 +186,19 @@ class TestIndexInvariants:
 
     def test_postings_match_raw_counts_exactly(self):
         for _, index in self._random_indexes():
+            assert list(index.doc_ids) == list(index.documents)
             for tid, plist in enumerate(index.postings):
-                posted = {doc_id for doc_id, _ in plist}
+                ordinals = [ordinal for ordinal, _ in plist]
+                posted = {index.doc_ids[ordinal] for ordinal in ordinals}
+                for ordinal, weight in plist:
+                    assert index.documents[index.doc_ids[ordinal]].weights[tid] == weight
                 counted = {
                     doc_id
                     for doc_id, doc in index.documents.items()
                     if doc.raw_counts.get(tid, 0) > 0
                 }
                 assert posted == counted
-                assert [doc_id for doc_id, _ in plist] == sorted(posted)
+                assert ordinals == sorted(set(ordinals))
 
     def test_stored_norms_match_recomputation(self):
         for _, index in self._random_indexes():

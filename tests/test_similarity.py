@@ -10,6 +10,7 @@ import pytest
 from brute import DenseOracle
 from cbrsearch import (
     Case,
+    QueryVector,
     build_index,
     cosine_similarity,
     rank,
@@ -149,6 +150,76 @@ class TestRank:
             if previous is not None:
                 assert ids <= previous
             previous = ids
+
+
+def _reference_rank(index, query, threshold):
+    """Rank by plain dict accumulation keyed by case id, over document vectors.
+
+    Follows the scorers' floating-point path term by term, so its scores
+    must equal theirs exactly.
+    """
+    scores = {}
+    if isinstance(query, QueryVector):
+        query_norm = 0.0
+        for tid in sorted(query.weights):
+            query_norm += query.weights[tid] * query.weights[tid]
+        query_norm = math.sqrt(query_norm)
+        for doc_id, doc in index.documents.items():
+            shared = [tid for tid in sorted(query.weights) if tid in doc.weights]
+            if shared:
+                dot = 0.0
+                for tid in shared:
+                    dot += query.weights[tid] * doc.weights[tid]
+                scores[doc_id] = min(dot / (query_norm * index.norms[doc_id]), 1.0)
+    else:
+        query_norm = math.sqrt(len(query.term_ids))
+        for doc_id, doc in index.documents.items():
+            shared = len(query.term_ids & doc.weights.keys())
+            if shared:
+                score = shared / (query_norm * math.sqrt(len(doc.weights)))
+                scores[doc_id] = min(score, 1.0)
+    kept = [(doc_id, score) for doc_id, score in scores.items() if score > threshold]
+    kept.sort(key=lambda item: (-item[1], item[0]))
+    return kept
+
+
+class TestRankSelection:
+    """Ranking over document ordinals agrees with ranking by case id."""
+
+    @pytest.mark.parametrize("scorer", ["cosine", "set"])
+    def test_ties_break_by_case_id_not_corpus_order(self, scorer):
+        ids = ["10", "9", "2", "1"]
+        cases = [Case(case_id, "sistem navigasi") for case_id in ids]
+        index, _ = build_index(cases + [Case("0", "aplikasi kasir")])
+        tokens = ["sistem", "navigasi"]
+        query = index.term_set_query(tokens) if scorer == "set" else index.vectorize_query(tokens)
+        for top_k in range(1, 5):
+            results = rank(index, query, top_k=top_k)
+            assert [m.case_id for m in results.matches] == ["1", "10", "2", "9"][:top_k]
+            assert results.total_matches == 4
+
+    def test_top_k_is_a_prefix_and_scores_equal_a_dict_reference(self):
+        rng = random.Random(5407)
+        for _ in range(8):
+            doc_tokens = list(
+                generate_token_corpus(rng, max_docs=40, max_tokens=12, max_vocab=20).values()
+            )
+            doc_tokens += rng.sample(doc_tokens, len(doc_tokens) // 3)  # exact ties
+            ids = [str(n) for n in rng.sample(range(1000), len(doc_tokens))]
+            cases = [Case(case_id, " ".join(tokens)) for case_id, tokens in zip(ids, doc_tokens)]
+            index, _ = build_index(cases)
+            for _ in range(5):
+                tokens = random_query_tokens(rng, dict(zip(ids, doc_tokens)))
+                for query in (index.vectorize_query(tokens), index.term_set_query(tokens)):
+                    for threshold in (0.0, 0.2, 0.4, 0.6):
+                        full = rank(index, query, threshold=threshold)
+                        expected = _reference_rank(index, query, threshold)
+                        assert [(m.case_id, m.score) for m in full.matches] == expected
+                        assert full.total_matches == len(expected)
+                        for top_k in range(1, len(expected) + 2):
+                            cut = rank(index, query, threshold=threshold, top_k=top_k)
+                            assert cut.matches == full.matches[:top_k]
+                            assert cut.total_matches == full.total_matches
 
 
 class TestRankProperties:

@@ -107,6 +107,38 @@ class TestRejection:
         with pytest.raises(IndexFormatError):
             load_index(path)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            (["documents"], 7),
+            (["vocabulary"], 7),
+            (["documents", 0, "id"], ["d1"]),
+            (["documents", 0, "title"], 7),
+            (["vocabulary", 1, 0], "a"),  # term 0 is "a" already
+            (["vocabulary", 0, 2], [2]),
+        ],
+        ids=[
+            "documents-not-a-list",
+            "vocabulary-not-a-list",
+            "document-id-a-list",
+            "title-not-a-string",
+            "duplicate-vocabulary-term",
+            "df-not-an-integer",
+        ],
+    )
+    def test_malformed_field_is_corrupt(self, small_index, tmp_path, field, value):
+        path = tmp_path / "mutated.idx"
+        save_index(small_index, path)
+        document = json.loads(path.read_text(encoding="utf-8"))
+        *parents, leaf = field
+        target = document
+        for key in parents:
+            target = target[key]
+        target[leaf] = value
+        path.write_text(json.dumps(document), encoding="utf-8")
+        with pytest.raises(IndexFormatError, match="corrupt"):
+            load_index(path)
+
 
 class TestReadCorpusRecords:
     def test_full_record(self, tmp_path):
