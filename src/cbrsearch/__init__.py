@@ -33,7 +33,6 @@ from .index import (
     DocumentVector,
     Index,
     IngestReport,
-    QueryTermSet,
     QueryVector,
     Vocabulary,
     build_index,
@@ -61,7 +60,6 @@ __all__ = [
     "IndexFormatError",
     "IngestReport",
     "PreprocessConfig",
-    "QueryTermSet",
     "QueryVector",
     "RankedMatch",
     "RankedResults",

@@ -88,13 +88,7 @@ class CaseBase:
         converted into the index's value space, and ranked. The rank-1 case
         record rides along for the reuse step.
         """
-        tokens = tokenize(query_text, self.config)
-        if scorer == "cosine":
-            query = self.index.vectorize_query(tokens)
-        elif scorer == "set":
-            query = self.index.term_set_query(tokens)
-        else:
-            raise ValueError(f"unknown scorer: {scorer!r}")
+        query = self.index.vectorize_query(tokenize(query_text, self.config), scorer)
         results = rank(self.index, query, threshold=threshold, top_k=top_k)
         top_case = self._by_id[results.matches[0].case_id] if results.matches else None
         return RetrievalOutcome(results=results, top_case=top_case)

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .casebase import CaseBase
 from .errors import DataError, SearchError
-from .index import Case, Index, build_index
+from .index import SCORERS, Case, Index, build_index
 from .preprocess import PreprocessConfig, load_stopwords, tokenize
 from .similarity import rank
 from .store import append_case, load_index, read_corpus, save_index
@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_query = sub.add_parser("query", help="rank matches for a keyword or title query")
     p_query.add_argument("--index", required=True, help="index file to search")
     p_query.add_argument("--query", required=True, help="query text")
-    p_query.add_argument("--scorer", choices=["cosine", "set"], default="cosine")
+    p_query.add_argument("--scorer", choices=SCORERS, default="cosine")
     p_query.add_argument("--threshold", type=_threshold, default=0.0,
                          help="keep matches scoring strictly above this (default 0)")
     p_query.add_argument("--top-k", type=_positive_int, help="print at most this many rows")
@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--index", required=True, help="index file to search")
     p_eval.add_argument("--titles", required=True, help="file with one query title per line")
     p_eval.add_argument("--seed", required=True, type=int, help="shuffle seed")
-    p_eval.add_argument("--scorer", choices=["cosine", "set"], default="cosine")
+    p_eval.add_argument("--scorer", choices=SCORERS, default="cosine")
     p_eval.set_defaults(func=cmd_eval)
 
     return parser
@@ -117,16 +117,9 @@ def cmd_index(args) -> int:
     return EXIT_OK
 
 
-def _query_for(index: Index, text: str, scorer: str):
-    tokens = tokenize(text, index.config)
-    if scorer == "set":
-        return index.term_set_query(tokens)
-    return index.vectorize_query(tokens)
-
-
 def cmd_query(args) -> int:
     index = load_index(args.index)
-    query = _query_for(index, args.query, args.scorer)
+    query = index.vectorize_query(tokenize(args.query, index.config), args.scorer)
     results = rank(index, query, threshold=args.threshold, top_k=args.top_k)
 
     if args.format == "records":
@@ -159,8 +152,14 @@ def cmd_add(args) -> int:
     base = CaseBase(cases, index.config)
     new_case = Case(id=args.id, title=args.title, solution=args.solution)
     base = base.retain(new_case)  # validates before any file is touched
-    append_case(args.corpus, new_case)
+    # index first, so a failed save leaves both files as they were; a failed
+    # append puts the old index back
     save_index(base.index, args.index)
+    try:
+        append_case(args.corpus, new_case)
+    except BaseException:
+        save_index(index, args.index)
+        raise
     print(f"corpus size: {base.index.corpus_size}")
     return EXIT_OK
 
@@ -194,7 +193,7 @@ def _permute_title(title: str, seed: int, row: int) -> str:
 
 
 def _found(index: Index, text: str, scorer: str) -> tuple[int, float]:
-    results = rank(index, _query_for(index, text, scorer), top_k=1)
+    results = rank(index, index.vectorize_query(tokenize(text, index.config), scorer), top_k=1)
     top = results.top.score if results.top else 0.0
     return results.total_matches, top
 

@@ -3,10 +3,11 @@
 A term's in-document frequency is its count divided by the document's token
 total; its corpus weight multiplies that by ``log10(corpus_size / df)`` where
 ``df`` is the number of documents containing the term. Every document gets a
-sparse weight vector and a dense ordinal, its position in corpus order. An
-inverted posting list maps each term id to the ``(ordinal, weight)`` pairs of
-the documents containing it, in ascending ordinal order; ``Index.doc_ids``
-maps an ordinal back to its case id.
+sparse weight vector and a dense ordinal, its position in corpus order. The
+postings of a term are two parallel arrays: the ordinals of the documents
+containing it, ascending, and their weights for the term; ``Index.doc_ids``
+maps an ordinal back to its case id. A query is one :class:`QueryVector`
+type for both scorers (see :meth:`Index.vectorize_query`).
 
 The :class:`Index` is an immutable snapshot: build it once, query it from any
 number of readers, and construct a new one to change the corpus.
@@ -15,6 +16,7 @@ number of readers, and construct a new one to change the corpus.
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
@@ -22,6 +24,8 @@ from .errors import DataError, TermNotIndexed
 from .preprocess import PreprocessConfig, tokenize
 
 INDEX_FORMAT_VERSION = 1
+
+SCORERS = ("cosine", "set")
 
 
 @dataclass(frozen=True)
@@ -121,27 +125,16 @@ class DocumentVector:
 
 @dataclass(frozen=True)
 class QueryVector:
-    """A query converted into the index's weight space.
+    """A query converted into the weight space of one scorer.
 
-    Tokens that are out of vocabulary, or whose inverse document frequency is
-    zero, carry no signal and are reported in ``dropped_terms`` (sorted,
-    deduplicated) instead of being scored.
+    ``weights`` maps term id to query weight; ``scorer`` names the document
+    weights it is scored against. Tokens that carry no signal for the scorer
+    are reported in ``dropped_terms`` (sorted, deduplicated) instead.
     """
 
     weights: dict[int, float]
     dropped_terms: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class QueryTermSet:
-    """A query reduced to the set of its indexed term ids.
-
-    Used by the set-overlap scorer; only out-of-vocabulary tokens are
-    dropped, since set overlap does not weight terms.
-    """
-
-    term_ids: frozenset[int]
-    dropped_terms: tuple[str, ...] = ()
+    scorer: str = "cosine"
 
 
 def _idf_table(corpus_size: int, document_frequencies: Sequence[int]) -> list[float]:
@@ -156,12 +149,14 @@ class Index:
         vocabulary: term table with document frequencies.
         documents: doc_id -> DocumentVector, in corpus order.
         titles: doc_id -> original title, for display.
-        postings: term_id -> list of (ordinal, weight), ascending by ordinal.
+        postings: term_id -> ``array('i')`` of document ordinals, ascending.
+        posting_weights: term_id -> ``array('d')`` of the documents' weights
+            for the term, parallel to ``postings[term_id]``.
         norms: doc_id -> L2 norm of the document's weight vector.
-        distinct_terms: doc_id -> number of distinct terms in the document.
         doc_ids: ordinal -> doc_id; ordinals number documents in corpus order.
         ordinal_norms: ordinal -> the same norm as ``norms``.
-        ordinal_distinct_terms: ordinal -> the same count as ``distinct_terms``.
+        ordinal_set_norms: ordinal -> L2 norm of the document's 0/1 incidence
+            vector, ``sqrt(distinct terms)``.
     """
 
     __slots__ = (
@@ -170,11 +165,11 @@ class Index:
         "documents",
         "titles",
         "postings",
+        "posting_weights",
         "norms",
-        "distinct_terms",
         "doc_ids",
         "ordinal_norms",
-        "ordinal_distinct_terms",
+        "ordinal_set_norms",
         "_idf",
     )
 
@@ -184,22 +179,20 @@ class Index:
         vocabulary: Vocabulary,
         documents: dict[str, DocumentVector],
         titles: dict[str, str],
-        postings: list[list[tuple[int, float]]],
-        norms: dict[str, float],
-        distinct_terms: dict[str, int],
+        postings: list[array],
+        posting_weights: list[array],
+        ordinal_norms: list[float],
     ):
         self.config = config
         self.vocabulary = vocabulary
         self.documents = documents
         self.titles = titles
         self.postings = postings
-        self.norms = norms
-        self.distinct_terms = distinct_terms
+        self.posting_weights = posting_weights
         self.doc_ids: tuple[str, ...] = tuple(documents)
-        self.ordinal_norms: list[float] = [norms[doc_id] for doc_id in self.doc_ids]
-        self.ordinal_distinct_terms: list[int] = [
-            distinct_terms[doc_id] for doc_id in self.doc_ids
-        ]
+        self.ordinal_norms = ordinal_norms
+        self.ordinal_set_norms = [math.sqrt(len(doc.weights)) for doc in documents.values()]
+        self.norms: dict[str, float] = dict(zip(self.doc_ids, ordinal_norms))
         self._idf = _idf_table(len(documents), vocabulary.document_frequencies)
 
     def __repr__(self) -> str:
@@ -215,8 +208,8 @@ class Index:
             and self.documents == other.documents
             and self.titles == other.titles
             and self.postings == other.postings
+            and self.posting_weights == other.posting_weights
             and self.norms == other.norms
-            and self.distinct_terms == other.distinct_terms
         )
 
     @property
@@ -226,9 +219,6 @@ class Index:
     @property
     def format_version(self) -> int:
         return INDEX_FORMAT_VERSION
-
-    def idf_by_id(self, term_id: int) -> float:
-        return self._idf[term_id]
 
     def term_frequency(self, term: str, doc_id: str) -> float:
         """In-document frequency: count of *term* over the doc's token total.
@@ -263,13 +253,18 @@ class Index:
         """
         return self.term_frequency(term, doc_id) * self.inverse_document_frequency(term)
 
-    def vectorize_query(self, tokens: Sequence[str]) -> QueryVector:
-        """Convert query tokens into the corpus weight space.
+    def vectorize_query(self, tokens: Sequence[str], scorer: str = "cosine") -> QueryVector:
+        """Convert query tokens into the weight space of *scorer*.
 
-        The query's own token count is the frequency denominator, mirroring
-        how documents are weighted; the corpus idf table supplies the second
-        factor. Unknown and zero-idf tokens go to ``dropped_terms``.
+        For ``"cosine"`` the query's own token count is the frequency
+        denominator, mirroring how documents are weighted, and the corpus idf
+        table supplies the second factor; unknown and zero-idf tokens go to
+        ``dropped_terms``. For ``"set"`` every indexed term weighs 1.0,
+        zero-idf terms included, and only unknown tokens are dropped. Any
+        other scorer name raises ValueError.
         """
+        if scorer not in SCORERS:
+            raise ValueError(f"unknown scorer: {scorer!r}")
         counts: dict[int, int] = {}
         dropped: set[str] = set()
         for token in tokens:
@@ -281,24 +276,13 @@ class Index:
         token_total = len(tokens)
         weights: dict[int, float] = {}
         for tid in sorted(counts):
-            idf = self._idf[tid]
-            if idf == 0.0:
+            if scorer == "set":
+                weights[tid] = 1.0
+            elif self._idf[tid] == 0.0:
                 dropped.add(self.vocabulary.term(tid))
             else:
-                weights[tid] = (counts[tid] / token_total) * idf
-        return QueryVector(weights=weights, dropped_terms=tuple(sorted(dropped)))
-
-    def term_set_query(self, tokens: Sequence[str]) -> QueryTermSet:
-        """Reduce query tokens to the set of indexed term ids."""
-        ids: set[int] = set()
-        dropped: set[str] = set()
-        for token in tokens:
-            tid = self.vocabulary.lookup(token)
-            if tid is None:
-                dropped.add(token)
-            else:
-                ids.add(tid)
-        return QueryTermSet(term_ids=frozenset(ids), dropped_terms=tuple(sorted(dropped)))
+                weights[tid] = (counts[tid] / token_total) * self._idf[tid]
+        return QueryVector(weights, tuple(sorted(dropped)), scorer)
 
 
 def _assemble(
@@ -310,10 +294,10 @@ def _assemble(
 
     ``doc_rows`` holds (doc_id, title, counts-by-term-id) in corpus order.
     Each document's ordinal is its position in ``doc_rows``, and postings are
-    appended as ``(ordinal, weight)`` while walking the rows, so every list
-    comes out ascending by ordinal without a sort. Shared by the corpus
-    builder and the on-disk loader so both compute weights through the
-    identical floating-point path.
+    appended while walking the rows, so every posting array comes out
+    ascending by ordinal without a sort. Shared by the corpus builder and
+    the on-disk loader so both compute weights through the identical
+    floating-point path.
     """
     df = [0] * len(id_to_term)
     for _, _, counts in doc_rows:
@@ -324,9 +308,9 @@ def _assemble(
 
     documents: dict[str, DocumentVector] = {}
     titles: dict[str, str] = {}
-    postings: list[list[tuple[int, float]]] = [[] for _ in id_to_term]
-    norms: dict[str, float] = {}
-    distinct_terms: dict[str, int] = {}
+    postings = [array("i") for _ in id_to_term]
+    posting_weights = [array("d") for _ in id_to_term]
+    norms: list[float] = []
     for ordinal, (doc_id, title, counts) in enumerate(doc_rows):
         token_total = sum(counts.values())
         ordered = sorted(counts)
@@ -338,13 +322,13 @@ def _assemble(
             weights[tid] = weight
             raw[tid] = counts[tid]
             norm_sq += weight * weight
-            postings[tid].append((ordinal, weight))
+            postings[tid].append(ordinal)
+            posting_weights[tid].append(weight)
         documents[doc_id] = DocumentVector(
             doc_id=doc_id, weights=weights, raw_counts=raw, token_total=token_total
         )
         titles[doc_id] = title
-        norms[doc_id] = math.sqrt(norm_sq)
-        distinct_terms[doc_id] = len(ordered)
+        norms.append(math.sqrt(norm_sq))
 
     vocabulary = Vocabulary(id_to_term, df)
     return Index(
@@ -353,8 +337,8 @@ def _assemble(
         documents=documents,
         titles=titles,
         postings=postings,
-        norms=norms,
-        distinct_terms=distinct_terms,
+        posting_weights=posting_weights,
+        ordinal_norms=norms,
     )
 
 

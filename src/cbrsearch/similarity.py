@@ -6,24 +6,25 @@ vectors; the set-overlap scorer compares the bare term sets,
 corresponding 0/1 incidence vectors. Both return values in [0, 1], both are
 symmetric, and both are invariant to positive per-vector scaling of weights.
 
-Ranking reaches documents through the index's ordinal-keyed postings, so
-per-query state is a list indexed by document ordinal rather than a dict
-keyed by case id. With a ``top_k`` the best matches are selected without a
-full sort of the candidates; in every case ties still break by ascending
-case id.
+Ranking runs both scorers through one cosine accumulator: a set query is a
+:class:`QueryVector` of 1.0 weights, and its documents read 1.0 for every
+posting and ``sqrt(distinct terms)`` as their norm. Documents are reached
+through the index's ordinal-keyed postings, so per-query state is a list
+indexed by document ordinal rather than a dict keyed by case id. With a
+``top_k`` the best matches are selected without a full sort of the
+candidates; in every case ties still break by ascending case id.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import compress, repeat
-from operator import itemgetter, le, lt, neg, truediv
+from operator import le, lt, neg, truediv
 
-from .index import Index, QueryTermSet, QueryVector
+from .index import Index, QueryVector
 
 
 @dataclass(frozen=True)
@@ -101,49 +102,35 @@ def set_similarity(x, y) -> float:
     return min(shared / (math.sqrt(len(x)) * math.sqrt(len(y))), 1.0)
 
 
-def _score_vector(index: Index, query: QueryVector) -> tuple[list[int], list[float]]:
+def _score(index: Index, query: QueryVector) -> tuple[list[int], list[float]]:
     """Cosine scores for every document reachable through the postings.
 
     Dot products accumulate term at a time, in ascending term id, into a
     list indexed by document ordinal; the candidates are the union of the
-    visited posting ordinals. Returns candidate ordinals and their scores.
+    visited posting ordinals. A set query scores against 1.0 for every
+    posting and the documents' set norms. Returns candidate ordinals and
+    their scores.
     """
     if not query.weights:
         return [], []
+    binary = query.scorer == "set"
+    doc_norms = index.ordinal_set_norms if binary else index.ordinal_norms
     dots = [0.0] * index.corpus_size
     candidates: set[int] = set()
-    for tid in sorted(query.weights):
-        query_weight = query.weights[tid]
-        plist = index.postings[tid]
-        for ordinal, doc_weight in plist:
-            dots[ordinal] += query_weight * doc_weight
-        candidates.update(map(itemgetter(0), plist))
     query_norm = 0.0
     for tid in sorted(query.weights):
-        weight = query.weights[tid]
-        query_norm += weight * weight
+        query_weight = query.weights[tid]
+        ordinals = index.postings[tid]
+        doc_weights = repeat(1.0) if binary else index.posting_weights[tid]
+        for ordinal, doc_weight in zip(ordinals, doc_weights):
+            dots[ordinal] += query_weight * doc_weight
+        candidates.update(ordinals)
+        query_norm += query_weight * query_weight
     query_norm = math.sqrt(query_norm)
     ordinals = list(candidates)
     # dot / (query_norm * norm), clamped to 1.0 as min(score, 1.0) would
-    denominators = map(query_norm.__mul__, map(index.ordinal_norms.__getitem__, ordinals))
+    denominators = map(query_norm.__mul__, map(doc_norms.__getitem__, ordinals))
     scores = list(map(truediv, map(dots.__getitem__, ordinals), denominators))
-    return ordinals, _clamp(scores)
-
-
-def _score_sets(index: Index, query: QueryTermSet) -> tuple[list[int], list[float]]:
-    """Set-overlap scores for every document sharing a term with the query.
-
-    Returns candidate ordinals and their scores.
-    """
-    if not query.term_ids:
-        return [], []
-    shared: Counter[int] = Counter()
-    for tid in query.term_ids:
-        shared.update(map(itemgetter(0), index.postings[tid]))
-    query_norm = math.sqrt(len(query.term_ids))
-    ordinals = list(shared)
-    doc_norms = map(math.sqrt, map(index.ordinal_distinct_terms.__getitem__, ordinals))
-    scores = list(map(truediv, shared.values(), map(query_norm.__mul__, doc_norms)))
     return ordinals, _clamp(scores)
 
 
@@ -156,7 +143,7 @@ def _clamp(scores: list[float]) -> list[float]:
 
 def rank(
     index: Index,
-    query: QueryVector | QueryTermSet,
+    query: QueryVector,
     *,
     threshold: float = 0.0,
     top_k: int | None = None,
@@ -172,14 +159,9 @@ def rank(
     """
     if top_k is not None and top_k < 1:
         raise ValueError(f"top_k must be positive, got {top_k}")
-    if isinstance(query, QueryVector):
-        scorer = "cosine"
-        ordinals, scores = _score_vector(index, query)
-    elif isinstance(query, QueryTermSet):
-        scorer = "set"
-        ordinals, scores = _score_sets(index, query)
-    else:
-        raise TypeError(f"query must be QueryVector or QueryTermSet, got {type(query).__name__}")
+    if not isinstance(query, QueryVector):
+        raise TypeError(f"query must be a QueryVector, got {type(query).__name__}")
+    ordinals, scores = _score(index, query)
 
     keep = list(map(lt, repeat(threshold), scores))
     total = keep.count(True)
@@ -196,7 +178,7 @@ def rank(
     return RankedResults(
         matches=matches,
         total_matches=total,
-        scorer=scorer,
+        scorer=query.scorer,
         threshold=threshold,
         dropped_terms=query.dropped_terms,
     )

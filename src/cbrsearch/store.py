@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from pathlib import Path
 
-from .errors import DataError, IndexFormatError
+from .errors import ConfigError, DataError, IndexFormatError
 from .index import INDEX_FORMAT_VERSION, Case, Index, _assemble
 from .preprocess import PreprocessConfig
 
@@ -40,7 +41,12 @@ def _weights_checksum(index: Index) -> str:
 
 
 def save_index(index: Index, path: str | Path) -> None:
-    """Write *index* to *path* as a versioned, checksummed JSON document."""
+    """Write *index* to *path* as a versioned, checksummed JSON document.
+
+    The document goes to a temporary file in the same directory, is flushed
+    to disk, and then replaces *path* in one step, so a failure at any point
+    leaves either the old file or the new one, never a partial one.
+    """
     document = {
         "format": _FORMAT_NAME,
         "format_version": INDEX_FORMAT_VERSION,
@@ -69,7 +75,17 @@ def save_index(index: Index, path: str | Path) -> None:
         "weights_sha256": _weights_checksum(index),
     }
     payload = json.dumps(document, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
-    Path(path).write_text(payload + "\n", encoding="utf-8")
+    target = Path(path)
+    temporary = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, "w", encoding="utf-8") as handle:
+            handle.write(payload + "\n")
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temporary, target)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
 
 
 def _corrupt(path, detail: str) -> IndexFormatError:
@@ -103,9 +119,12 @@ def load_index(path: str | Path) -> Index:
 
     try:
         pre = document["preprocess"]
+        stopwords = pre["stopwords"]
+        if not isinstance(stopwords, list) or not all(isinstance(w, str) for w in stopwords):
+            raise ValueError("stopwords must be a list of strings")
         config = PreprocessConfig(
             casefold=bool(pre["casefold"]),
-            stopwords=frozenset(pre["stopwords"]),
+            stopwords=frozenset(stopwords),
             min_token_length=int(pre["min_token_length"]),
         )
         fingerprint = document["preprocess_fingerprint"]
@@ -113,7 +132,7 @@ def load_index(path: str | Path) -> Index:
         vocab_rows = document["vocabulary"]
         doc_rows_raw = document["documents"]
         stored_weights = document["weights_sha256"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, ConfigError) as exc:
         raise _corrupt(path, f"missing or malformed field ({exc})") from exc
     if config.fingerprint() != fingerprint:
         raise _corrupt(path, "preprocess fingerprint does not match stored configuration")
@@ -144,7 +163,7 @@ def load_index(path: str | Path) -> Index:
             title = row["title"]
             token_total = int(row["token_total"])
             counts = {int(tid): int(count) for tid, count in row["counts"]}
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise _corrupt(path, f"malformed document row ({exc})") from exc
         if not isinstance(doc_id, str) or not doc_id:
             raise _corrupt(path, f"document id {doc_id!r} is not a non-empty string")
@@ -166,6 +185,8 @@ def load_index(path: str | Path) -> Index:
         raise _corrupt(path, "no documents")
     if corpus_size != len(doc_rows):
         raise _corrupt(path, "corpus_size disagrees with the document list")
+    if len({tid for _, _, counts in doc_rows for tid in counts}) != len(id_to_term):
+        raise _corrupt(path, "a vocabulary term occurs in no document")
 
     index = _assemble(config, id_to_term, doc_rows)
     if list(index.vocabulary.document_frequencies) != stored_df:

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from cbrsearch import cli
+from cbrsearch import build_index, cli, load_index, read_corpus, save_index, store
 from cbrsearch.cli import EXIT_DATA, EXIT_OK, EXIT_PROPERTY, EXIT_USAGE, main
 from conftest import SAMPLE_TITLES, generate_titles
 
@@ -249,6 +249,40 @@ class TestCmdAdd:
         )
         assert code == EXIT_DATA
         assert "tokenizes to empty" in err
+
+    @pytest.mark.parametrize(
+        "owner, name",
+        [(store.os, "fsync"), (store.os, "replace"), (cli, "append_case")],
+        ids=["fsync", "replace", "append"],
+    )
+    def test_fault_midway_leaves_loadable_files_and_a_retry_succeeds(
+        self, record_pair, capsys, monkeypatch, owner, name
+    ):
+        corpus, index_path = record_pair
+        before = {path.name: path.read_bytes() for path in corpus.parent.iterdir()}
+
+        def fail(*args, **kwargs):
+            raise OSError(f"injected failure in {name}")
+
+        add = ["add", "--index", str(index_path), "--corpus", str(corpus),
+               "--id", "r6", "--title", "Sistem Pakar Diagnosa Penyakit"]
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, name, fail)
+            code, _, err = run_cli(add, capsys)
+        assert code == EXIT_DATA
+        assert "injected failure" in err
+        assert {path.name: path.read_bytes() for path in corpus.parent.iterdir()} == before
+        index = load_index(index_path)
+        assert [case.id for case in read_corpus(corpus, "record")] == ["r1", "r2", "r3", "r4", "r5"]
+
+        code, out, _ = run_cli(add, capsys)
+        assert code == EXIT_OK
+        assert "corpus size: 6" in out
+        cases = read_corpus(corpus, "record")
+        assert [case.id for case in cases] == ["r1", "r2", "r3", "r4", "r5", "r6"]
+        rebuilt = index_path.with_name("rebuilt.idx")
+        save_index(build_index(cases, index.config)[0], rebuilt)
+        assert index_path.read_bytes() == rebuilt.read_bytes()
 
 
 class TestCmdEval:

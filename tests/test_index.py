@@ -151,11 +151,17 @@ class TestVectorizeQuery:
 
     def test_term_set_query_keeps_zero_idf_terms(self):
         index, _ = build_index([Case("d1", "a b"), Case("d2", "a c")])
-        query = index.term_set_query(["a", "b", "qq"])
-        assert query.term_ids == frozenset(
-            {index.vocabulary.term_id("a"), index.vocabulary.term_id("b")}
-        )
+        query = index.vectorize_query(["a", "b", "b", "qq"], "set")
+        assert query.weights == {
+            index.vocabulary.term_id("a"): 1.0,
+            index.vocabulary.term_id("b"): 1.0,
+        }
         assert query.dropped_terms == ("qq",)
+        assert query.scorer == "set"
+
+    def test_unknown_scorer_is_rejected(self, small_index):
+        with pytest.raises(ValueError, match="scorer"):
+            small_index.vectorize_query(["a"], "bm25")
 
 
 class TestIndexInvariants:
@@ -187,10 +193,13 @@ class TestIndexInvariants:
     def test_postings_match_raw_counts_exactly(self):
         for _, index in self._random_indexes():
             assert list(index.doc_ids) == list(index.documents)
-            for tid, plist in enumerate(index.postings):
-                ordinals = [ordinal for ordinal, _ in plist]
+            assert len(index.posting_weights) == len(index.postings)
+            for tid, ordinals in enumerate(index.postings):
+                ordinals = list(ordinals)
+                weights = list(index.posting_weights[tid])
+                assert len(weights) == len(ordinals)
                 posted = {index.doc_ids[ordinal] for ordinal in ordinals}
-                for ordinal, weight in plist:
+                for ordinal, weight in zip(ordinals, weights):
                     assert index.documents[index.doc_ids[ordinal]].weights[tid] == weight
                 counted = {
                     doc_id
@@ -206,7 +215,10 @@ class TestIndexInvariants:
                 recomputed = math.sqrt(sum(w * w for w in doc.weights.values()))
                 stored = index.norms[doc_id]
                 assert abs(stored - recomputed) <= 1e-12 * max(stored, recomputed, 1e-300)
-                assert index.distinct_terms[doc_id] == len(doc.raw_counts)
+            for ordinal, doc_id in enumerate(index.doc_ids):
+                assert index.ordinal_norms[ordinal] == index.norms[doc_id]
+                distinct = len(index.documents[doc_id].raw_counts)
+                assert index.ordinal_set_norms[ordinal] == math.sqrt(distinct)
 
     def test_weights_match_a_dense_recomputation(self):
         for doc_tokens, index in self._random_indexes():

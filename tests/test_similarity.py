@@ -10,7 +10,6 @@ import pytest
 from brute import DenseOracle
 from cbrsearch import (
     Case,
-    QueryVector,
     build_index,
     cosine_similarity,
     rank,
@@ -114,7 +113,7 @@ class TestRank:
         assert not results
 
     def test_set_scorer_via_term_set_query(self, small_index):
-        query = small_index.term_set_query(["a", "b"])
+        query = small_index.vectorize_query(["a", "b"], "set")
         results = rank(small_index, query)
         assert results.scorer == "set"
         assert results.top.case_id == "d1"
@@ -155,11 +154,12 @@ class TestRank:
 def _reference_rank(index, query, threshold):
     """Rank by plain dict accumulation keyed by case id, over document vectors.
 
-    Follows the scorers' floating-point path term by term, so its scores
-    must equal theirs exactly.
+    Follows the cosine floating-point path term by term, and scores a set
+    query by counting shared terms, so the scores of the single accumulator
+    must equal these exactly.
     """
     scores = {}
-    if isinstance(query, QueryVector):
+    if query.scorer == "cosine":
         query_norm = 0.0
         for tid in sorted(query.weights):
             query_norm += query.weights[tid] * query.weights[tid]
@@ -172,9 +172,9 @@ def _reference_rank(index, query, threshold):
                     dot += query.weights[tid] * doc.weights[tid]
                 scores[doc_id] = min(dot / (query_norm * index.norms[doc_id]), 1.0)
     else:
-        query_norm = math.sqrt(len(query.term_ids))
+        query_norm = math.sqrt(len(query.weights))
         for doc_id, doc in index.documents.items():
-            shared = len(query.term_ids & doc.weights.keys())
+            shared = len(query.weights.keys() & doc.weights.keys())
             if shared:
                 score = shared / (query_norm * math.sqrt(len(doc.weights)))
                 scores[doc_id] = min(score, 1.0)
@@ -192,7 +192,7 @@ class TestRankSelection:
         cases = [Case(case_id, "sistem navigasi") for case_id in ids]
         index, _ = build_index(cases + [Case("0", "aplikasi kasir")])
         tokens = ["sistem", "navigasi"]
-        query = index.term_set_query(tokens) if scorer == "set" else index.vectorize_query(tokens)
+        query = index.vectorize_query(tokens, scorer)
         for top_k in range(1, 5):
             results = rank(index, query, top_k=top_k)
             assert [m.case_id for m in results.matches] == ["1", "10", "2", "9"][:top_k]
@@ -210,7 +210,7 @@ class TestRankSelection:
             index, _ = build_index(cases)
             for _ in range(5):
                 tokens = random_query_tokens(rng, dict(zip(ids, doc_tokens)))
-                for query in (index.vectorize_query(tokens), index.term_set_query(tokens)):
+                for query in (index.vectorize_query(tokens), index.vectorize_query(tokens, "set")):
                     for threshold in (0.0, 0.2, 0.4, 0.6):
                         full = rank(index, query, threshold=threshold)
                         expected = _reference_rank(index, query, threshold)
@@ -230,7 +230,7 @@ class TestRankProperties:
             index, _ = build_index(corpus_cases(doc_tokens))
             tokens = random_query_tokens(rng, doc_tokens)
             baseline = rank(index, index.vectorize_query(tokens))
-            baseline_set = rank(index, index.term_set_query(tokens))
+            baseline_set = rank(index, index.vectorize_query(tokens, "set"))
             for _ in range(4):
                 shuffled = tokens[:]
                 rng.shuffle(shuffled)
@@ -238,7 +238,7 @@ class TestRankProperties:
                 assert permuted.matches == baseline.matches  # bit-exact scores
                 assert permuted.total_matches == baseline.total_matches
                 assert permuted.dropped_terms == baseline.dropped_terms
-                permuted_set = rank(index, index.term_set_query(shuffled))
+                permuted_set = rank(index, index.vectorize_query(shuffled, "set"))
                 assert permuted_set.matches == baseline_set.matches
 
     def test_matches_the_dense_oracle_on_random_corpora(self):
@@ -250,11 +250,7 @@ class TestRankProperties:
             for _ in range(6):
                 tokens = random_query_tokens(rng, doc_tokens)
                 for scorer in ("cosine", "set"):
-                    if scorer == "set":
-                        query = index.term_set_query(tokens)
-                    else:
-                        query = index.vectorize_query(tokens)
-                    mine = rank(index, query)
+                    mine = rank(index, index.vectorize_query(tokens, scorer))
                     expected = oracle.rank(tokens, scorer=scorer)
                     assert [m.case_id for m in mine.matches] == [doc for doc, _ in expected]
                     for match, (_, score) in zip(mine.matches, expected):

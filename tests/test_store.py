@@ -6,6 +6,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbrsearch import (
     Case,
@@ -116,6 +118,8 @@ class TestRejection:
             (["documents", 0, "title"], 7),
             (["vocabulary", 1, 0], "a"),  # term 0 is "a" already
             (["vocabulary", 0, 2], [2]),
+            (["preprocess", "stopwords"], [1]),
+            (["preprocess", "min_token_length"], 0),
         ],
         ids=[
             "documents-not-a-list",
@@ -124,6 +128,8 @@ class TestRejection:
             "title-not-a-string",
             "duplicate-vocabulary-term",
             "df-not-an-integer",
+            "stopword-not-a-string",
+            "min-token-length-zero",
         ],
     )
     def test_malformed_field_is_corrupt(self, small_index, tmp_path, field, value):
@@ -138,6 +144,92 @@ class TestRejection:
         path.write_text(json.dumps(document), encoding="utf-8")
         with pytest.raises(IndexFormatError, match="corrupt"):
             load_index(path)
+
+
+def _paths(node, prefix=()):
+    """Every path below *node*: dict keys and list positions, depth first."""
+    children = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in children:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, prefix + (key,))
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+_DELETE = object()
+# edge values every field is tried with, besides the random ones
+_EDGE_VALUES = [
+    _DELETE, None, True, False, 0, -1, 2, 10**30, 1.5, float("inf"), float("nan"),
+    "", "a", "1", [], [1], ["a"], [[0, 1]], {}, {"id": "d1"},
+]
+
+
+@pytest.fixture(scope="module")
+def saved_index(tmp_path_factory):
+    """A small index whose saved form has a value at every field, stopwords included."""
+    config = PreprocessConfig(stopwords=frozenset({"dan"}), min_token_length=2)
+    cases = [Case("d1", "sistem dan data"), Case("d2", "aplikasi data web"), Case("d3", "sistem web")]
+    index, _ = build_index(cases, config)
+    path = tmp_path_factory.mktemp("mutation") / "index.idx"
+    save_index(index, path)
+    document = json.loads(path.read_text(encoding="utf-8"))
+    return index, document, list(_paths(document)), path
+
+
+def _assert_loads_equal_or_corrupt(saved_index, field, value):
+    """Write the saved index with *field* set to *value* (or deleted) and load it.
+
+    The load must raise IndexFormatError or give an index equal to the
+    original. The weight checksum covers ids, term ids and weights but not
+    the text of a title or the spelling of a term, so a new string there
+    loads as written: saving the loaded index must then give the mutated
+    document back.
+    """
+    original, document, _, path = saved_index
+    mutated = json.loads(json.dumps(document))
+    *parents, leaf = field
+    target = mutated
+    for key in parents:
+        target = target[key]
+    if value is _DELETE:
+        del target[leaf]
+    else:
+        target[leaf] = value
+    path.write_text(json.dumps(mutated), encoding="utf-8")
+    try:
+        loaded = load_index(path)
+    except IndexFormatError:
+        return
+    title = field[0] == "documents" and leaf == "title"
+    term = field[0] == "vocabulary" and len(field) == 3 and leaf == 0
+    if (title or term) and isinstance(value, str):
+        save_index(loaded, path)
+        canonical = json.dumps(mutated, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+        assert path.read_text(encoding="utf-8") == canonical + "\n"
+    else:
+        assert loaded == original, (field, value)
+
+
+class TestMutationProperty:
+    """Any single-field change to a saved index loads as the original or is rejected."""
+
+    def test_every_field_with_edge_values(self, saved_index):
+        for field in saved_index[2]:
+            for value in _EDGE_VALUES:
+                _assert_loads_equal_or_corrupt(saved_index, field, value)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_every_field_with_random_values(self, saved_index, data):
+        field = data.draw(st.sampled_from(saved_index[2]), label="field")
+        value = data.draw(st.just(_DELETE) | _JSON_VALUES, label="value")
+        _assert_loads_equal_or_corrupt(saved_index, field, value)
 
 
 class TestReadCorpusRecords:
