@@ -8,7 +8,7 @@ same scores. On top of the index sits the full case-handling cycle:
 retrieve similar cases, reuse the best one's solution, revise a stored case,
 retain a new one.
 
-    >>> from cbrsearch import Case, CaseBase, reuse
+    >>> from cbrsearch import Case, CaseBase, reuse, search
     >>> base = CaseBase([
     ...     Case("1", "Sistem Navigasi Gedung", solution="peta interaktif"),
     ...     Case("2", "Aplikasi Monitoring Jaringan"),
@@ -16,9 +16,11 @@ retain a new one.
     >>> outcome = base.retrieve("navigasi gedung")
     >>> reuse(outcome).text
     'peta interaktif'
+    >>> search(base.index, "navigasi gedung", top_k=1).top.case_id
+    '1'
 """
 
-from .casebase import CaseBase, RetrievalOutcome, ReuseResult, reuse
+from .casebase import CaseBase, RetrievalOutcome, ReuseResult, reuse, search
 from .errors import (
     ConfigError,
     DataError,
@@ -78,6 +80,7 @@ __all__ = [
     "read_corpus",
     "reuse",
     "save_index",
+    "search",
     "set_similarity",
     "tokenize",
 ]

@@ -1,4 +1,7 @@
-"""The retrieve / reuse / revise / retain cycle over a title corpus.
+"""The query entry point and the retrieve / reuse / revise / retain cycle.
+
+:func:`search` is the one query path: ``CaseBase.retrieve`` and the CLI's
+``query`` and ``eval`` all answer queries through it.
 
 A :class:`CaseBase` couples the stored cases with the index built over them;
 the two can never drift apart because every mutation (`retain`, `revise`)
@@ -18,6 +21,24 @@ from .errors import DataError, StateError
 from .index import Case, Index, IngestReport, build_index
 from .preprocess import PreprocessConfig, tokenize
 from .similarity import RankedResults, rank
+
+
+def search(
+    index: Index,
+    text: str,
+    *,
+    scorer: str = "cosine",
+    threshold: float = 0.0,
+    top_k: int | None = None,
+) -> RankedResults:
+    """Rank *index*'s documents against the query *text*.
+
+    *text* is tokenized with ``index.config``, vectorized for *scorer* by
+    :meth:`Index.vectorize_query` (an unknown scorer raises ValueError) and
+    ranked by :func:`rank` with *threshold* and *top_k*.
+    """
+    query = index.vectorize_query(tokenize(text, index.config), scorer)
+    return rank(index, query, threshold=threshold, top_k=top_k)
 
 
 @dataclass(frozen=True)
@@ -84,12 +105,10 @@ class CaseBase:
     ) -> RetrievalOutcome:
         """Find stored cases similar to *query_text*.
 
-        The query is tokenized with the base's own preprocessing config,
-        converted into the index's value space, and ranked. The rank-1 case
-        record rides along for the reuse step.
+        The matches are :func:`search` over the base's index; the rank-1
+        case record rides along for the reuse step.
         """
-        query = self.index.vectorize_query(tokenize(query_text, self.config), scorer)
-        results = rank(self.index, query, threshold=threshold, top_k=top_k)
+        results = search(self.index, query_text, scorer=scorer, threshold=threshold, top_k=top_k)
         top_case = self._by_id[results.matches[0].case_id] if results.matches else None
         return RetrievalOutcome(results=results, top_case=top_case)
 

@@ -6,6 +6,9 @@ corpus/index pair, and ``eval`` runs the two-stage word-order experiment
 (every title queried verbatim, then with its words deterministically
 shuffled; both stages must find the same titles).
 
+Every command that answers a query (``query``, both stages of ``eval``) calls
+:func:`cbrsearch.casebase.search`, the package's one query path.
+
 Exit codes: 0 success, 1 usage error, 2 data or I/O error, 3 search property
 violation (``eval`` only).
 """
@@ -19,12 +22,11 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .casebase import CaseBase
+from .casebase import CaseBase, search
 from .errors import DataError, SearchError
 from .index import SCORERS, Case, Index, build_index
-from .preprocess import PreprocessConfig, load_stopwords, tokenize
-from .similarity import rank
-from .store import append_case, load_index, read_corpus, save_index
+from .preprocess import PreprocessConfig, load_stopwords
+from .store import append_case, load_index, read_corpus, save_index, unencodable_field
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -119,8 +121,9 @@ def cmd_index(args) -> int:
 
 def cmd_query(args) -> int:
     index = load_index(args.index)
-    query = index.vectorize_query(tokenize(args.query, index.config), args.scorer)
-    results = rank(index, query, threshold=args.threshold, top_k=args.top_k)
+    results = search(
+        index, args.query, scorer=args.scorer, threshold=args.threshold, top_k=args.top_k
+    )
 
     if args.format == "records":
         for match in results.matches:
@@ -151,6 +154,9 @@ def cmd_add(args) -> int:
     cases = read_corpus(args.corpus, "record")
     base = CaseBase(cases, index.config)
     new_case = Case(id=args.id, title=args.title, solution=args.solution)
+    field = unencodable_field(new_case)
+    if field is not None:
+        raise DataError(f"--{field} is not encodable as UTF-8")
     base = base.retain(new_case)  # validates before any file is touched
     # index first, so a failed save leaves both files as they were; a failed
     # append puts the old index back
@@ -192,12 +198,6 @@ def _permute_title(title: str, seed: int, row: int) -> str:
     return " ".join(words)
 
 
-def _found(index: Index, text: str, scorer: str) -> tuple[int, float]:
-    results = rank(index, index.vectorize_query(tokenize(text, index.config), scorer), top_k=1)
-    top = results.top.score if results.top else 0.0
-    return results.total_matches, top
-
-
 def run_two_stage_eval(
     index: Index, titles: list[str], seed: int, scorer: str
 ) -> tuple[EvalReport, list[str]]:
@@ -211,9 +211,11 @@ def run_two_stage_eval(
     rows: list[EvalRow] = []
     violations: list[str] = []
     for row_number, title in enumerate(titles, start=1):
-        found1, _ = _found(index, title, scorer)
+        found1 = search(index, title, scorer=scorer, top_k=1).total_matches
         permuted = _permute_title(title, seed, row_number)
-        found2, top2 = _found(index, permuted, scorer)
+        stage2 = search(index, permuted, scorer=scorer, top_k=1)
+        found2 = stage2.total_matches
+        top2 = stage2.top.score if stage2.top else 0.0
         rows.append(
             EvalRow(
                 original_query=title,
@@ -241,7 +243,7 @@ def cmd_eval(args) -> int:
     index = load_index(args.index)
     try:
         raw = Path(args.titles).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read titles file {args.titles}: {exc}") from exc
     titles = [line for line in raw.splitlines() if line.strip()]
     if not titles:

@@ -76,7 +76,7 @@ def load_stopwords(path: str | Path) -> set[str]:
     """
     try:
         raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read stopword file {path}: {exc}") from exc
     words: set[str] = set()
     for line in raw.splitlines():

@@ -102,7 +102,7 @@ def load_index(path: str | Path) -> Index:
     """
     try:
         raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IndexFormatError(f"cannot read index file {path}: {exc}") from exc
     try:
         document = json.loads(raw)
@@ -210,7 +210,7 @@ def read_corpus(path: str | Path, corpus_format: str) -> list[Case]:
         raise ValueError(f"corpus format must be one of {CORPUS_FORMATS}, got {corpus_format!r}")
     try:
         raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read corpus file {path}: {exc}") from exc
     lines = raw.splitlines()
 
@@ -242,8 +242,29 @@ def read_corpus(path: str | Path, corpus_format: str) -> list[Case]:
                 isinstance(k, str) and isinstance(v, str) for k, v in meta.items()
             ):
                 raise DataError(f"{path}:{lineno}: 'meta' must be a flat string map")
-        cases.append(Case(id=case_id, title=title, solution=solution, meta=meta))
+        case = Case(id=case_id, title=title, solution=solution, meta=meta)
+        field = unencodable_field(case)
+        if field is not None:
+            raise DataError(f"{path}:{lineno}: {field!r} is not encodable as UTF-8")
+        cases.append(case)
     return cases
+
+
+def unencodable_field(case: Case) -> str | None:
+    """Name of the first field of *case* that UTF-8 cannot encode, or None.
+
+    A JSON ``\\udcxx`` escape, or a command-line argument decoded with
+    surrogateescape, can put a lone surrogate into a str; such text cannot
+    be written to an index or corpus file.
+    """
+    fields = [("id", case.id), ("title", case.title), ("solution", case.solution or "")]
+    fields += [("meta", text) for item in (case.meta or {}).items() for text in item]
+    for name, text in fields:
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            return name
+    return None
 
 
 def append_case(path: str | Path, case: Case) -> None:

@@ -15,6 +15,7 @@ from cbrsearch import (
     build_index,
     reuse,
     save_index,
+    search,
 )
 from conftest import SAMPLE_TITLES, generate_titles
 
@@ -52,6 +53,14 @@ class TestRetrieve:
         assert outcome.results.scorer == "set"
         assert outcome.top_case.id == "4"
         assert abs(outcome.results.matches[0].score - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("scorer", ["cosine", "set"])
+    def test_retrieve_is_search_over_its_index(self, title_base, scorer):
+        for text in ["sistem navigasi", "Aplikasi Monitoring Jaringan sistem", "quantum"]:
+            outcome = title_base.retrieve(text, scorer=scorer)
+            assert outcome.results == search(title_base.index, text, scorer=scorer)
+            top = outcome.results.top
+            assert outcome.top_case == (title_base.case(top.case_id) if top else None)
 
     def test_unknown_scorer_is_rejected(self, title_base):
         with pytest.raises(ValueError, match="scorer"):

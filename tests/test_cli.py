@@ -423,3 +423,58 @@ class TestUsageErrors:
         code, out, _ = run_cli(["--help"], capsys)
         assert code == EXIT_OK
         assert "index" in out and "query" in out and "eval" in out
+
+
+class TestUnencodableText:
+    """Files that are not UTF-8, and text UTF-8 cannot encode, exit 2."""
+
+    @pytest.fixture
+    def workdir(self, tmp_path, capsys, monkeypatch):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(
+            "".join(
+                json.dumps({"id": f"r{i}", "title": title}) + "\n"
+                for i, title in enumerate(SAMPLE_TITLES, start=1)
+            ),
+            encoding="utf-8",
+        )
+        code = main(["index", "--input", str(corpus), "--format", "record",
+                     "--output", str(tmp_path / "corpus.idx")])
+        capsys.readouterr()
+        assert code == EXIT_OK
+        (tmp_path / "latin1.txt").write_bytes(b"Sistem Informasi Geografis \xff\n")
+        # a JSON escape of a lone surrogate: valid JSON, but no UTF-8 encoding
+        (tmp_path / "surrogate.jsonl").write_text(
+            '{"id":"r1","title":"x \\udcff"}\n', encoding="utf-8"
+        )
+        monkeypatch.chdir(tmp_path)
+        return tmp_path
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["index", "--input", "latin1.txt", "--format", "plain",
+              "--output", "corpus.idx"], "latin1.txt"),
+            (["index", "--input", "corpus.jsonl", "--format", "record",
+              "--output", "corpus.idx", "--stopwords", "latin1.txt"], "latin1.txt"),
+            (["eval", "--index", "corpus.idx", "--titles", "latin1.txt",
+              "--seed", "1"], "latin1.txt"),
+            (["query", "--index", "latin1.txt", "--query", "sistem"], "latin1.txt"),
+            (["index", "--input", "surrogate.jsonl", "--format", "record",
+              "--output", "corpus.idx"], "surrogate.jsonl:1"),
+            # what Python makes of the argument bytes "x \xff" (surrogateescape)
+            (["add", "--index", "corpus.idx", "--corpus", "corpus.jsonl",
+              "--id", "r6", "--title", "x \udcff"], "--title"),
+        ],
+        ids=["index-input", "index-stopwords", "eval-titles", "query-index",
+             "record-surrogate", "add-title-surrogate"],
+    )
+    def test_exits_2_naming_the_input_and_leaves_files_unchanged(
+        self, workdir, capsys, argv, named
+    ):
+        before = {path.name: path.read_bytes() for path in workdir.iterdir()}
+        code, _, err = run_cli(argv, capsys)
+        assert code == EXIT_DATA
+        assert err.startswith("error: ")
+        assert named in err
+        assert {path.name: path.read_bytes() for path in workdir.iterdir()} == before

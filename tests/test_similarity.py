@@ -13,6 +13,7 @@ from cbrsearch import (
     build_index,
     cosine_similarity,
     rank,
+    search,
     set_similarity,
 )
 from conftest import corpus_cases, generate_token_corpus, random_query_tokens
@@ -210,16 +211,21 @@ class TestRankSelection:
             index, _ = build_index(cases)
             for _ in range(5):
                 tokens = random_query_tokens(rng, dict(zip(ids, doc_tokens)))
+                text = " ".join(tokens)
                 for query in (index.vectorize_query(tokens), index.vectorize_query(tokens, "set")):
                     for threshold in (0.0, 0.2, 0.4, 0.6):
                         full = rank(index, query, threshold=threshold)
                         expected = _reference_rank(index, query, threshold)
                         assert [(m.case_id, m.score) for m in full.matches] == expected
                         assert full.total_matches == len(expected)
+                        assert search(index, text, scorer=query.scorer, threshold=threshold) == full
                         for top_k in range(1, len(expected) + 2):
                             cut = rank(index, query, threshold=threshold, top_k=top_k)
                             assert cut.matches == full.matches[:top_k]
                             assert cut.total_matches == full.total_matches
+                            assert search(
+                                index, text, scorer=query.scorer, threshold=threshold, top_k=top_k
+                            ) == cut
 
 
 class TestRankProperties:
