@@ -22,10 +22,10 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .casebase import CaseBase, search
+from .casebase import search
 from .errors import DataError, SearchError
 from .index import SCORERS, Case, Index, build_index
-from .preprocess import PreprocessConfig, load_stopwords
+from .preprocess import PreprocessConfig, load_stopwords, tokenize
 from .store import append_case, load_index, read_corpus, save_index, unencodable_field
 
 EXIT_OK = 0
@@ -152,21 +152,30 @@ def cmd_query(args) -> int:
 def cmd_add(args) -> int:
     index = load_index(args.index)
     cases = read_corpus(args.corpus, "record")
-    base = CaseBase(cases, index.config)
     new_case = Case(id=args.id, title=args.title, solution=args.solution)
     field = unencodable_field(new_case)
     if field is not None:
         raise DataError(f"--{field} is not encodable as UTF-8")
-    base = base.retain(new_case)  # validates before any file is touched
+    if not tokenize(new_case.title, index.config):
+        raise DataError(f"title of case {new_case.id!r} tokenizes to empty")
+    new_index, _ = build_index([*cases, new_case], index.config)  # refuses a duplicate id
+    # the corpus must rebuild the loaded index, before the new case joins it
+    # or, after a crash between the save and the append below, with it
+    stored, rebuilt = list(index.titles.items()), list(new_index.titles.items())
+    if stored != rebuilt[:-1] and stored != rebuilt:
+        raise DataError(
+            f"corpus and index disagree: {args.corpus} does not rebuild {args.index}; "
+            "rebuild the index with `cbrsearch index`"
+        )
     # index first, so a failed save leaves both files as they were; a failed
     # append puts the old index back
-    save_index(base.index, args.index)
+    save_index(new_index, args.index)
     try:
         append_case(args.corpus, new_case)
     except BaseException:
         save_index(index, args.index)
         raise
-    print(f"corpus size: {base.index.corpus_size}")
+    print(f"corpus size: {new_index.corpus_size}")
     return EXIT_OK
 
 

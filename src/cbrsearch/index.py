@@ -3,11 +3,13 @@
 A term's in-document frequency is its count divided by the document's token
 total; its corpus weight multiplies that by ``log10(corpus_size / df)`` where
 ``df`` is the number of documents containing the term. Every document gets a
-sparse weight vector and a dense ordinal, its position in corpus order. The
-postings of a term are two parallel arrays: the ordinals of the documents
-containing it, ascending, and their weights for the term; ``Index.doc_ids``
-maps an ordinal back to its case id. A query is one :class:`QueryVector`
-type for both scorers (see :meth:`Index.vectorize_query`).
+dense ordinal, its position in corpus order, and one count row: a flat
+``[tid, count, tid, count, ...]`` list in ascending term id, the only
+per-document record an index keeps and the one it is saved as. The postings
+of a term are two parallel arrays: the ordinals of the documents containing
+it, ascending, and their weights for the term; ``Index.doc_ids`` maps an
+ordinal back to its case id. A query is one :class:`QueryVector` type for
+both scorers (see :meth:`Index.vectorize_query`).
 
 The :class:`Index` is an immutable snapshot: build it once, query it from any
 number of readers, and construct a new one to change the corpus.
@@ -19,11 +21,13 @@ import math
 from array import array
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import chain
+from types import MappingProxyType
 
 from .errors import DataError, TermNotIndexed
 from .preprocess import PreprocessConfig, tokenize
 
-INDEX_FORMAT_VERSION = 1
+INDEX_FORMAT_VERSION = 2
 
 SCORERS = ("cosine", "set")
 
@@ -110,7 +114,7 @@ class Vocabulary:
 
 @dataclass(frozen=True)
 class DocumentVector:
-    """Sparse weight vector for one document.
+    """Sparse weight vector for one document, as seen through ``Index.documents``.
 
     ``weights`` and ``raw_counts`` are keyed by term id in ascending order;
     ``token_total`` is the document's full token count, the denominator of
@@ -143,38 +147,44 @@ class Index:
     Attributes:
         config: preprocessing settings the corpus was tokenized with.
         vocabulary: term table with document frequencies.
-        documents: doc_id -> DocumentVector, in corpus order.
-        titles: doc_id -> original title, for display.
+        doc_ids: ordinal -> doc_id; ordinals number documents in corpus order.
+        titles: doc_id -> original title, for display, in corpus order.
+        count_rows: ordinal -> flat ``[tid, count, ...]`` list of the
+            document's term counts, ascending by term id.
         postings: term_id -> ``array('i')`` of document ordinals, ascending.
         posting_weights: term_id -> ``array('d')`` of the documents' weights
             for the term, parallel to ``postings[term_id]``.
-        norms: doc_id -> L2 norm of the document's weight vector.
-        doc_ids: ordinal -> doc_id; ordinals number documents in corpus order.
-        ordinal_norms: ordinal -> the same norm as ``norms``.
+        ordinal_norms: ordinal -> L2 norm of the document's weight vector.
         ordinal_set_norms: ordinal -> L2 norm of the document's 0/1 incidence
             vector, ``sqrt(distinct terms)``.
+
+    ``documents`` and ``norms`` are read-only, id-keyed views derived from
+    these tables on first access; nothing on the query, load or save path
+    reads them.
     """
 
     __slots__ = (
         "config",
         "vocabulary",
-        "documents",
+        "doc_ids",
         "titles",
+        "count_rows",
         "postings",
         "posting_weights",
-        "norms",
-        "doc_ids",
         "ordinal_norms",
         "ordinal_set_norms",
         "_idf",
+        "_documents",
+        "_norms",
     )
 
     def __init__(
         self,
         config: PreprocessConfig,
         vocabulary: Vocabulary,
-        documents: dict[str, DocumentVector],
-        titles: dict[str, str],
+        doc_ids: Sequence[str],
+        titles: Sequence[str],
+        count_rows: list[list[int]],
         postings: list[array],
         posting_weights: list[array],
         ordinal_norms: list[float],
@@ -183,15 +193,16 @@ class Index:
     ):
         self.config = config
         self.vocabulary = vocabulary
-        self.documents = documents
-        self.titles = titles
+        self.doc_ids: tuple[str, ...] = tuple(doc_ids)
+        self.titles: dict[str, str] = dict(zip(self.doc_ids, titles))
+        self.count_rows = count_rows
         self.postings = postings
         self.posting_weights = posting_weights
-        self.doc_ids: tuple[str, ...] = tuple(documents)
         self.ordinal_norms = ordinal_norms
         self.ordinal_set_norms = ordinal_set_norms
-        self.norms: dict[str, float] = dict(zip(self.doc_ids, ordinal_norms))
         self._idf = idf
+        self._documents: Mapping[str, DocumentVector] | None = None
+        self._norms: Mapping[str, float] | None = None
 
     def __repr__(self) -> str:
         return f"Index({self.corpus_size} documents, {len(self.vocabulary)} terms)"
@@ -203,20 +214,48 @@ class Index:
             self.config == other.config
             and self.vocabulary == other.vocabulary
             and self.doc_ids == other.doc_ids
-            and self.documents == other.documents
             and self.titles == other.titles
+            and self.count_rows == other.count_rows
             and self.postings == other.postings
             and self.posting_weights == other.posting_weights
-            and self.norms == other.norms
+            and self.ordinal_norms == other.ordinal_norms
+            and self.ordinal_set_norms == other.ordinal_set_norms
+            and self._idf == other._idf
         )
 
     @property
     def corpus_size(self) -> int:
-        return len(self.documents)
+        return len(self.doc_ids)
 
     @property
     def format_version(self) -> int:
         return INDEX_FORMAT_VERSION
+
+    @property
+    def documents(self) -> Mapping[str, DocumentVector]:
+        """doc_id -> DocumentVector, in corpus order (a read-only view).
+
+        Weights are recomputed from the count rows and the idf table through
+        the expression :func:`_assemble` uses, so they equal the posted
+        weights bit for bit.
+        """
+        if self._documents is None:
+            idf = self._idf
+            documents = {}
+            for doc_id, row in zip(self.doc_ids, self.count_rows):
+                raw = dict(zip(row[0::2], row[1::2]))
+                token_total = sum(raw.values())
+                weights = {tid: (count / token_total) * idf[tid] for tid, count in raw.items()}
+                documents[doc_id] = DocumentVector(doc_id, weights, raw, token_total)
+            self._documents = MappingProxyType(documents)
+        return self._documents
+
+    @property
+    def norms(self) -> Mapping[str, float]:
+        """doc_id -> ``ordinal_norms`` entry (a read-only view)."""
+        if self._norms is None:
+            self._norms = MappingProxyType(dict(zip(self.doc_ids, self.ordinal_norms)))
+        return self._norms
 
     def term_frequency(self, term: str, doc_id: str) -> float:
         """In-document frequency: count of *term* over the doc's token total.
@@ -286,61 +325,51 @@ class Index:
 def _assemble(
     config: PreprocessConfig,
     id_to_term: Sequence[str],
-    doc_rows: Sequence[tuple[str, str, dict[int, int]]],
+    doc_ids: Sequence[str],
+    titles: Sequence[str],
+    count_rows: list[list[int]],
 ) -> Index:
-    """Build an Index from per-document term counts.
+    """Build an Index from per-document count rows.
 
-    ``doc_rows`` holds (doc_id, title, counts-by-term-id) in corpus order.
-    Each document's ordinal is its position in ``doc_rows``, and postings are
-    appended while walking the rows, so every posting array comes out
-    ascending by ordinal without a sort. Every table the Index holds (idf,
-    norms, set norms) is computed here, once. Shared by the corpus builder
-    and the on-disk loader so both compute weights through the identical
-    floating-point path.
+    ``count_rows[ordinal]`` is the flat ``[tid, count, ...]`` row of the
+    document ``doc_ids[ordinal]``, ascending by term id; every term id must
+    occur in some row. Postings are appended while walking the rows, so
+    every posting array comes out ascending by ordinal without a sort. Every
+    table the Index holds (idf, norms, set norms) is computed here, once.
+    Shared by :func:`build_index` and the on-disk loader so both compute
+    weights through the identical floating-point path.
     """
     df = [0] * len(id_to_term)
-    for _, _, counts in doc_rows:
-        for tid in counts:
+    for row in count_rows:
+        for tid in row[0::2]:
             df[tid] += 1
-    corpus_size = len(doc_rows)
+    corpus_size = len(count_rows)
     idf = [math.log10(corpus_size / count) for count in df]
 
-    documents: dict[str, DocumentVector] = {}
-    titles: dict[str, str] = {}
     postings = [array("i") for _ in id_to_term]
     posting_weights = [array("d") for _ in id_to_term]
     norms: list[float] = []
-    distinct: list[int] = []
-    for ordinal, (doc_id, title, counts) in enumerate(doc_rows):
-        token_total = sum(counts.values())
-        ordered = sorted(counts)
-        weights: dict[int, float] = {}
-        raw: dict[int, int] = {}
+    for ordinal, row in enumerate(count_rows):
+        counts = row[1::2]
+        token_total = sum(counts)
         norm_sq = 0.0
-        for tid in ordered:
-            weight = (counts[tid] / token_total) * idf[tid]
-            weights[tid] = weight
-            raw[tid] = counts[tid]
+        for tid, count in zip(row[0::2], counts):
+            weight = (count / token_total) * idf[tid]
             norm_sq += weight * weight
             postings[tid].append(ordinal)
             posting_weights[tid].append(weight)
-        documents[doc_id] = DocumentVector(
-            doc_id=doc_id, weights=weights, raw_counts=raw, token_total=token_total
-        )
-        titles[doc_id] = title
         norms.append(math.sqrt(norm_sq))
-        distinct.append(len(ordered))
 
     # roots taken after the loop keep these floats together in memory: a set
-    # query reads one per candidate, and interleaved with the documents'
+    # query reads one per candidate, and scattered among per-document
     # allocations they made set-scorer ranking about 15% slower
-    set_norms = list(map(math.sqrt, distinct))
-    vocabulary = Vocabulary(id_to_term, df)
+    set_norms = [math.sqrt(len(row) // 2) for row in count_rows]
     return Index(
         config=config,
-        vocabulary=vocabulary,
-        documents=documents,
+        vocabulary=Vocabulary(id_to_term, df),
+        doc_ids=doc_ids,
         titles=titles,
+        count_rows=count_rows,
         postings=postings,
         posting_weights=posting_weights,
         ordinal_norms=norms,
@@ -371,7 +400,9 @@ def build_index(
 
     id_to_term: list[str] = []
     tid_by_term: dict[str, int] = {}
-    doc_rows: list[tuple[str, str, dict[int, int]]] = []
+    doc_ids: list[str] = []
+    titles: list[str] = []
+    count_rows: list[list[int]] = []
     skipped: list[tuple[str, str]] = []
     for case in cases:
         tokens = tokenize(case.title, config)
@@ -386,14 +417,16 @@ def build_index(
                 tid_by_term[token] = tid
                 id_to_term.append(token)
             counts[tid] = counts.get(tid, 0) + 1
-        doc_rows.append((case.id, case.title, counts))
+        doc_ids.append(case.id)
+        titles.append(case.title)
+        count_rows.append(list(chain.from_iterable(sorted(counts.items()))))
 
-    if not doc_rows:
+    if not count_rows:
         raise DataError("no indexable cases: every title tokenized to empty")
 
-    index = _assemble(config, id_to_term, doc_rows)
+    index = _assemble(config, id_to_term, doc_ids, titles, count_rows)
     report = IngestReport(
-        indexed=len(doc_rows),
+        indexed=len(count_rows),
         skipped=tuple(skipped),
         vocabulary_size=len(id_to_term),
     )

@@ -1,13 +1,20 @@
 """On-disk formats: the index snapshot and the corpus files.
 
-Index file
-    A single-line JSON document. It stores the preprocessing configuration,
-    the vocabulary with document frequencies, and per-document raw term
-    counts; weights are never written. On load they are recomputed through
-    the same code path the builder uses and cross-checked against a stored
-    checksum of the weight table, so a loaded index is bit-identical to the
-    one that was saved. Serialization is canonical (sorted keys, fixed
-    separators), which makes equal indexes produce byte-identical files.
+Index file (format version 2)
+    A single-line JSON document. It stores the preprocessing configuration
+    and its fingerprint, the vocabulary as a plain ``terms`` list (a term's
+    id is its position), the documents as parallel ``ids`` and ``titles``
+    lists, and one flat ``[tid, count, tid, count, ...]`` row per document
+    in ``counts``, ascending by term id. Weights, token totals and document
+    frequencies are never written: on load they are recomputed through the
+    same code path ``build_index`` uses. A stored sha256 covers the ids,
+    titles and term spellings and the recomputed posting ordinals and
+    weights, so a loaded index is bit-identical to the one that was saved;
+    a hand-edited string, or a count that changes a weight, is rejected.
+    Serialization is canonical (sorted keys, fixed separators), which makes
+    equal indexes produce byte-identical files. Files of any other format
+    version, version 1 included, are rejected with a hint to rebuild them
+    with ``cbrsearch index``.
 
 Corpus files
     ``record`` mode: one JSON object per line with fields ``id`` and
@@ -20,6 +27,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
+from array import array
+from itertools import accumulate, chain, repeat
+from operator import floordiv, lt, mod, sub
 from pathlib import Path
 
 from .errors import ConfigError, DataError, IndexFormatError
@@ -31,12 +42,31 @@ _FORMAT_NAME = "cbrsearch-index"
 CORPUS_FORMATS = ("record", "plain")
 
 
-def _weights_checksum(index: Index) -> str:
-    """Digest of the full weight table, losslessly via float hex."""
+def _little_endian(values: array) -> bytes:
+    """The bytes of *values* as little-endian items, whatever the machine's order."""
+    if sys.byteorder == "big":
+        values = array(values.typecode, values)
+        values.byteswap()
+    return values.tobytes()
+
+
+def _checksum(index: Index) -> str:
+    """sha256 over the index's strings and its posting tables.
+
+    The ids, titles and terms each go in as the list's length, every
+    string's UTF-8 byte length and the strings' bytes; the posting ordinals
+    and weights each as the table's length, every term's posting length and
+    the packed values. Encoding is strict, so a lone surrogate raises
+    UnicodeEncodeError.
+    """
     digest = hashlib.sha256()
-    for doc_id, doc in index.documents.items():
-        for tid, weight in doc.weights.items():  # keys ascend by construction
-            digest.update(f"{doc_id}\x00{tid}\x00{weight.hex()}\n".encode("utf-8"))
+    for strings in (index.doc_ids, index.titles.values(), index.vocabulary.terms):
+        encoded = list(map(str.encode, strings))
+        digest.update(_little_endian(array("q", [len(encoded), *map(len, encoded)])))
+        digest.update(b"".join(encoded))
+    for table, code in ((index.postings, "i"), (index.posting_weights, "d")):
+        digest.update(_little_endian(array("q", [len(table), *map(len, table)])))
+        digest.update(_little_endian(array(code, b"".join(map(array.tobytes, table)))))
     return digest.hexdigest()
 
 
@@ -56,23 +86,11 @@ def save_index(index: Index, path: str | Path) -> None:
             "stopwords": sorted(index.config.stopwords),
         },
         "preprocess_fingerprint": index.config.fingerprint(),
-        "corpus_size": index.corpus_size,
-        "vocabulary": [
-            [term, tid, df]
-            for tid, (term, df) in enumerate(
-                zip(index.vocabulary.terms, index.vocabulary.document_frequencies)
-            )
-        ],
-        "documents": [
-            {
-                "id": doc.doc_id,
-                "title": index.titles[doc.doc_id],
-                "token_total": doc.token_total,
-                "counts": [[tid, count] for tid, count in doc.raw_counts.items()],
-            }
-            for doc in index.documents.values()
-        ],
-        "weights_sha256": _weights_checksum(index),
+        "terms": index.vocabulary.terms,
+        "ids": index.doc_ids,
+        "titles": list(index.titles.values()),
+        "counts": index.count_rows,
+        "weights_sha256": _checksum(index),
     }
     payload = json.dumps(document, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
     target = Path(path)
@@ -92,13 +110,44 @@ def _corrupt(path, detail: str) -> IndexFormatError:
     return IndexFormatError(f"corrupt index file {path}: {detail}")
 
 
+def _only(kind: type, values) -> bool:
+    """Whether every item of *values* has exactly type *kind* (bool is not int)."""
+    return set(map(type, values)) <= {kind}
+
+
+def _term_ids(count_rows: list, term_count: int) -> list[int] | None:
+    """The term ids of all count rows in sequence, or None if a row is bad.
+
+    A good row is a non-empty flat ``[tid, count, ...]`` list of ints with
+    term ids in range and strictly ascending, and every count at least 1.
+    The checks run over all rows at once.
+    """
+    if not _only(list, count_rows):
+        return None
+    lengths = list(map(len, count_rows))
+    if 0 in lengths or any(map(mod, lengths, repeat(2))):
+        return None
+    flat = list(chain.from_iterable(count_rows))
+    if not _only(int, flat):
+        return None
+    tids, counts = flat[0::2], flat[1::2]
+    if min(counts) < 1 or min(tids) < 0 or max(tids) >= term_count:
+        return None
+    # in the term ids of all rows in sequence, a step may fail to ascend only
+    # where one row ends and the next begins
+    ascends = list(map(lt, tids, tids[1:]))
+    row_ends = list(accumulate(map(floordiv, lengths, repeat(2))))
+    at_row_ends = list(map(ascends.__getitem__, map(sub, row_ends[:-1], repeat(1))))
+    return tids if ascends.count(False) == at_row_ends.count(False) else None
+
+
 def load_index(path: str | Path) -> Index:
     """Read an index file written by :func:`save_index`.
 
     Raises :class:`IndexFormatError` with a distinct message for an
     unreadable file, a corrupt file, an unsupported format version, or a
-    weight-checksum mismatch. Unsupported versions are rejected, never
-    migrated silently.
+    checksum mismatch. Unsupported versions are rejected, never migrated:
+    the message says to rebuild the index with ``cbrsearch index``.
     """
     try:
         raw = Path(path).read_text(encoding="utf-8")
@@ -114,7 +163,7 @@ def load_index(path: str | Path) -> Index:
     if version != INDEX_FORMAT_VERSION:
         raise IndexFormatError(
             f"unsupported index format version {version!r} in {path} "
-            f"(supported: {INDEX_FORMAT_VERSION})"
+            f"(supported: {INDEX_FORMAT_VERSION}); rebuild it with `cbrsearch index`"
         )
 
     try:
@@ -128,73 +177,54 @@ def load_index(path: str | Path) -> Index:
             min_token_length=int(pre["min_token_length"]),
         )
         fingerprint = document["preprocess_fingerprint"]
-        corpus_size = document["corpus_size"]
-        vocab_rows = document["vocabulary"]
-        doc_rows_raw = document["documents"]
-        stored_weights = document["weights_sha256"]
+        terms = document["terms"]
+        doc_ids = document["ids"]
+        titles = document["titles"]
+        count_rows = document["counts"]
+        stored_checksum = document["weights_sha256"]
     except (KeyError, TypeError, ValueError, OverflowError, ConfigError) as exc:
         raise _corrupt(path, f"missing or malformed field ({exc})") from exc
     if config.fingerprint() != fingerprint:
         raise _corrupt(path, "preprocess fingerprint does not match stored configuration")
-    if not isinstance(vocab_rows, list) or not isinstance(doc_rows_raw, list):
-        raise _corrupt(path, "vocabulary and documents must be lists")
-
-    id_to_term: list[str] = []
-    stored_df: list[int] = []
-    for row in vocab_rows:
-        try:
-            term, tid, df = row
-        except (TypeError, ValueError) as exc:
-            raise _corrupt(path, f"malformed vocabulary row {row!r}") from exc
-        if tid != len(id_to_term) or not isinstance(term, str):
-            raise _corrupt(path, "vocabulary ids are not dense and ascending")
-        if not isinstance(df, int):
-            raise _corrupt(path, f"malformed document frequency for term {term!r}")
-        id_to_term.append(term)
-        stored_df.append(df)
-    if len(set(id_to_term)) != len(id_to_term):
+    if not _only(list, (terms, doc_ids, titles, count_rows)):
+        raise _corrupt(path, "terms, ids, titles and counts must be lists")
+    if not _only(str, terms):
+        raise _corrupt(path, "a vocabulary term is not a string")
+    if len(set(terms)) != len(terms):
         raise _corrupt(path, "vocabulary repeats a term")
-
-    doc_rows: list[tuple[str, str, dict[int, int]]] = []
-    seen_ids: set[str] = set()
-    for row in doc_rows_raw:
-        try:
-            doc_id = row["id"]
-            title = row["title"]
-            token_total = int(row["token_total"])
-            counts = {int(tid): int(count) for tid, count in row["counts"]}
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise _corrupt(path, f"malformed document row ({exc})") from exc
-        if not isinstance(doc_id, str) or not doc_id:
-            raise _corrupt(path, f"document id {doc_id!r} is not a non-empty string")
-        if not isinstance(title, str):
-            raise _corrupt(path, f"title of document {doc_id!r} is not a string")
-        if doc_id in seen_ids:
-            raise _corrupt(path, f"duplicate document id {doc_id!r}")
-        seen_ids.add(doc_id)
-        if not counts:
-            raise _corrupt(path, f"document {doc_id!r} has no term counts")
-        for tid, count in counts.items():
-            if not 0 <= tid < len(id_to_term) or count < 1:
-                raise _corrupt(path, f"document {doc_id!r} references invalid term data")
-        if token_total != sum(counts.values()):
-            raise _corrupt(path, f"token total of document {doc_id!r} disagrees with counts")
-        doc_rows.append((doc_id, title, counts))
-
-    if not doc_rows:
+    if not doc_ids:
         raise _corrupt(path, "no documents")
-    if corpus_size != len(doc_rows):
-        raise _corrupt(path, "corpus_size disagrees with the document list")
-    if len({tid for _, _, counts in doc_rows for tid in counts}) != len(id_to_term):
+    if not len(doc_ids) == len(titles) == len(count_rows):
+        raise _corrupt(path, "ids, titles and counts differ in length")
+    if not _only(str, doc_ids) or not all(doc_ids):
+        bad = next(d for d in doc_ids if type(d) is not str or not d)
+        raise _corrupt(path, f"document id {bad!r} is not a non-empty string")
+    if len(set(doc_ids)) != len(doc_ids):
+        seen: set[str] = set()
+        bad = next(d for d in doc_ids if d in seen or seen.add(d))
+        raise _corrupt(path, f"duplicate document id {bad!r}")
+    if not _only(str, titles):
+        bad = next(d for d, title in zip(doc_ids, titles) if type(title) is not str)
+        raise _corrupt(path, f"title of document {bad!r} is not a string")
+    tids = _term_ids(count_rows, len(terms))
+    if tids is None:
+        raise _corrupt(
+            path,
+            "a count row is not a non-empty list of integer [term id, count] pairs "
+            "with term ids in range and ascending and counts of at least 1",
+        )
+    if len(set(tids)) != len(terms):
         raise _corrupt(path, "a vocabulary term occurs in no document")
 
-    index = _assemble(config, id_to_term, doc_rows)
-    if list(index.vocabulary.document_frequencies) != stored_df:
-        raise _corrupt(path, "stored document frequencies disagree with term counts")
-    if _weights_checksum(index) != stored_weights:
+    index = _assemble(config, terms, doc_ids, titles, count_rows)
+    try:
+        checksum = _checksum(index)
+    except UnicodeEncodeError as exc:
+        raise _corrupt(path, f"text not encodable as UTF-8 ({exc})") from exc
+    if checksum != stored_checksum:
         raise IndexFormatError(
-            f"index weight checksum mismatch in {path}: recomputed weights "
-            "do not match the stored checksum"
+            f"index checksum mismatch in {path}: the stored strings or the "
+            "recomputed weights do not match the stored checksum"
         )
     return index
 

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from cbrsearch import build_index, cli, load_index, read_corpus, save_index, store
+from cbrsearch import Case, build_index, cli, load_index, read_corpus, save_index, store
 from cbrsearch.cli import EXIT_DATA, EXIT_OK, EXIT_PROPERTY, EXIT_USAGE, main
 from conftest import SAMPLE_TITLES, generate_titles
 
@@ -182,6 +182,24 @@ class TestCmdQuery:
         assert code == EXIT_DATA
         assert "corrupt" in err
 
+    def test_format_version_1_index_exits_2_with_a_rebuild_hint(self, tmp_path, capsys):
+        old = tmp_path / "v1.idx"
+        old.write_text(
+            '{"corpus_size":2,"documents":[{"counts":[[0,1],[1,1]],"id":"d1","title":"a b",'
+            '"token_total":2},{"counts":[[0,1],[2,1]],"id":"d2","title":"a c","token_total":2}],'
+            '"format":"cbrsearch-index","format_version":1,"preprocess":{"casefold":true,'
+            '"min_token_length":1,"stopwords":[]},"preprocess_fingerprint":'
+            '"57e8a2f347fabab1d98b0b5b9aaf7030e26684ce14872f64e523cebc1930c4a0",'
+            '"vocabulary":[["a",0,2],["b",1,1],["c",2,1]],"weights_sha256":'
+            '"ac7137fa9503b136eca6e49747c465f4032cd8c2246d4d6681a7fd0bd7aca57a"}\n',
+            encoding="utf-8",
+        )
+        code, out, err = run_cli(["query", "--index", str(old), "--query", "a"], capsys)
+        assert code == EXIT_DATA
+        assert out == ""
+        assert "unsupported index format version 1" in err
+        assert "rebuild it with `cbrsearch index`" in err
+
     def test_byte_identical_output_for_identical_invocations(self, indexed, capsys):
         argv = ["query", "--index", str(indexed), "--query", "sistem monitoring"]
         _, first, _ = run_cli(argv, capsys)
@@ -249,6 +267,40 @@ class TestCmdAdd:
         )
         assert code == EXIT_DATA
         assert "tokenizes to empty" in err
+
+    def test_corpus_that_disagrees_with_the_index_exits_2_without_touching_files(
+        self, record_pair, capsys
+    ):
+        corpus, index_path = record_pair
+        edited = corpus.read_text(encoding="utf-8").replace(SAMPLE_TITLES[1], "Judul Disunting", 1)
+        corpus.write_text(edited, encoding="utf-8")
+        before = {path.name: path.read_bytes() for path in corpus.parent.iterdir()}
+        code, out, err = run_cli(
+            ["add", "--index", str(index_path), "--corpus", str(corpus),
+             "--id", "r6", "--title", "Sistem Pakar Diagnosa Penyakit"],
+            capsys,
+        )
+        assert code == EXIT_DATA
+        assert out == ""
+        assert "corpus and index disagree" in err
+        assert {path.name: path.read_bytes() for path in corpus.parent.iterdir()} == before
+
+    def test_index_saved_without_its_append_is_completed_by_a_retry(self, record_pair, capsys):
+        # the state a crash between an add's index save and its append leaves
+        corpus, index_path = record_pair
+        new_case = Case("r6", "Sistem Pakar Diagnosa Penyakit")
+        index = load_index(index_path)
+        save_index(build_index([*read_corpus(corpus, "record"), new_case], index.config)[0], index_path)
+        ahead = index_path.read_bytes()
+        code, out, _ = run_cli(
+            ["add", "--index", str(index_path), "--corpus", str(corpus),
+             "--id", new_case.id, "--title", new_case.title],
+            capsys,
+        )
+        assert code == EXIT_OK
+        assert "corpus size: 6" in out
+        assert read_corpus(corpus, "record")[-1] == new_case
+        assert index_path.read_bytes() == ahead
 
     @pytest.mark.parametrize(
         "owner, name",
@@ -478,3 +530,16 @@ class TestUnencodableText:
         assert err.startswith("error: ")
         assert named in err
         assert {path.name: path.read_bytes() for path in workdir.iterdir()} == before
+
+    @pytest.mark.parametrize("field", ["ids", "titles", "terms"])
+    def test_index_string_with_a_lone_surrogate_exits_2(self, workdir, capsys, field):
+        document = json.loads((workdir / "corpus.idx").read_text(encoding="utf-8"))
+        document[field][0] += " \udcff"
+        (workdir / "surrogate.idx").write_text(json.dumps(document), encoding="utf-8")
+        code, out, err = run_cli(
+            ["query", "--index", "surrogate.idx", "--query", "sistem"], capsys
+        )
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "surrogate.idx" in err
