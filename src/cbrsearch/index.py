@@ -27,7 +27,7 @@ from types import MappingProxyType
 from .errors import DataError, TermNotIndexed
 from .preprocess import PreprocessConfig, tokenize
 
-INDEX_FORMAT_VERSION = 2
+INDEX_FORMAT_VERSION = 3
 
 SCORERS = ("cosine", "set")
 

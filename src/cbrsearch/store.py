@@ -1,19 +1,19 @@
 """On-disk formats: the index snapshot and the corpus files.
 
-Index file (format version 2)
+Index file (format version 3)
     A single-line JSON document. It stores the preprocessing configuration
     and its fingerprint, the vocabulary as a plain ``terms`` list (a term's
     id is its position), the documents as parallel ``ids`` and ``titles``
     lists, and one flat ``[tid, count, tid, count, ...]`` row per document
     in ``counts``, ascending by term id. Weights, token totals and document
     frequencies are never written: on load they are recomputed through the
-    same code path ``build_index`` uses. A stored sha256 covers the ids,
-    titles and term spellings and the recomputed posting ordinals and
-    weights, so a loaded index is bit-identical to the one that was saved;
-    a hand-edited string, or a count that changes a weight, is rejected.
-    Serialization is canonical (sorted keys, fixed separators), which makes
-    equal indexes produce byte-identical files. Files of any other format
-    version, version 1 included, are rejected with a hint to rebuild them
+    same code path ``build_index`` uses, so an index is defined by its
+    stored counts. Serialization is canonical (sorted keys, fixed
+    separators), which makes equal indexes produce byte-identical files.
+    The last key, ``weights_sha256``, is the sha256 of the UTF-8 bytes of
+    the canonical document without it, so any edit to a stored value, or
+    to the file's layout, is rejected. Files of any other format version,
+    versions 1 and 2 included, are rejected with a hint to rebuild them
     with ``cbrsearch index``.
 
 Corpus files
@@ -27,8 +27,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import sys
-from array import array
 from itertools import accumulate, chain, repeat
 from operator import floordiv, lt, mod, sub
 from pathlib import Path
@@ -38,36 +36,20 @@ from .index import INDEX_FORMAT_VERSION, Case, Index, _assemble
 from .preprocess import PreprocessConfig
 
 _FORMAT_NAME = "cbrsearch-index"
+_CHECKSUM_KEY = ',"weights_sha256":'
 
 CORPUS_FORMATS = ("record", "plain")
 
 
-def _little_endian(values: array) -> bytes:
-    """The bytes of *values* as little-endian items, whatever the machine's order."""
-    if sys.byteorder == "big":
-        values = array(values.typecode, values)
-        values.byteswap()
-    return values.tobytes()
+def _seal(body: str) -> str:
+    """The file text for *body*, a canonical JSON object: its sha256 spliced in.
 
-
-def _checksum(index: Index) -> str:
-    """sha256 over the index's strings and its posting tables.
-
-    The ids, titles and terms each go in as the list's length, every
-    string's UTF-8 byte length and the strings' bytes; the posting ordinals
-    and weights each as the table's length, every term's posting length and
-    the packed values. Encoding is strict, so a lone surrogate raises
-    UnicodeEncodeError.
+    ``weights_sha256`` sorts after every other key, so the result is exactly
+    the canonical serialization of the whole document. Encoding is strict,
+    so a lone surrogate raises UnicodeEncodeError.
     """
-    digest = hashlib.sha256()
-    for strings in (index.doc_ids, index.titles.values(), index.vocabulary.terms):
-        encoded = list(map(str.encode, strings))
-        digest.update(_little_endian(array("q", [len(encoded), *map(len, encoded)])))
-        digest.update(b"".join(encoded))
-    for table, code in ((index.postings, "i"), (index.posting_weights, "d")):
-        digest.update(_little_endian(array("q", [len(table), *map(len, table)])))
-        digest.update(_little_endian(array(code, b"".join(map(array.tobytes, table)))))
-    return digest.hexdigest()
+    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    return f'{body[:-1]}{_CHECKSUM_KEY}"{digest}"}}\n'
 
 
 def save_index(index: Index, path: str | Path) -> None:
@@ -90,14 +72,15 @@ def save_index(index: Index, path: str | Path) -> None:
         "ids": index.doc_ids,
         "titles": list(index.titles.values()),
         "counts": index.count_rows,
-        "weights_sha256": _checksum(index),
     }
-    payload = json.dumps(document, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+    payload = _seal(
+        json.dumps(document, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+    )
     target = Path(path)
     temporary = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
         with open(temporary, "w", encoding="utf-8") as handle:
-            handle.write(payload + "\n")
+            handle.write(payload)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(temporary, target)
@@ -181,7 +164,8 @@ def load_index(path: str | Path) -> Index:
         doc_ids = document["ids"]
         titles = document["titles"]
         count_rows = document["counts"]
-        stored_checksum = document["weights_sha256"]
+        if "weights_sha256" not in document:
+            raise KeyError("weights_sha256")
     except (KeyError, TypeError, ValueError, OverflowError, ConfigError) as exc:
         raise _corrupt(path, f"missing or malformed field ({exc})") from exc
     if config.fingerprint() != fingerprint:
@@ -216,17 +200,16 @@ def load_index(path: str | Path) -> Index:
     if len(set(tids)) != len(terms):
         raise _corrupt(path, "a vocabulary term occurs in no document")
 
-    index = _assemble(config, terms, doc_ids, titles, count_rows)
     try:
-        checksum = _checksum(index)
+        "".join(chain(doc_ids, titles, terms)).encode("utf-8")
     except UnicodeEncodeError as exc:
         raise _corrupt(path, f"text not encodable as UTF-8 ({exc})") from exc
-    if checksum != stored_checksum:
+    if _seal(raw.rpartition(_CHECKSUM_KEY)[0] + "}") != raw:
         raise IndexFormatError(
-            f"index checksum mismatch in {path}: the stored strings or the "
-            "recomputed weights do not match the stored checksum"
+            f"index checksum mismatch in {path}: the file was edited or "
+            "reformatted after it was saved"
         )
-    return index
+    return _assemble(config, terms, doc_ids, titles, count_rows)
 
 
 def read_corpus(path: str | Path, corpus_format: str) -> list[Case]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 from cbrsearch import Case
@@ -75,3 +77,18 @@ def random_query_tokens(
         tokens.append(f"zzz{rng.randint(0, 9)}")
         rng.shuffle(tokens)
     return tokens
+
+
+def sealed_index_text(document: dict) -> str:
+    """Index file text for *document* with a checksum that matches it.
+
+    Strings are written as JSON escapes, so the text is encodable even
+    when one holds a lone surrogate.
+    """
+    body = json.dumps(
+        {key: value for key, value in document.items() if key != "weights_sha256"},
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    return f'{body[:-1]},"weights_sha256":"{digest}"}}\n'

@@ -9,7 +9,7 @@ import pytest
 
 from cbrsearch import Case, build_index, cli, load_index, read_corpus, save_index, store
 from cbrsearch.cli import EXIT_DATA, EXIT_OK, EXIT_PROPERTY, EXIT_USAGE, main
-from conftest import SAMPLE_TITLES, generate_titles
+from conftest import SAMPLE_TITLES, generate_titles, sealed_index_text
 
 
 def run_cli(argv, capsys):
@@ -182,22 +182,36 @@ class TestCmdQuery:
         assert code == EXIT_DATA
         assert "corrupt" in err
 
-    def test_format_version_1_index_exits_2_with_a_rebuild_hint(self, tmp_path, capsys):
-        old = tmp_path / "v1.idx"
-        old.write_text(
-            '{"corpus_size":2,"documents":[{"counts":[[0,1],[1,1]],"id":"d1","title":"a b",'
-            '"token_total":2},{"counts":[[0,1],[2,1]],"id":"d2","title":"a c","token_total":2}],'
-            '"format":"cbrsearch-index","format_version":1,"preprocess":{"casefold":true,'
-            '"min_token_length":1,"stopwords":[]},"preprocess_fingerprint":'
-            '"57e8a2f347fabab1d98b0b5b9aaf7030e26684ce14872f64e523cebc1930c4a0",'
-            '"vocabulary":[["a",0,2],["b",1,1],["c",2,1]],"weights_sha256":'
-            '"ac7137fa9503b136eca6e49747c465f4032cd8c2246d4d6681a7fd0bd7aca57a"}\n',
-            encoding="utf-8",
-        )
+    @pytest.mark.parametrize(
+        "version, text",
+        [
+            (1,
+             '{"corpus_size":2,"documents":[{"counts":[[0,1],[1,1]],"id":"d1","title":"a b",'
+             '"token_total":2},{"counts":[[0,1],[2,1]],"id":"d2","title":"a c","token_total":2}],'
+             '"format":"cbrsearch-index","format_version":1,"preprocess":{"casefold":true,'
+             '"min_token_length":1,"stopwords":[]},"preprocess_fingerprint":'
+             '"57e8a2f347fabab1d98b0b5b9aaf7030e26684ce14872f64e523cebc1930c4a0",'
+             '"vocabulary":[["a",0,2],["b",1,1],["c",2,1]],"weights_sha256":'
+             '"ac7137fa9503b136eca6e49747c465f4032cd8c2246d4d6681a7fd0bd7aca57a"}\n'),
+            (2,
+             '{"counts":[[0,1,1,1],[0,1,2,1]],"format":"cbrsearch-index","format_version":2,'
+             '"ids":["d1","d2"],"preprocess":{"casefold":true,"min_token_length":1,'
+             '"stopwords":[]},"preprocess_fingerprint":'
+             '"57e8a2f347fabab1d98b0b5b9aaf7030e26684ce14872f64e523cebc1930c4a0",'
+             '"terms":["a","b","c"],"titles":["a b","a c"],"weights_sha256":'
+             '"2610681ddccaa6de3c2fa7708a47d349e1237ac72b3df0dcc7b183afc080bee6"}\n'),
+        ],
+        ids=["v1", "v2"],
+    )
+    def test_format_version_1_index_exits_2_with_a_rebuild_hint(
+        self, tmp_path, capsys, version, text
+    ):
+        old = tmp_path / f"v{version}.idx"
+        old.write_text(text, encoding="utf-8")
         code, out, err = run_cli(["query", "--index", str(old), "--query", "a"], capsys)
         assert code == EXIT_DATA
         assert out == ""
-        assert "unsupported index format version 1" in err
+        assert f"unsupported index format version {version}" in err
         assert "rebuild it with `cbrsearch index`" in err
 
     def test_byte_identical_output_for_identical_invocations(self, indexed, capsys):
@@ -531,11 +545,18 @@ class TestUnencodableText:
         assert named in err
         assert {path.name: path.read_bytes() for path in workdir.iterdir()} == before
 
-    @pytest.mark.parametrize("field", ["ids", "titles", "terms"])
-    def test_index_string_with_a_lone_surrogate_exits_2(self, workdir, capsys, field):
+    @pytest.mark.parametrize(
+        "field, forge_checksum",
+        [("ids", False), ("titles", False), ("terms", False), ("titles", True)],
+        ids=["ids", "titles", "terms", "titles-checksum-forged"],
+    )
+    def test_index_string_with_a_lone_surrogate_exits_2(
+        self, workdir, capsys, field, forge_checksum
+    ):
         document = json.loads((workdir / "corpus.idx").read_text(encoding="utf-8"))
         document[field][0] += " \udcff"
-        (workdir / "surrogate.idx").write_text(json.dumps(document), encoding="utf-8")
+        text = sealed_index_text(document) if forge_checksum else json.dumps(document)
+        (workdir / "surrogate.idx").write_text(text, encoding="utf-8")
         code, out, err = run_cli(
             ["query", "--index", "surrogate.idx", "--query", "sistem"], capsys
         )

@@ -20,13 +20,17 @@ from cbrsearch import (
     read_corpus,
     save_index,
 )
-from conftest import corpus_cases, generate_token_corpus
+from conftest import corpus_cases, generate_token_corpus, sealed_index_text
 
 
 @pytest.fixture
 def small_index():
     index, _ = build_index([Case("d1", "a b"), Case("d2", "a c"), Case("d3", "b c")])
     return index
+
+
+def _canonical(document: dict) -> str:
+    return json.dumps(document, ensure_ascii=False, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 class TestRoundTrip:
@@ -42,12 +46,18 @@ class TestRoundTrip:
     def test_save_load_save_is_byte_identical(self, tmp_path):
         rng = random.Random(6021)
         doc_tokens = generate_token_corpus(rng, max_docs=50, max_tokens=20, max_vocab=30)
-        index, _ = build_index(corpus_cases(doc_tokens))
+        cases = corpus_cases(doc_tokens)
+        # non-ASCII text is written as is, a control character as an escape
+        cases += [Case("é1", "Sistem Informasi Ñandú"), Case("x2", 'a\x07b "c" \\ d\u2028')]
+        index, _ = build_index(cases)
         first = tmp_path / "first.idx"
         second = tmp_path / "second.idx"
         save_index(index, first)
         save_index(load_index(first), second)
         assert first.read_bytes() == second.read_bytes()
+        # the spliced-in checksum leaves the file a canonical serialization
+        text = first.read_text(encoding="utf-8")
+        assert text == _canonical(json.loads(text))
 
     def test_config_survives_the_round_trip(self, tmp_path):
         config = PreprocessConfig(stopwords=frozenset({"dan", "di"}), min_token_length=2)
@@ -55,6 +65,30 @@ class TestRoundTrip:
         path = tmp_path / "cfg.idx"
         save_index(index, path)
         assert load_index(path).config == config
+
+
+def _bump_first_count(text: str) -> str:
+    document = json.loads(text)
+    document["counts"][0][1] += 1
+    return _canonical(document)
+
+
+def _scale_first_row(text: str) -> str:
+    document = json.loads(text)
+    document["counts"][0] = [0, 3, 1, 1]
+    return _canonical(document)
+
+
+def _add_stopword(text: str) -> str:
+    document = json.loads(text)
+    config = PreprocessConfig(stopwords=frozenset({"sistem"}))
+    document["preprocess"]["stopwords"] = ["sistem"]
+    document["preprocess_fingerprint"] = config.fingerprint()
+    return _canonical(document)
+
+
+def _append_scaled_row_after_checksum(text: str) -> str:
+    return text.removesuffix("}\n") + ',"counts":[[0,3,1,1],[0,1,1,1,2,1]]}\n'
 
 
 class TestRejection:
@@ -100,12 +134,23 @@ class TestRejection:
         with pytest.raises(IndexFormatError, match="checksum mismatch"):
             load_index(path)
 
-    def test_tampered_counts_are_caught(self, small_index, tmp_path):
+    @pytest.mark.parametrize(
+        "titles, tamper",
+        [
+            (["a b", "a c", "b c"], _bump_first_count),
+            # every weight stays what it was: "a" and "b" have idf 0
+            (["a b", "a b c"], _scale_first_row),
+            (["sistem informasi", "sistem pakar", "aplikasi web"], _add_stopword),
+            # json.loads keeps the last of two equal keys
+            (["a b", "a b c"], _append_scaled_row_after_checksum),
+        ],
+        ids=["count-changed", "row-scaled", "stopword-added", "key-after-checksum"],
+    )
+    def test_tampered_counts_are_caught(self, tmp_path, titles, tamper):
+        index, _ = build_index([Case(f"d{i}", title) for i, title in enumerate(titles, 1)])
         path = tmp_path / "tamper.idx"
-        save_index(small_index, path)
-        document = json.loads(path.read_text(encoding="utf-8"))
-        document["counts"][0][1] += 1
-        path.write_text(json.dumps(document), encoding="utf-8")
+        save_index(index, path)
+        path.write_text(tamper(path.read_text(encoding="utf-8")), encoding="utf-8")
         with pytest.raises(IndexFormatError):
             load_index(path)
 
@@ -190,7 +235,9 @@ def _assert_loads_equal_or_corrupt(saved_index, field, value):
     """Write the saved index with *field* set to *value* (or deleted) and load it.
 
     The load must raise IndexFormatError or give an index equal to the
-    original.
+    original. With the checksum forged to match the edit, the load must
+    still raise IndexFormatError or give an index that survives its own
+    save and load.
     """
     original, document, _, path = saved_index
     mutated = json.loads(json.dumps(document))
@@ -202,6 +249,14 @@ def _assert_loads_equal_or_corrupt(saved_index, field, value):
         del target[leaf]
     else:
         target[leaf] = value
+    path.write_text(sealed_index_text(mutated), encoding="utf-8")
+    try:
+        forged = load_index(path)
+    except IndexFormatError:
+        pass
+    else:
+        save_index(forged, path)
+        assert load_index(path) == forged, (field, value)
     path.write_text(json.dumps(mutated), encoding="utf-8")
     try:
         loaded = load_index(path)
