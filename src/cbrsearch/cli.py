@@ -16,9 +16,11 @@ violation (``eval`` only).
 from __future__ import annotations
 
 import argparse
+import fcntl
 import json
 import random
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -149,7 +151,31 @@ def cmd_query(args) -> int:
     return EXIT_OK
 
 
+@contextmanager
+def _locked(path):
+    """Hold an exclusive advisory lock on the file *path* while inside.
+
+    A file that cannot be opened is left unlocked: the read that follows
+    reports it, with the message it always had.
+    """
+    try:
+        handle = open(path, "rb")
+    except OSError:
+        yield
+        return
+    with handle:
+        fcntl.flock(handle.fileno(), fcntl.LOCK_EX)  # released when the file closes
+        yield
+
+
 def cmd_add(args) -> int:
+    # the corpus is appended to in place, never replaced, so a lock on it
+    # serializes concurrent adds from the index load through the append
+    with _locked(args.corpus):
+        return _add(args)
+
+
+def _add(args) -> int:
     index = load_index(args.index)
     cases = read_corpus(args.corpus, "record")
     new_case = Case(id=args.id, title=args.title, solution=args.solution)
@@ -214,8 +240,11 @@ def run_two_stage_eval(
 
     Returns the report plus a list of violations: any row where the shuffled
     query found a different number of titles, or where a title stored in the
-    corpus failed to come back with a top score of 1.0.
+    corpus failed to come back with a top score of 1.0. No *titles* at all
+    is a :class:`DataError`.
     """
+    if not titles:
+        raise DataError("no titles to evaluate")
     stored_titles = set(index.titles.values())
     rows: list[EvalRow] = []
     violations: list[str] = []

@@ -22,6 +22,7 @@ from array import array
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import chain
+from operator import truediv
 from types import MappingProxyType
 
 from .errors import DataError, TermNotIndexed
@@ -160,7 +161,7 @@ class Index:
 
     ``documents`` and ``norms`` are read-only, id-keyed views derived from
     these tables on first access; nothing on the query, load or save path
-    reads them.
+    reads them. :meth:`term_ratios` caches one array per term on first use.
     """
 
     __slots__ = (
@@ -176,6 +177,7 @@ class Index:
         "_idf",
         "_documents",
         "_norms",
+        "_ratios",
     )
 
     def __init__(
@@ -203,6 +205,7 @@ class Index:
         self._idf = idf
         self._documents: Mapping[str, DocumentVector] | None = None
         self._norms: Mapping[str, float] | None = None
+        self._ratios: dict[int, array] = {}
 
     def __repr__(self) -> str:
         return f"Index({self.corpus_size} documents, {len(self.vocabulary)} terms)"
@@ -256,6 +259,40 @@ class Index:
         if self._norms is None:
             self._norms = MappingProxyType(dict(zip(self.doc_ids, self.ordinal_norms)))
         return self._norms
+
+    def term_ratios(self, term_id: int) -> array:
+        """Every ``weight / norm`` over the postings of *term_id*, descending.
+
+        What a document's normalized vector holds in the term's coordinate,
+        so the first entry times the query weight bounds what the term adds
+        to any cosine dot product, and the k-th is met or beaten by k
+        documents. Computed on first use and cached; defined for terms with
+        nonzero idf, whose documents all have nonzero norms.
+        """
+        ratios = self._ratios.get(term_id)
+        if ratios is None:
+            norms = map(self.ordinal_norms.__getitem__, self.postings[term_id])
+            ratios = map(truediv, self.posting_weights[term_id], norms)
+            ratios = array("d", sorted(ratios, reverse=True))
+            self._ratios[term_id] = ratios
+        return ratios
+
+    def dot(self, ordinal: int, weights: Mapping[int, float]) -> float:
+        """Dot product of term-id-keyed *weights* with document *ordinal*.
+
+        Summed from 0.0 in ascending term id over the document's count row,
+        each weight recomputed through the expression :func:`_assemble` uses,
+        so it equals an accumulation over the postings bit for bit.
+        """
+        row = self.count_rows[ordinal]
+        counts = row[1::2]
+        token_total = sum(counts)
+        total = 0.0
+        for tid, count in zip(row[0::2], counts):
+            query_weight = weights.get(tid)
+            if query_weight is not None:
+                total += query_weight * ((count / token_total) * self._idf[tid])
+        return total
 
     def term_frequency(self, term: str, doc_id: str) -> float:
         """In-document frequency: count of *term* over the doc's token total.

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from cbrsearch import Case, build_index, cli, load_index, read_corpus, save_index, store
+from cbrsearch import Case, DataError, build_index, cli, load_index, read_corpus, save_index, store
 from cbrsearch.cli import EXIT_DATA, EXIT_OK, EXIT_PROPERTY, EXIT_USAGE, main
 from conftest import SAMPLE_TITLES, generate_titles, sealed_index_text
 
@@ -351,6 +355,36 @@ class TestCmdAdd:
         assert index_path.read_bytes() == rebuilt.read_bytes()
 
 
+    def test_two_concurrent_adds_both_land(self, tmp_path, capsys):
+        # big enough that each add's load-build-save outlasts process start-up
+        titles = generate_titles(random.Random(4242), 3000)
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(
+            "".join(json.dumps({"id": f"r{n}", "title": t}) + "\n" for n, t in enumerate(titles)),
+            encoding="utf-8",
+        )
+        index_path = tmp_path / "corpus.idx"
+        assert main(["index", "--input", str(corpus), "--format", "record",
+                     "--output", str(index_path)]) == EXIT_OK
+        capsys.readouterr()
+        path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        new_cases = [("x1", "Sistem Pakar Diagnosa Penyakit"), ("x2", "Aplikasi Kasir Toko")]
+        adds = [
+            subprocess.Popen(
+                [sys.executable, "-m", "cbrsearch", "add", "--index", str(index_path),
+                 "--corpus", str(corpus), "--id", case_id, "--title", title],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            )
+            for case_id, title in new_cases
+        ]
+        replies = [add.communicate(timeout=120) for add in adds]
+        assert [add.returncode for add in adds] == [EXIT_OK, EXIT_OK], replies
+        cases = read_corpus(corpus, "record")
+        assert sorted(case.id for case in cases[-2:]) == ["x1", "x2"]
+        assert load_index(index_path) == build_index(cases)[0]
+
+
 class TestCmdEval:
     @pytest.fixture
     def titles_file(self, tmp_path):
@@ -413,6 +447,10 @@ class TestCmdEval:
         )
         assert code == EXIT_DATA
         assert "no titles" in err
+
+    def test_no_titles_raises_a_data_error(self, indexed):
+        with pytest.raises(DataError, match="no titles to evaluate"):
+            cli.run_two_stage_eval(load_index(indexed), [], 1, "cosine")
 
     def test_count_mismatch_exits_3(self, indexed, titles_file, capsys, monkeypatch):
         # sabotage the shuffle so stage 2 queries something else entirely

@@ -6,10 +6,13 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brute import DenseOracle
 from cbrsearch import (
     Case,
+    QueryVector,
     build_index,
     cosine_similarity,
     rank,
@@ -133,6 +136,30 @@ class TestRank:
         query = small_index.vectorize_query(["a"])
         with pytest.raises(ValueError, match="top_k"):
             rank(small_index, query, top_k=0)
+
+    @pytest.mark.parametrize("top_k", [True, 2.5, "3"], ids=["bool", "float", "str"])
+    def test_top_k_that_is_not_an_int_raises_type_error(self, small_index, top_k):
+        query = small_index.vectorize_query(["a", "b"])
+        with pytest.raises(TypeError, match="top_k"):
+            rank(small_index, query, top_k=top_k)
+        with pytest.raises(TypeError, match="top_k"):
+            search(small_index, "a b", top_k=top_k)
+
+    def test_nan_threshold_raises_value_error(self, small_index):
+        query = small_index.vectorize_query(["a", "b"])
+        with pytest.raises(ValueError, match="threshold"):
+            rank(small_index, query, threshold=float("nan"))
+        with pytest.raises(ValueError, match="threshold"):
+            search(small_index, "a b", threshold=float("nan"), top_k=1)
+
+    @pytest.mark.parametrize("top_k", [None, 1, 2])
+    def test_negative_threshold_matches_like_zero(self, small_index, top_k):
+        for scorer in ("cosine", "set"):
+            query = small_index.vectorize_query(["a", "b"], scorer)
+            below = rank(small_index, query, threshold=-0.5, top_k=top_k)
+            at_zero = rank(small_index, query, top_k=top_k)
+            assert below.matches == at_zero.matches
+            assert below.total_matches == at_zero.total_matches == 3
 
     def test_threshold_is_strict(self, small_index):
         query = small_index.vectorize_query(["a"])
@@ -282,3 +309,69 @@ class TestRankProperties:
     def test_rejects_queries_of_the_wrong_type(self, small_index):
         with pytest.raises(TypeError):
             rank(small_index, {"a": 1.0})
+
+
+# a few words in many titles, the rest rare: the pruned path skips the
+# common words' lists when a rare word is in the query
+_COMMON = ["sistem", "aplikasi", "data"]
+_RARE = [f"kata{i}" for i in range(9)]
+_TITLE = st.lists(
+    st.sampled_from(_COMMON) | st.sampled_from(_RARE), min_size=1, max_size=6
+)
+
+
+@st.composite
+def _corpus_and_query(draw):
+    titles = draw(st.lists(_TITLE, min_size=2, max_size=24))
+    # duplicated titles tie exactly, also at the k-th score
+    titles += draw(st.lists(st.sampled_from(titles), max_size=6))
+    words = sorted({word for title in titles for word in title})
+    return titles, draw(st.lists(st.sampled_from(words), min_size=2, max_size=5))
+
+
+class TestPruning:
+    """The exact top-k path agrees with the exhaustive one, bit for bit."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(drawn=_corpus_and_query())
+    def test_top_k_is_the_exhaustive_ranking_truncated(self, drawn):
+        titles, tokens = drawn
+        cases = [Case(f"{n:03d}", " ".join(words)) for n, words in enumerate(titles)]
+        index, _ = build_index(cases)
+        for scorer in ("cosine", "set"):
+            query = index.vectorize_query(tokens, scorer)
+            for threshold in (0.0, 0.3):
+                full = rank(index, query, threshold=threshold)
+                for top_k in range(1, index.corpus_size + 2):
+                    cut = rank(index, query, threshold=threshold, top_k=top_k)
+                    assert cut.matches == full.matches[:top_k]
+                    assert [m.score for m in cut.matches] == [m.score for m in full.matches[:top_k]]
+                    assert cut.total_matches == full.total_matches
+
+    def test_a_hand_built_query_with_a_term_of_idf_0_counts_like_the_exhaustive_path(self):
+        index, _ = build_index([Case("1", "a b"), Case("2", "a c"), Case("3", "a d")])
+        a, b = index.vocabulary.term_id("a"), index.vocabulary.term_id("b")
+        query = QueryVector({a: 1.0, b: 1.0})
+        full = rank(index, query)
+        assert full.total_matches == 1
+        assert rank(index, query, top_k=1) == full
+
+    def test_term_ratios_bound_every_posting_and_are_reached(self):
+        rng = random.Random(8128)
+        doc_tokens = generate_token_corpus(rng, max_docs=80, max_tokens=12, max_vocab=30)
+        index, _ = build_index(corpus_cases(doc_tokens))
+        twin, _ = build_index(corpus_cases(doc_tokens))
+        checked = 0
+        for tid, df in enumerate(index.vocabulary.document_frequencies):
+            if df == index.corpus_size:  # idf 0: no cosine query holds the term
+                continue
+            pairs = zip(index.postings[tid], index.posting_weights[tid])
+            ratios = [weight / index.ordinal_norms[ordinal] for ordinal, weight in pairs]
+            cached = index.term_ratios(tid)
+            assert all(ratio <= cached[0] for ratio in ratios)
+            assert cached[0] in ratios
+            assert list(cached) == sorted(ratios, reverse=True)
+            assert index.term_ratios(tid) is cached
+            checked += 1
+        assert checked > 10
+        assert index == twin  # the cache is not part of an index's value
