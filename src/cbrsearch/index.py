@@ -238,18 +238,15 @@ class Index:
     def documents(self) -> Mapping[str, DocumentVector]:
         """doc_id -> DocumentVector, in corpus order (a read-only view).
 
-        Weights are recomputed from the count rows and the idf table through
-        the expression :func:`_assemble` uses, so they equal the posted
-        weights bit for bit.
+        Weights are recomputed from the count rows by :meth:`_row_weights`,
+        so they equal the posted weights bit for bit.
         """
         if self._documents is None:
-            idf = self._idf
             documents = {}
             for doc_id, row in zip(self.doc_ids, self.count_rows):
                 raw = dict(zip(row[0::2], row[1::2]))
-                token_total = sum(raw.values())
-                weights = {tid: (count / token_total) * idf[tid] for tid, count in raw.items()}
-                documents[doc_id] = DocumentVector(doc_id, weights, raw, token_total)
+                weights = self._row_weights(row)
+                documents[doc_id] = DocumentVector(doc_id, weights, raw, sum(raw.values()))
             self._documents = MappingProxyType(documents)
         return self._documents
 
@@ -281,18 +278,22 @@ class Index:
         """Dot product of term-id-keyed *weights* with document *ordinal*.
 
         Summed from 0.0 in ascending term id over the document's count row,
-        each weight recomputed through the expression :func:`_assemble` uses,
-        so it equals an accumulation over the postings bit for bit.
+        weighted by :meth:`_row_weights`, so it equals an accumulation over
+        the postings bit for bit.
         """
-        row = self.count_rows[ordinal]
-        counts = row[1::2]
-        token_total = sum(counts)
         total = 0.0
-        for tid, count in zip(row[0::2], counts):
+        for tid, weight in self._row_weights(self.count_rows[ordinal]).items():
             query_weight = weights.get(tid)
             if query_weight is not None:
-                total += query_weight * ((count / token_total) * self._idf[tid])
+                total += query_weight * weight
         return total
+
+    def _row_weights(self, row: list[int]) -> dict[int, float]:
+        """Term id -> weight over a count row, by the expression :func:`_assemble` uses."""
+        counts = row[1::2]
+        token_total = sum(counts)
+        idf = self._idf
+        return {tid: (count / token_total) * idf[tid] for tid, count in zip(row[0::2], counts)}
 
     def term_frequency(self, term: str, doc_id: str) -> float:
         """In-document frequency: count of *term* over the doc's token total.

@@ -14,14 +14,14 @@ indexed by document ordinal rather than a dict keyed by case id. With a
 ``top_k`` the best matches are selected without a full sort of the
 candidates; in every case ties still break by ascending case id.
 
-A cosine query of two or more terms with a ``top_k`` and a threshold of 0
-takes an exact pruned path (MaxScore, :func:`_score_top`): it skips the
-posting lists of terms too weak to lift a document into the top ``top_k``
-and scores only the documents that can still rank. Its matches, scores and
-``total_matches`` are bit-identical to the exhaustive path's. Set queries
-take the exhaustive path: every term's bound there is
-``1 / sqrt(distinct terms)``, too loose to skip much. So do single-term
-queries, thresholds above 0 and queries without ``top_k``.
+Scoring is one pass over the query's posting lists less a skip set
+(:func:`_score`). For a cosine query of two or more terms with a ``top_k``
+and a threshold of 0, MaxScore skips the lists of terms too weak to lift a
+document into the top ``top_k``, and only documents that can still rank
+are scored. Every other query skips nothing: set queries, whose term
+bounds are all ``1 / sqrt(distinct terms)``, too loose to skip much;
+single-term queries; thresholds above 0; and queries without ``top_k``.
+Matches, scores and ``total_matches`` are bit-identical either way.
 """
 
 from __future__ import annotations
@@ -113,82 +113,31 @@ def set_similarity(x, y) -> float:
     return min(shared / (math.sqrt(len(x)) * math.sqrt(len(y))), 1.0)
 
 
-def _accumulate(index: Index, query: QueryVector, tids) -> tuple[list[float], set[int]]:
-    """Dot products over the posting lists of the query terms *tids*.
+def _skippable(
+    index: Index, query: QueryVector, query_norm: float, threshold: float, top_k: int | None
+) -> tuple[set[int], float, float]:
+    """Which query terms' posting lists to skip: MaxScore (Turtle & Flood).
 
-    Accumulated term at a time, in the order of *tids*, into a list indexed
-    by document ordinal; returned with the union of the visited ordinals. A
-    set query scores 1.0 for every posting.
-    """
-    binary = query.scorer == "set"
-    dots = [0.0] * index.corpus_size
-    union: set[int] = set()
-    for tid in tids:
-        query_weight = query.weights[tid]
-        ordinals = index.postings[tid]
-        doc_weights = repeat(1.0) if binary else index.posting_weights[tid]
-        for ordinal, doc_weight in zip(ordinals, doc_weights):
-            dots[ordinal] += query_weight * doc_weight
-        union.update(ordinals)
-    return dots, union
-
-
-def _score(index: Index, query: QueryVector) -> tuple[list[int], list[float]]:
-    """Cosine scores for every document reachable through the postings.
-
-    Dot products accumulate over every query term in ascending term id; the
-    candidates are the union of the visited posting ordinals. A set query
-    scores against the documents' set norms. Returns candidate ordinals and
-    their scores.
-    """
-    if not query.weights:
-        return [], []
-    doc_norms = index.ordinal_set_norms if query.scorer == "set" else index.ordinal_norms
-    dots, candidates = _accumulate(index, query, sorted(query.weights))
-    query_norm = _norm(query.weights)
-    ordinals = list(candidates)
-    # dot / (query_norm * norm), clamped to 1.0 as min(score, 1.0) would
-    denominators = map(query_norm.__mul__, map(doc_norms.__getitem__, ordinals))
-    scores = list(map(truediv, map(dots.__getitem__, ordinals), denominators))
-    return ordinals, _clamp(scores)
-
-
-def _score_top(
-    index: Index, query: QueryVector, top_k: int
-) -> tuple[list[int], list[float], int] | None:
-    """Exact cosine scores of every document that can rank in the top *top_k*.
-
-    MaxScore pruning (Turtle & Flood). Term ``t`` adds at most its bound,
+    Term ``t`` adds at most its bound,
     ``weight * term_ratios(t)[0] / query_norm``, to any score, and the
     ``top_k``-th of its ratios gives ``top_k`` documents at least that much,
     so the best such value over the query's terms is a lower bound theta of
     the ``top_k``-th best score. The lowest-bound terms whose bounds sum
     below theta are skipped: a document only they reach cannot rank or tie.
-    The rest accumulate as in :func:`_score`, theta rises to the
-    ``top_k``-th best of those partial scores, and a candidate whose partial
-    score plus every skipped bound falls below theta is dropped. Rounding
-    cannot push a partial sum of nonnegative terms above the full sum, and
-    every bound check keeps :data:`SLACK` to spare.
+    Returns the skipped term ids, the sum of their bounds and theta.
 
-    A survivor in no skipped list already holds its exact score; any other
-    is scored again by :meth:`Index.dot`, so every score is bit-identical to
-    :func:`_score`'s. Returns the survivors, their scores and the size of
-    the union of all the query's posting lists (the match count at
-    threshold 0), or None when no list can be skipped, as for a query of
-    one term. A query the exhaustive path must score, with a term whose
-    bound is not positive (a hand-built one, with an idf-0 term or a
-    weight of 0), also gets None.
+    The queries the module docstring names skip nothing (a lone term's bound
+    is never below theta), and so does a hand-built query with a term whose
+    bound is not positive: a term that adds nothing still widens the union.
     """
     weights = query.weights
-    if len(weights) < 2:  # theta never exceeds a lone term's bound
-        return None
+    if query.scorer == "set" or threshold > 0.0 or top_k is None or len(weights) < 2:
+        return set(), 0.0, 0.0
     tids = sorted(weights)
-    postings, norms = index.postings, index.ordinal_norms
-    query_norm = _norm(weights)
     ratios = {tid: index.term_ratios(tid) for tid in tids}
     bounds = {tid: weights[tid] * ratios[tid][0] / query_norm for tid in tids}
-    if min(bounds.values()) <= 0.0:  # a term that adds nothing still widens the union
-        return None
+    if min(bounds.values()) <= 0.0:
+        return set(), 0.0, 0.0
     deep = [tid for tid in tids if len(ratios[tid]) >= top_k]
     theta = max((weights[tid] * ratios[tid][top_k - 1] / query_norm for tid in deep), default=0.0)
     skipped, reach = set(), 0.0
@@ -197,27 +146,65 @@ def _score_top(
             break
         reach += bounds[tid]
         skipped.add(tid)
-    if not skipped:
-        return None
+    return skipped, reach, theta
 
-    dots, union = _accumulate(index, query, [tid for tid in tids if tid not in skipped])
+
+def _score(
+    index: Index, query: QueryVector, threshold: float, top_k: int | None
+) -> tuple[list[int], list[float], int]:
+    """Ordinals and scores of the documents that can match, and the match count.
+
+    Dot products accumulate term at a time, in ascending term id, over the
+    lists :func:`_skippable` keeps; a set query scores 1.0 for every posting
+    against the set norms. With nothing skipped, the result is every
+    document scoring above *threshold*. With lists skipped, theta rises to
+    the ``top_k``-th best partial score, and a candidate whose partial score
+    plus every skipped bound falls below theta is dropped. Rounding cannot
+    push a partial sum of nonnegative terms above the full sum, and every
+    bound check keeps :data:`SLACK` to spare. A survivor in no skipped list
+    already holds its exact score; any other is scored again by
+    :meth:`Index.dot`, so every score is bit-identical, and the match count
+    is the size of the union of all the query's lists.
+    """
+    weights = query.weights
+    binary = query.scorer == "set"
+    norms = index.ordinal_set_norms if binary else index.ordinal_norms
+    query_norm = _norm(weights)
+    skipped, reach, theta = _skippable(index, query, query_norm, threshold, top_k)
+    dots = [0.0] * index.corpus_size
+    union: set[int] = set()
+    for tid in sorted(weights.keys() - skipped):
+        query_weight = weights[tid]
+        ordinals = index.postings[tid]
+        doc_weights = repeat(1.0) if binary else index.posting_weights[tid]
+        for ordinal, doc_weight in zip(ordinals, doc_weights):
+            dots[ordinal] += query_weight * doc_weight
+        union.update(ordinals)
     candidates = list(union)
+    # dot / (query_norm * norm), clamped to 1.0 as min(score, 1.0) would
     denominators = map(query_norm.__mul__, map(norms.__getitem__, candidates))
-    partial = list(map(truediv, map(dots.__getitem__, candidates), denominators))
+    scores = list(map(truediv, map(dots.__getitem__, candidates), denominators))
+    if not skipped:
+        scores = _clamp(scores)
+        if scores and min(scores) <= threshold:
+            keep = list(map(lt, repeat(threshold), scores))
+            candidates = list(compress(candidates, keep))
+            scores = list(compress(scores, keep))
+        return candidates, scores, len(scores)
+
     # theta's own term has a bound of at least theta, so it was not skipped
     # and at least top_k candidates hold a partial score
-    theta = max(theta, heapq.nlargest(top_k, partial)[-1])
-    kept = list(map(le, repeat(theta - reach - SLACK), partial))
-    survivors = list(compress(candidates, kept))
-    scores = list(compress(partial, kept))
-    unseen = set(chain.from_iterable(map(postings.__getitem__, skipped)))
+    theta = max(theta, heapq.nlargest(top_k, scores)[-1])
+    kept = list(map(le, repeat(theta - reach - SLACK), scores))
+    candidates = list(compress(candidates, kept))
+    scores = list(compress(scores, kept))
+    unseen = set(chain.from_iterable(map(index.postings.__getitem__, skipped)))
     total = len(union) + len(unseen) - len(unseen.intersection(union))
-    # a survivor in no skipped list already holds its exact score
-    stale = unseen.intersection(survivors)
-    for position, ordinal in enumerate(survivors):
+    stale = unseen.intersection(candidates)
+    for position, ordinal in enumerate(candidates):
         if ordinal in stale:
             scores[position] = index.dot(ordinal, weights) / (query_norm * norms[ordinal])
-    return survivors, _clamp(scores), total
+    return candidates, _clamp(scores), total
 
 
 def _clamp(scores: list[float]) -> list[float]:
@@ -255,22 +242,14 @@ def rank(
         raise ValueError("threshold must be a number, got nan")
     if not isinstance(query, QueryVector):
         raise TypeError(f"query must be a QueryVector, got {type(query).__name__}")
-    pruned = None
-    if top_k is not None and threshold <= 0.0 and query.scorer == "cosine":
-        pruned = _score_top(index, query, top_k)
-    if pruned is None:
-        ordinals, scores = _score(index, query)
-        keep = list(map(lt, repeat(threshold), scores))
-        total = keep.count(True)
-    else:
-        ordinals, scores, total = pruned
-        keep = [True] * len(scores)
-    if top_k is not None and top_k < total:
+    ordinals, scores, total = _score(index, query, threshold, top_k)
+    if top_k is not None and top_k < len(scores):
         # only scores at or above the k-th best can rank in the top k
-        cut = heapq.nlargest(top_k, compress(scores, keep))[-1]
+        cut = heapq.nlargest(top_k, scores)[-1]
         keep = list(map(le, repeat(cut), scores))
-    case_ids = map(index.doc_ids.__getitem__, compress(ordinals, keep))
-    best = sorted(zip(map(neg, compress(scores, keep)), case_ids))[:top_k]
+        ordinals, scores = compress(ordinals, keep), compress(scores, keep)
+    case_ids = map(index.doc_ids.__getitem__, ordinals)
+    best = sorted(zip(map(neg, scores), case_ids))[:top_k]
     matches = tuple(
         RankedMatch(case_id=doc_id, score=-negated, rank=position)
         for position, (negated, doc_id) in enumerate(best, start=1)

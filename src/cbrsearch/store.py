@@ -154,10 +154,13 @@ def load_index(path: str | Path) -> Index:
         stopwords = pre["stopwords"]
         if not isinstance(stopwords, list) or not all(isinstance(w, str) for w in stopwords):
             raise ValueError("stopwords must be a list of strings")
+        casefold, min_token_length = pre["casefold"], pre["min_token_length"]
+        if type(casefold) is not bool or type(min_token_length) is not int:
+            raise ValueError("casefold must be a bool and min_token_length an int")
         config = PreprocessConfig(
-            casefold=bool(pre["casefold"]),
+            casefold=casefold,
             stopwords=frozenset(stopwords),
-            min_token_length=int(pre["min_token_length"]),
+            min_token_length=min_token_length,
         )
         fingerprint = document["preprocess_fingerprint"]
         terms = document["terms"]
@@ -291,8 +294,9 @@ def append_case(path: str | Path, case: Case) -> None:
     target = Path(path)
     prefix = ""
     if target.exists():
-        tail = target.read_bytes()[-1:]
-        if tail and tail != b"\n":  # keep records line-delimited
-            prefix = "\n"
+        with open(target, "rb") as handle:
+            handle.seek(max(handle.seek(0, os.SEEK_END) - 1, 0))
+            if handle.read(1) not in (b"", b"\n"):  # keep records line-delimited
+                prefix = "\n"
     with open(target, "a", encoding="utf-8") as handle:
         handle.write(prefix + line + "\n")

@@ -19,6 +19,7 @@ from cbrsearch import (
     search,
     set_similarity,
 )
+from cbrsearch.similarity import _norm, _skippable
 from conftest import corpus_cases, generate_token_corpus, random_query_tokens
 
 
@@ -355,6 +356,25 @@ class TestPruning:
         full = rank(index, query)
         assert full.total_matches == 1
         assert rank(index, query, top_k=1) == full
+
+    def test_a_weak_list_is_skipped_only_where_pruning_applies(self):
+        # "umum" is in all titles but one: a long list with a low bound
+        titles = ["langka"] + [f"umum kata{n}" for n in range(9)]
+        index, _ = build_index([Case(f"{n:02d}", title) for n, title in enumerate(titles)])
+
+        def skipped(tokens, scorer="cosine", threshold=0.0, top_k=1):
+            query = index.vectorize_query(tokens, scorer)
+            return _skippable(index, query, _norm(query.weights), threshold, top_k)[0]
+
+        assert skipped(["umum", "langka"]) == {index.vocabulary.term_id("umum")}
+        assert skipped(["umum", "langka"], scorer="set") == set()
+        assert skipped(["umum", "langka"], threshold=0.3) == set()
+        assert skipped(["umum", "langka"], top_k=None) == set()
+        assert skipped(["langka"]) == set()
+        idf_0, _ = build_index([Case("1", "a b"), Case("2", "a c"), Case("3", "a d")])
+        a, b = idf_0.vocabulary.term_id("a"), idf_0.vocabulary.term_id("b")
+        query = QueryVector({a: 1.0, b: 1.0})
+        assert _skippable(idf_0, query, _norm(query.weights), 0.0, 1)[0] == set()
 
     def test_term_ratios_bound_every_posting_and_are_reached(self):
         rng = random.Random(8128)

@@ -155,6 +155,30 @@ class TestRejection:
             load_index(path)
 
     @pytest.mark.parametrize(
+        "key, value, saved",
+        [
+            ("casefold", "false", True),
+            ("casefold", "no", True),
+            ("casefold", [1], True),
+            ("casefold", 1, True),
+            ("min_token_length", 2.9, 2),
+            ("min_token_length", "2", 2),
+            ("min_token_length", True, 1),
+        ],
+    )
+    def test_config_of_the_wrong_json_type_is_corrupt(self, tmp_path, key, value, saved):
+        # the fingerprint still matches: the value means the saved one loosely read
+        config = PreprocessConfig(**{key: saved})
+        index, _ = build_index([Case("d1", "sistem data"), Case("d2", "aplikasi web")], config)
+        path = tmp_path / "config.idx"
+        save_index(index, path)
+        document = json.loads(path.read_text(encoding="utf-8"))
+        document["preprocess"][key] = value
+        path.write_text(sealed_index_text(document), encoding="utf-8")
+        with pytest.raises(IndexFormatError, match="corrupt"):
+            load_index(path)
+
+    @pytest.mark.parametrize(
         "field, value",
         [
             (["ids"], 7),
@@ -369,6 +393,12 @@ class TestAppendCase:
         path.write_bytes(b'{"id":"r1","title":"Sistem Parkir"}')
         append_case(path, Case(id="r2", title="Aplikasi Kasir"))
         assert [c.id for c in read_corpus(path, "record")] == ["r1", "r2"]
+
+    def test_append_to_an_empty_file(self, tmp_path):
+        path = tmp_path / "empty.jsonl"
+        path.write_bytes(b"")
+        append_case(path, Case(id="r1", title="Sistem Parkir"))
+        assert path.read_bytes() == b'{"id":"r1","title":"Sistem Parkir"}\n'
 
     def test_append_to_a_new_file(self, tmp_path):
         path = tmp_path / "fresh.jsonl"
