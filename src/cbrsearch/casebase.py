@@ -5,11 +5,12 @@
 
 A :class:`CaseBase` couples the stored cases with the index built over them;
 the two can never drift apart because every mutation (`retain`, `revise`)
-returns a *new* CaseBase with a freshly rebuilt index. Adding a document
-changes the corpus size and with it every term's inverse document frequency,
-so a full rebuild is both the simple and the correct move at this scale, and
-it guarantees the result is identical to indexing the final case list from
-scratch.
+returns a *new* CaseBase whose index equals one built from its case list
+from scratch. `retain` gets there from the stored count rows: it tokenizes
+only the new title and recomputes document frequencies and every weight
+once, since the corpus size changed. `revise` keeps the index when the
+title does not change and rebuilds it when it does, since an edited title
+can reorder the terms' first occurrences.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from .errors import DataError, StateError
-from .index import Case, Index, IngestReport, build_index
+from .index import Case, Index, IngestReport, build_index, extend_index
 from .preprocess import PreprocessConfig, tokenize
 from .similarity import RankedResults, rank
 
@@ -76,12 +77,22 @@ class CaseBase:
     def __init__(self, cases: Sequence[Case], config: PreprocessConfig | None = None):
         config = config if config is not None else PreprocessConfig()
         cases = tuple(cases)
-        index, report = build_index(cases, config)
+        self._fill(cases, config, *build_index(cases, config))
+
+    def _fill(
+        self, cases: tuple[Case, ...], config: PreprocessConfig, index: Index, report: IngestReport
+    ) -> None:
         self.cases: tuple[Case, ...] = cases
         self.config = config
         self.index: Index = index
         self.report: IngestReport = report
         self._by_id = {case.id: case for case in cases}
+
+    def _with(self, cases: tuple[Case, ...], index: Index, report: IngestReport) -> "CaseBase":
+        """A new CaseBase over *cases* that takes *index* and *report* as given."""
+        base = object.__new__(CaseBase)
+        base._fill(cases, self.config, index, report)
+        return base
 
     def __len__(self) -> int:
         return len(self.cases)
@@ -124,7 +135,8 @@ class CaseBase:
         """Return a new CaseBase with the named case edited.
 
         Fields left as None keep their current value. The id cannot change,
-        and the edited title must still produce at least one token.
+        and the edited title must still produce at least one token. An edit
+        that keeps the title keeps the index and report as they are.
         """
         current = self.case(case_id)
         if id is not None and id != case_id:
@@ -138,19 +150,35 @@ class CaseBase:
         if not tokenize(edited.title, self.config):
             raise DataError(f"revised title for case {case_id!r} tokenizes to empty")
         new_cases = tuple(edited if case.id == case_id else case for case in self.cases)
+        if edited.title == current.title:
+            return self._with(new_cases, self.index, self.report)
         return CaseBase(new_cases, self.config)
 
     def retain(self, new_case: Case) -> "CaseBase":
         """Return a new CaseBase with *new_case* appended and indexed.
 
-        The rebuilt index recomputes document frequencies and every weight,
-        since the corpus size changed.
+        The new index is the stored one's count rows plus one row for
+        *new_case*, whose title is the only one tokenized; document
+        frequencies and every weight are recomputed once, since the corpus
+        size changed. It equals a build of the new case list from scratch.
         """
         if new_case.id in self._by_id:
             raise DataError(f"duplicate case id: {new_case.id!r}")
-        if not tokenize(new_case.title, self.config):
-            raise DataError(f"title of case {new_case.id!r} tokenizes to empty")
-        return CaseBase(self.cases + (new_case,), self.config)
+        index = self.index
+        grown = extend_index(
+            self.config,
+            index.vocabulary.terms,
+            index.doc_ids,
+            index.titles.values(),
+            index.count_rows,
+            new_case,
+        )  # refuses a title that tokenizes to empty
+        report = IngestReport(
+            indexed=grown.corpus_size,
+            skipped=self.report.skipped,
+            vocabulary_size=len(grown.vocabulary),
+        )
+        return self._with(self.cases + (new_case,), grown, report)
 
 
 def reuse(outcome: RetrievalOutcome) -> ReuseResult:

@@ -26,9 +26,24 @@ from pathlib import Path
 
 from .casebase import search
 from .errors import DataError, SearchError
-from .index import SCORERS, Case, Index, build_index
+from .index import (
+    SCORERS,
+    Case,
+    Index,
+    _assemble,
+    _refuse_duplicate_ids,
+    build_index,
+    extend_index,
+)
 from .preprocess import PreprocessConfig, load_stopwords, tokenize
-from .store import append_case, load_index, read_corpus, save_index, unencodable_field
+from .store import (
+    _read_index,
+    append_case,
+    load_index,
+    read_corpus,
+    save_index,
+    unencodable_field,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -176,33 +191,56 @@ def cmd_add(args) -> int:
 
 
 def _add(args) -> int:
-    index = load_index(args.index)
+    fields = _read_index(args.index)
+    config, _, doc_ids, titles, _ = fields
     cases = read_corpus(args.corpus, "record")
     new_case = Case(id=args.id, title=args.title, solution=args.solution)
     field = unencodable_field(new_case)
     if field is not None:
         raise DataError(f"--{field} is not encodable as UTF-8")
-    if not tokenize(new_case.title, index.config):
+    if not tokenize(new_case.title, config):
         raise DataError(f"title of case {new_case.id!r} tokenizes to empty")
-    new_index, _ = build_index([*cases, new_case], index.config)  # refuses a duplicate id
-    # the corpus must rebuild the loaded index, before the new case joins it
+    _refuse_duplicate_ids([*cases, new_case])
+    # the corpus must rebuild the stored index, before the new case joins it
     # or, after a crash between the save and the append below, with it
-    stored, rebuilt = list(index.titles.items()), list(new_index.titles.items())
-    if stored != rebuilt[:-1] and stored != rebuilt:
+    tail = _index_tail(cases, doc_ids, titles, config)
+    if tail not in ([], [(new_case.id, new_case.title)]):
         raise DataError(
             f"corpus and index disagree: {args.corpus} does not rebuild {args.index}; "
             "rebuild the index with `cbrsearch index`"
         )
+    if tail:  # the index already holds the new case: only the append is left
+        append_case(args.corpus, new_case)
+        print(f"corpus size: {len(doc_ids)}")
+        return EXIT_OK
+    new_index = extend_index(*fields, new_case)
     # index first, so a failed save leaves both files as they were; a failed
     # append puts the old index back
     save_index(new_index, args.index)
     try:
         append_case(args.corpus, new_case)
     except BaseException:
-        save_index(index, args.index)
+        save_index(_assemble(*fields), args.index)
         raise
     print(f"corpus size: {new_index.corpus_size}")
     return EXIT_OK
+
+
+def _index_tail(cases, doc_ids, titles, config) -> list[tuple[str, str]] | None:
+    """The stored ``(id, title)`` pairs left over after walking *cases* in order.
+
+    Each corpus case must be either the next stored pair or one that
+    ``build_index`` skips, a title that tokenizes to empty; only cases that
+    are not the next pair are tokenized. None when some case is neither.
+    """
+    pairs = zip(doc_ids, titles)
+    expected = next(pairs, None)
+    for case in cases:
+        if (case.id, case.title) == expected:
+            expected = next(pairs, None)
+        elif tokenize(case.title, config):
+            return None
+    return [] if expected is None else [expected, *pairs]
 
 
 @dataclass(frozen=True)

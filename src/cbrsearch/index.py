@@ -13,6 +13,8 @@ both scorers (see :meth:`Index.vectorize_query`).
 
 The :class:`Index` is an immutable snapshot: build it once, query it from any
 number of readers, and construct a new one to change the corpus.
+:func:`extend_index` constructs the one with a case appended from the stored
+count rows, tokenizing only the new title.
 """
 
 from __future__ import annotations
@@ -429,12 +431,7 @@ def build_index(
     if config is None:
         config = PreprocessConfig()
     cases = list(cases)
-
-    seen: set[str] = set()
-    for case in cases:
-        if case.id in seen:
-            raise DataError(f"duplicate case id: {case.id!r}")
-        seen.add(case.id)
+    _refuse_duplicate_ids(cases)
 
     id_to_term: list[str] = []
     tid_by_term: dict[str, int] = {}
@@ -447,17 +444,9 @@ def build_index(
         if not tokens:
             skipped.append((case.id, "title tokenizes to empty"))
             continue
-        counts: dict[int, int] = {}
-        for token in tokens:
-            tid = tid_by_term.get(token)
-            if tid is None:
-                tid = len(id_to_term)
-                tid_by_term[token] = tid
-                id_to_term.append(token)
-            counts[tid] = counts.get(tid, 0) + 1
         doc_ids.append(case.id)
         titles.append(case.title)
-        count_rows.append(list(chain.from_iterable(sorted(counts.items()))))
+        count_rows.append(_count_row(tokens, id_to_term, tid_by_term))
 
     if not count_rows:
         raise DataError("no indexable cases: every title tokenized to empty")
@@ -469,3 +458,65 @@ def build_index(
         vocabulary_size=len(id_to_term),
     )
     return index, report
+
+
+def extend_index(
+    config: PreprocessConfig,
+    terms: Sequence[str],
+    doc_ids: Sequence[str],
+    titles: Iterable[str],
+    count_rows: Sequence[list[int]],
+    new_case: Case,
+) -> Index:
+    """The index of a stored corpus with *new_case* appended, tokenizing only it.
+
+    *terms*, *doc_ids*, *titles* and *count_rows* are the fields of an
+    index as :func:`build_index` (or the loader) gives them, tokenized with
+    *config*; none of them is modified. The new title's unseen terms get the
+    next ids in first-occurrence order, so the result equals
+    ``build_index`` over the corpus with *new_case* appended. A duplicate id
+    or a title that tokenizes to empty is a :class:`DataError`.
+    """
+    if new_case.id in doc_ids:
+        raise DataError(f"duplicate case id: {new_case.id!r}")
+    tokens = tokenize(new_case.title, config)
+    if not tokens:
+        raise DataError(f"title of case {new_case.id!r} tokenizes to empty")
+    id_to_term = list(terms)
+    tid_by_term = {term: tid for tid, term in enumerate(id_to_term)}
+    row = _count_row(tokens, id_to_term, tid_by_term)
+    return _assemble(
+        config,
+        id_to_term,
+        [*doc_ids, new_case.id],
+        [*titles, new_case.title],
+        [*count_rows, row],
+    )
+
+
+def _refuse_duplicate_ids(cases: Iterable[Case]) -> None:
+    """Raise :class:`DataError` naming the first id of *cases* that repeats one before it."""
+    seen: set[str] = set()
+    for case in cases:
+        if case.id in seen:
+            raise DataError(f"duplicate case id: {case.id!r}")
+        seen.add(case.id)
+
+
+def _count_row(
+    tokens: Sequence[str], id_to_term: list[str], tid_by_term: dict[str, int]
+) -> list[int]:
+    """The flat ``[tid, count, ...]`` row of *tokens*, ascending by term id.
+
+    A token not yet in *tid_by_term* becomes the next term id, appended to
+    *id_to_term* and entered in *tid_by_term*.
+    """
+    counts: dict[int, int] = {}
+    for token in tokens:
+        tid = tid_by_term.get(token)
+        if tid is None:
+            tid = len(id_to_term)
+            tid_by_term[token] = tid
+            id_to_term.append(token)
+        counts[tid] = counts.get(tid, 0) + 1
+    return list(chain.from_iterable(sorted(counts.items())))

@@ -129,9 +129,13 @@ def _skippable(
     The queries the module docstring names skip nothing (a lone term's bound
     is never below theta), and so does a hand-built query with a term whose
     bound is not positive: a term that adds nothing still widens the union.
+    A term of idf 0 is one such, and it is caught before its ratios, whose
+    documents may have zero norms, are computed.
     """
     weights = query.weights
     if query.scorer == "set" or threshold > 0.0 or top_k is None or len(weights) < 2:
+        return set(), 0.0, 0.0
+    if not query_norm or _has_idf_0(index, weights):
         return set(), 0.0, 0.0
     tids = sorted(weights)
     ratios = {tid: index.term_ratios(tid) for tid in tids}
@@ -164,7 +168,8 @@ def _score(
     bound check keeps :data:`SLACK` to spare. A survivor in no skipped list
     already holds its exact score; any other is scored again by
     :meth:`Index.dot`, so every score is bit-identical, and the match count
-    is the size of the union of all the query's lists.
+    is the size of the union of all the query's lists. A document or a
+    hand-built query of norm 0 scores 0.0, as in :func:`cosine_similarity`.
     """
     weights = query.weights
     binary = query.scorer == "set"
@@ -183,7 +188,11 @@ def _score(
     candidates = list(union)
     # dot / (query_norm * norm), clamped to 1.0 as min(score, 1.0) would
     denominators = map(query_norm.__mul__, map(norms.__getitem__, candidates))
-    scores = list(map(truediv, map(dots.__getitem__, candidates), denominators))
+    products = map(dots.__getitem__, candidates)
+    if binary or query_norm and not _has_idf_0(index, weights):
+        scores = list(map(truediv, products, denominators))
+    else:  # a zero norm scores 0.0, as in cosine_similarity
+        scores = [dot / den if den else 0.0 for dot, den in zip(products, denominators)]
     if not skipped:
         scores = _clamp(scores)
         if scores and min(scores) <= threshold:
@@ -205,6 +214,17 @@ def _score(
         if ordinal in stale:
             scores[position] = index.dot(ordinal, weights) / (query_norm * norms[ordinal])
     return candidates, _clamp(scores), total
+
+
+def _has_idf_0(index: Index, weights: Mapping[int, float]) -> bool:
+    """Whether a query holds a term found in every document, one of idf 0.
+
+    Only a hand-built query can: :meth:`Index.vectorize_query` drops such
+    terms from cosine queries. A document holding only such terms has a
+    norm of 0.
+    """
+    frequencies, corpus_size = index.vocabulary.document_frequencies, index.corpus_size
+    return any(frequencies[tid] == corpus_size for tid in weights)
 
 
 def _clamp(scores: list[float]) -> list[float]:

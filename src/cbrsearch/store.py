@@ -132,6 +132,15 @@ def load_index(path: str | Path) -> Index:
     checksum mismatch. Unsupported versions are rejected, never migrated:
     the message says to rebuild the index with ``cbrsearch index``.
     """
+    return _assemble(*_read_index(path))
+
+
+def _read_index(path: str | Path) -> tuple[PreprocessConfig, list, list, list, list]:
+    """The checked fields of an index file: config, terms, ids, titles, count rows.
+
+    Every check :func:`load_index` makes happens here, with its messages;
+    only the assembly of the :class:`Index` is left to the caller.
+    """
     try:
         raw = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -212,7 +221,7 @@ def load_index(path: str | Path) -> Index:
             f"index checksum mismatch in {path}: the file was edited or "
             "reformatted after it was saved"
         )
-    return _assemble(config, terms, doc_ids, titles, count_rows)
+    return config, terms, doc_ids, titles, count_rows
 
 
 def read_corpus(path: str | Path, corpus_format: str) -> list[Case]:

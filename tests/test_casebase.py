@@ -103,6 +103,18 @@ class TestRevise:
         save_index(revised.index, after)
         assert before.read_bytes() == after.read_bytes()
 
+    @pytest.mark.parametrize(
+        "edit",
+        [{"solution": "arsip solusi"}, {"meta": {"dosen": "B"}}, {"title": SAMPLE_TITLES[1]}],
+        ids=["solution", "meta", "same-title"],
+    )
+    def test_an_edit_that_keeps_the_title_keeps_the_index(self, title_base, edit):
+        revised = title_base.revise("2", **edit)
+        assert revised.index is title_base.index
+        assert revised.report is title_base.report
+        assert revised.index == build_index(revised.cases, revised.config)[0]
+        assert revised.case("2") == Case("2", SAMPLE_TITLES[1], edit.get("solution"), edit.get("meta"))
+
     def test_title_edit_changes_what_is_retrievable(self):
         base = CaseBase([Case("d1", "a b"), Case("d2", "a d"), Case("d3", "b d")])
         revised = base.revise("d1", title="a c")
@@ -162,6 +174,14 @@ class TestRetain:
         grown = title_base.retain(new_case)
         scratch, _ = build_index(list(title_base.cases) + [new_case], title_base.config)
         assert grown.index == scratch
+
+    def test_report_counts_one_more_and_keeps_the_skipped(self):
+        base = CaseBase([Case("1", "a b"), Case("2", "?!"), Case("3", "b c")])
+        grown = base.retain(Case("4", "c d"))
+        assert grown.report == CaseBase([*base.cases, Case("4", "c d")]).report
+        assert grown.report.skipped == (("2", "title tokenizes to empty"),)
+        with pytest.raises(DataError, match="duplicate case id: '2'"):
+            grown.retain(Case("2", "e"))
 
     def test_original_base_is_untouched(self, title_base):
         before = len(title_base)

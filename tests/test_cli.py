@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from cbrsearch import Case, DataError, build_index, cli, load_index, read_corpus, save_index, store
+from cbrsearch import index as index_module
 from cbrsearch.cli import EXIT_DATA, EXIT_OK, EXIT_PROPERTY, EXIT_USAGE, main
 from conftest import SAMPLE_TITLES, generate_titles, sealed_index_text
 
@@ -354,6 +355,77 @@ class TestCmdAdd:
         save_index(build_index(cases, index.config)[0], rebuilt)
         assert index_path.read_bytes() == rebuilt.read_bytes()
 
+
+    @staticmethod
+    def _pair(tmp_path, capsys, records):
+        corpus, index_path = tmp_path / "corpus.jsonl", tmp_path / "corpus.idx"
+        corpus.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        assert main(["index", "--input", str(corpus), "--format", "record",
+                     "--output", str(index_path)]) == EXIT_OK
+        capsys.readouterr()
+        return corpus, index_path
+
+    def test_tokenizes_only_the_new_title(self, tmp_path, capsys, monkeypatch):
+        titles = generate_titles(random.Random(99), 250)
+        corpus, index_path = self._pair(
+            tmp_path, capsys, [{"id": f"r{n}", "title": t} for n, t in enumerate(titles)]
+        )
+        calls = []
+
+        def counted(original):
+            def tokenize(*args, **kwargs):
+                calls.append(args[0])
+                return original(*args, **kwargs)
+            return tokenize
+
+        for module in (index_module, cli):
+            monkeypatch.setattr(module, "tokenize", counted(module.tokenize))
+        code, out, _ = run_cli(
+            ["add", "--index", str(index_path), "--corpus", str(corpus),
+             "--id", "x1", "--title", "Sistem Pakar Diagnosa Penyakit"],
+            capsys,
+        )
+        assert (code, out) == (EXIT_OK, "corpus size: 251\n")
+        assert 1 <= len(calls) <= 2
+        assert set(calls) == {"Sistem Pakar Diagnosa Penyakit"}
+
+    def test_a_skipped_record_mid_corpus_is_walked_past(self, tmp_path, capsys):
+        titles = generate_titles(random.Random(7), 40)
+        records = [{"id": f"r{n}", "title": t} for n, t in enumerate(titles)]
+        records.insert(20, {"id": "blank", "title": "?!?"})
+        corpus, index_path = self._pair(tmp_path, capsys, records)
+        code, out, _ = run_cli(
+            ["add", "--index", str(index_path), "--corpus", str(corpus),
+             "--id", "x1", "--title", "Sistem Pakar Diagnosa Penyakit Baru"],
+            capsys,
+        )
+        assert (code, out) == (EXIT_OK, "corpus size: 41\n")
+        rebuilt = tmp_path / "rebuilt.idx"
+        save_index(build_index(read_corpus(corpus, "record"))[0], rebuilt)
+        assert index_path.read_bytes() == rebuilt.read_bytes()
+
+    def test_the_id_of_a_skipped_record_is_a_duplicate(self, tmp_path, capsys):
+        records = [{"id": "r1", "title": "Sistem Informasi"}, {"id": "blank", "title": "?!?"}]
+        corpus, index_path = self._pair(tmp_path, capsys, records)
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        code, out, err = run_cli(
+            ["add", "--index", str(index_path), "--corpus", str(corpus),
+             "--id", "blank", "--title", "Aplikasi Kasir"],
+            capsys,
+        )
+        assert (code, out, err) == (EXIT_DATA, "", "error: duplicate case id: 'blank'\n")
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    def test_a_corpus_that_repeats_an_id_exits_2(self, record_pair, capsys):
+        corpus, index_path = record_pair
+        with open(corpus, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps({"id": "r2", "title": "Judul Lain"}) + "\n")
+        code, out, err = run_cli(
+            ["add", "--index", str(index_path), "--corpus", str(corpus),
+             "--id", "r6", "--title", "Sistem Pakar Diagnosa Penyakit"],
+            capsys,
+        )
+        assert (code, out, err) == (EXIT_DATA, "", "error: duplicate case id: 'r2'\n")
 
     def test_two_concurrent_adds_both_land(self, tmp_path, capsys):
         # big enough that each add's load-build-save outlasts process start-up

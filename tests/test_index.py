@@ -17,6 +17,7 @@ from cbrsearch import (
     cosine_similarity,
     save_index,
 )
+from cbrsearch.index import extend_index
 from conftest import generate_token_corpus, corpus_cases
 
 # log10(3/2) by hand: idf of a term in 2 of 3 documents
@@ -68,6 +69,40 @@ class TestBuildIndex:
     def test_empty_case_id_is_rejected(self):
         with pytest.raises(DataError, match="non-empty"):
             Case("", "a title")
+
+
+class TestExtendIndex:
+    @staticmethod
+    def _fields(index):
+        return (
+            index.config,
+            index.vocabulary.terms,
+            index.doc_ids,
+            index.titles.values(),
+            index.count_rows,
+        )
+
+    def test_equals_a_build_with_the_case_appended(self, tmp_path):
+        rng = random.Random(6061)
+        for trial in range(20):
+            cases = corpus_cases(generate_token_corpus(rng, max_docs=40, max_vocab=30))
+            cases.insert(len(cases) // 2, Case("skipped", "?!"))
+            new_case = Case("new", f"kata00 baru{trial} kata01 baru{trial} lain")
+            index, _ = build_index(cases)
+            rows = [list(row) for row in index.count_rows]
+            extended = extend_index(*self._fields(index), new_case)
+            assert extended == build_index([*cases, new_case])[0]
+            assert extended.vocabulary.terms[-2:] == (f"baru{trial}", "lain")
+            assert index.count_rows == rows  # the stored fields are not modified
+            save_index(extended, tmp_path / "extended.idx")
+            save_index(build_index([*cases, new_case])[0], tmp_path / "built.idx")
+            assert (tmp_path / "extended.idx").read_bytes() == (tmp_path / "built.idx").read_bytes()
+
+    def test_refuses_a_duplicate_id_and_an_empty_title(self, small_index):
+        with pytest.raises(DataError, match="duplicate case id: 'd2'"):
+            extend_index(*self._fields(small_index), Case("d2", "x"))
+        with pytest.raises(DataError, match="tokenizes to empty"):
+            extend_index(*self._fields(small_index), Case("d4", "?!"))
 
 
 class TestTermFrequency:

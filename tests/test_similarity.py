@@ -357,6 +357,35 @@ class TestPruning:
         assert full.total_matches == 1
         assert rank(index, query, top_k=1) == full
 
+    @pytest.mark.parametrize("top_k", [None, 1])
+    def test_a_document_of_norm_0_scores_0_and_never_matches(self, top_k):
+        # "1" holds only "a", a term in every title: its weight vector is zero
+        index, _ = build_index([Case("1", "a"), Case("2", "a b")])
+        a, b = index.vocabulary.term_id("a"), index.vocabulary.term_id("b")
+        query = QueryVector({a: 1.0, b: 1.0})
+        oracle = DenseOracle({"1": ["a"], "2": ["a", "b"]})
+        assert oracle.doc_norms["1"] == 0.0
+        by_term = {"a": 1.0, "b": 1.0}
+        expected = [
+            (doc_id, score)
+            for doc_id, vector in sorted(oracle.doc_vectors.items())
+            if (score := cosine_similarity(by_term, dict(zip(oracle.vocab, vector)))) > 0.0
+        ]
+        assert [doc_id for doc_id, _ in expected] == [doc for doc, _ in oracle.rank(["a", "b"])]
+        results = rank(index, query, top_k=top_k)
+        assert [m.case_id for m in results.matches] == [doc_id for doc_id, _ in expected]
+        for match, (_, score) in zip(results.matches, expected):
+            assert math.isclose(match.score, score, rel_tol=1e-12)
+        assert results.total_matches == 1
+        assert _skippable(index, query, _norm(query.weights), 0.0, 1)[0] == set()
+        assert index._ratios == {}  # no ratios of a zero-norm document were computed
+
+    @pytest.mark.parametrize("top_k", [None, 1])
+    def test_a_query_of_norm_0_matches_nothing(self, small_index, top_k):
+        query = QueryVector(dict.fromkeys(range(len(small_index.vocabulary)), 0.0))
+        results = rank(small_index, query, top_k=top_k)
+        assert (results.matches, results.total_matches) == ((), 0)
+
     def test_a_weak_list_is_skipped_only_where_pruning_applies(self):
         # "umum" is in all titles but one: a long list with a low bound
         titles = ["langka"] + [f"umum kata{n}" for n in range(9)]
