@@ -36,7 +36,8 @@ def search(
 
     *text* is tokenized with ``index.config``, vectorized for *scorer* by
     :meth:`Index.vectorize_query` (an unknown scorer raises ValueError) and
-    ranked by :func:`rank` with *threshold* and *top_k*.
+    ranked by :func:`rank` with *threshold* and *top_k*, which raises
+    ValueError for a negative or NaN *threshold*.
     """
     query = index.vectorize_query(tokenize(text, index.config), scorer)
     return rank(index, query, threshold=threshold, top_k=top_k)

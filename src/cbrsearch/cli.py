@@ -7,7 +7,11 @@ corpus/index pair, and ``eval`` runs the two-stage word-order experiment
 shuffled; both stages must find the same titles).
 
 Every command that answers a query (``query``, both stages of ``eval``) calls
-:func:`cbrsearch.casebase.search`, the package's one query path.
+:func:`cbrsearch.casebase.search`, the package's one query path, and only
+those load an :class:`Index`. The commands that write an index file,
+``index`` and ``add``, tokenize into its stored fields and write them as
+they are: postings, weights and norms serve only a search, so they are never
+built there.
 
 Exit codes: 0 success, 1 usage error, 2 data or I/O error, 3 search property
 violation (``eval`` only).
@@ -26,22 +30,14 @@ from pathlib import Path
 
 from .casebase import search
 from .errors import DataError, SearchError
-from .index import (
-    SCORERS,
-    Case,
-    Index,
-    _assemble,
-    _refuse_duplicate_ids,
-    build_index,
-    extend_index,
-)
+from .index import SCORERS, Case, Index, _build_fields, _extend_fields, _refuse_duplicate_ids
 from .preprocess import PreprocessConfig, load_stopwords, tokenize
 from .store import (
     _read_index,
+    _write_index,
     append_case,
     load_index,
     read_corpus,
-    save_index,
     unencodable_field,
 )
 
@@ -125,8 +121,8 @@ def cmd_index(args) -> int:
         stopwords=frozenset(stopwords), min_token_length=args.min_token_len
     )
     cases = read_corpus(args.input, args.format)
-    index, report = build_index(cases, config)
-    save_index(index, args.output)
+    fields, report = _build_fields(cases, config)
+    _write_index(args.output, *fields)
     print(f"cases indexed: {report.indexed}")
     print(f"cases skipped: {len(report.skipped)}")
     for case_id, reason in report.skipped:
@@ -213,16 +209,15 @@ def _add(args) -> int:
         append_case(args.corpus, new_case)
         print(f"corpus size: {len(doc_ids)}")
         return EXIT_OK
-    new_index = extend_index(*fields, new_case)
     # index first, so a failed save leaves both files as they were; a failed
     # append puts the old index back
-    save_index(new_index, args.index)
+    _write_index(args.index, *_extend_fields(*fields, new_case))
     try:
         append_case(args.corpus, new_case)
     except BaseException:
-        save_index(_assemble(*fields), args.index)
+        _write_index(args.index, *fields)
         raise
-    print(f"corpus size: {new_index.corpus_size}")
+    print(f"corpus size: {len(doc_ids) + 1}")
     return EXIT_OK
 
 

@@ -14,7 +14,11 @@ both scorers (see :meth:`Index.vectorize_query`).
 The :class:`Index` is an immutable snapshot: build it once, query it from any
 number of readers, and construct a new one to change the corpus.
 :func:`extend_index` constructs the one with a case appended from the stored
-count rows, tokenizing only the new title.
+count rows, tokenizing only the new title. Both run in two steps: the first
+gives the stored fields (:data:`Fields`, exactly what an index file holds),
+and :func:`_assemble` derives postings, weights, idf and norms from them. A
+writer that only saves an index, as the command line's ``index`` and ``add``
+do, takes the first step alone.
 """
 
 from __future__ import annotations
@@ -33,6 +37,10 @@ from .preprocess import PreprocessConfig, tokenize
 INDEX_FORMAT_VERSION = 3
 
 SCORERS = ("cosine", "set")
+
+# what an index stores, in the order _assemble takes it: config, terms (a
+# term's id is its position), doc ids, titles and count rows
+Fields = tuple[PreprocessConfig, list[str], list[str], list[str], list[list[int]]]
 
 
 @dataclass(frozen=True)
@@ -430,6 +438,16 @@ def build_index(
     """
     if config is None:
         config = PreprocessConfig()
+    fields, report = _build_fields(cases, config)
+    return _assemble(*fields), report
+
+
+def _build_fields(cases: Iterable[Case], config: PreprocessConfig) -> tuple[Fields, IngestReport]:
+    """The stored fields of :func:`build_index`'s index, and its report.
+
+    Everything the index saves comes from here, so writing these fields
+    gives the bytes of the built index without assembling it.
+    """
     cases = list(cases)
     _refuse_duplicate_ids(cases)
 
@@ -451,13 +469,12 @@ def build_index(
     if not count_rows:
         raise DataError("no indexable cases: every title tokenized to empty")
 
-    index = _assemble(config, id_to_term, doc_ids, titles, count_rows)
     report = IngestReport(
         indexed=len(count_rows),
         skipped=tuple(skipped),
         vocabulary_size=len(id_to_term),
     )
-    return index, report
+    return (config, id_to_term, doc_ids, titles, count_rows), report
 
 
 def extend_index(
@@ -477,6 +494,18 @@ def extend_index(
     ``build_index`` over the corpus with *new_case* appended. A duplicate id
     or a title that tokenizes to empty is a :class:`DataError`.
     """
+    return _assemble(*_extend_fields(config, terms, doc_ids, titles, count_rows, new_case))
+
+
+def _extend_fields(
+    config: PreprocessConfig,
+    terms: Sequence[str],
+    doc_ids: Sequence[str],
+    titles: Iterable[str],
+    count_rows: Sequence[list[int]],
+    new_case: Case,
+) -> Fields:
+    """The stored fields of :func:`extend_index`'s index, with its checks."""
     if new_case.id in doc_ids:
         raise DataError(f"duplicate case id: {new_case.id!r}")
     tokens = tokenize(new_case.title, config)
@@ -485,7 +514,7 @@ def extend_index(
     id_to_term = list(terms)
     tid_by_term = {term: tid for tid, term in enumerate(id_to_term)}
     row = _count_row(tokens, id_to_term, tid_by_term)
-    return _assemble(
+    return (
         config,
         id_to_term,
         [*doc_ids, new_case.id],

@@ -251,15 +251,16 @@ def rank(
     are selected, without sorting every match.
 
     A ``top_k`` that is not an ``int`` (a ``bool`` included) raises
-    TypeError; one below 1, or a NaN *threshold*, raises ValueError.
+    TypeError; one below 1 raises ValueError. Scores lie in [0, 1], so a
+    *threshold* below 0, or NaN, raises ValueError too.
     """
     if top_k is not None:
         if isinstance(top_k, bool) or not isinstance(top_k, int):
             raise TypeError(f"top_k must be an int, got {type(top_k).__name__}")
         if top_k < 1:
             raise ValueError(f"top_k must be positive, got {top_k}")
-    if math.isnan(threshold):
-        raise ValueError("threshold must be a number, got nan")
+    if not threshold >= 0.0:  # also true for NaN
+        raise ValueError(f"threshold must be a number of at least 0, got {threshold!r}")
     if not isinstance(query, QueryVector):
         raise TypeError(f"query must be a QueryVector, got {type(query).__name__}")
     ordinals, scores, total = _score(index, query, threshold, top_k)

@@ -16,6 +16,12 @@ Index file (format version 3)
     versions 1 and 2 included, are rejected with a hint to rebuild them
     with ``cbrsearch index``.
 
+    The file holds an index's stored fields (``index.Fields``) and nothing
+    else. One serializer writes them, :func:`_write_index`, and one reader
+    checks them, :func:`_read_index`. :func:`save_index` writes an index's
+    fields, and :func:`load_index` assembles what the reader returns; the
+    command line's ``index`` and ``add`` write fields they never assemble.
+
 Corpus files
     ``record`` mode: one JSON object per line with fields ``id`` and
     ``title`` (required), ``solution`` and ``meta`` (optional).
@@ -27,12 +33,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from collections.abc import Sequence
 from itertools import accumulate, chain, repeat
 from operator import floordiv, lt, mod, sub
 from pathlib import Path
 
 from .errors import ConfigError, DataError, IndexFormatError
-from .index import INDEX_FORMAT_VERSION, Case, Index, _assemble
+from .index import INDEX_FORMAT_VERSION, Case, Fields, Index, _assemble
 from .preprocess import PreprocessConfig
 
 _FORMAT_NAME = "cbrsearch-index"
@@ -53,25 +60,46 @@ def _seal(body: str) -> str:
 
 
 def save_index(index: Index, path: str | Path) -> None:
-    """Write *index* to *path* as a versioned, checksummed JSON document.
+    """Write *index* to *path* as a versioned, checksummed JSON document."""
+    _write_index(
+        path,
+        index.config,
+        index.vocabulary.terms,
+        index.doc_ids,
+        list(index.titles.values()),
+        index.count_rows,
+    )
 
-    The document goes to a temporary file in the same directory, is flushed
-    to disk, and then replaces *path* in one step, so a failure at any point
-    leaves either the old file or the new one, never a partial one.
+
+def _write_index(
+    path: str | Path,
+    config: PreprocessConfig,
+    terms: Sequence[str],
+    doc_ids: Sequence[str],
+    titles: Sequence[str],
+    count_rows: Sequence[list[int]],
+) -> None:
+    """Write an index's stored fields (see :data:`Fields`) to *path*.
+
+    The one serializer: :func:`save_index` and the command line's writers
+    all go through it. The document goes to a temporary file in the same
+    directory, is flushed to disk, and then replaces *path* in one step, so
+    a failure at any point leaves either the old file or the new one, never
+    a partial one.
     """
     document = {
         "format": _FORMAT_NAME,
         "format_version": INDEX_FORMAT_VERSION,
         "preprocess": {
-            "casefold": index.config.casefold,
-            "min_token_length": index.config.min_token_length,
-            "stopwords": sorted(index.config.stopwords),
+            "casefold": config.casefold,
+            "min_token_length": config.min_token_length,
+            "stopwords": sorted(config.stopwords),
         },
-        "preprocess_fingerprint": index.config.fingerprint(),
-        "terms": index.vocabulary.terms,
-        "ids": index.doc_ids,
-        "titles": list(index.titles.values()),
-        "counts": index.count_rows,
+        "preprocess_fingerprint": config.fingerprint(),
+        "terms": terms,
+        "ids": doc_ids,
+        "titles": titles,
+        "counts": count_rows,
     }
     payload = _seal(
         json.dumps(document, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
@@ -135,7 +163,7 @@ def load_index(path: str | Path) -> Index:
     return _assemble(*_read_index(path))
 
 
-def _read_index(path: str | Path) -> tuple[PreprocessConfig, list, list, list, list]:
+def _read_index(path: str | Path) -> Fields:
     """The checked fields of an index file: config, terms, ids, titles, count rows.
 
     Every check :func:`load_index` makes happens here, with its messages;

@@ -11,7 +11,18 @@ from pathlib import Path
 
 import pytest
 
-from cbrsearch import Case, DataError, build_index, cli, load_index, read_corpus, save_index, store
+from cbrsearch import (
+    Case,
+    DataError,
+    PreprocessConfig,
+    build_index,
+    cli,
+    load_index,
+    load_stopwords,
+    read_corpus,
+    save_index,
+    store,
+)
 from cbrsearch import index as index_module
 from cbrsearch.cli import EXIT_DATA, EXIT_OK, EXIT_PROPERTY, EXIT_USAGE, main
 from conftest import SAMPLE_TITLES, generate_titles, sealed_index_text
@@ -112,6 +123,31 @@ class TestCmdIndex:
         )
         assert code == EXIT_OK
         assert "dropped terms: (none)" in out  # stopwords vanish before lookup
+
+    @pytest.mark.parametrize("blanks", [(), (0, 57, 399)], ids=["none-skipped", "skipped"])
+    @pytest.mark.parametrize("stopwords, min_len", [(False, 1), (True, 3)],
+                             ids=["default", "stopwords-min-len-3"])
+    def test_writes_the_bytes_of_save_index_over_build_index(
+        self, tmp_path, capsys, stopwords, min_len, blanks
+    ):
+        lines = generate_titles(random.Random(811), 400)
+        for gap in blanks:
+            lines[gap] = "??!"
+        corpus = tmp_path / "titles.txt"
+        corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv = ["index", "--input", str(corpus), "--format", "plain",
+                "--output", str(tmp_path / "cli.idx"), "--min-token-len", str(min_len)]
+        config = PreprocessConfig(min_token_length=min_len)
+        if stopwords:
+            stop = tmp_path / "stop.txt"
+            stop.write_text("sistem\n# not a word\nAplikasi\n", encoding="utf-8")
+            argv += ["--stopwords", str(stop)]
+            config = PreprocessConfig(stopwords=load_stopwords(stop), min_token_length=min_len)
+        code, out, _ = run_cli(argv, capsys)
+        assert code == EXIT_OK
+        assert f"cases skipped: {len(blanks)}" in out
+        save_index(build_index(read_corpus(corpus, "plain"), config)[0], tmp_path / "library.idx")
+        assert (tmp_path / "cli.idx").read_bytes() == (tmp_path / "library.idx").read_bytes()
 
 
 class TestCmdQuery:
@@ -455,6 +491,88 @@ class TestCmdAdd:
         cases = read_corpus(corpus, "record")
         assert sorted(case.id for case in cases[-2:]) == ["x1", "x2"]
         assert load_index(index_path) == build_index(cases)[0]
+
+
+class TestNoWriterAssembles:
+    """``index`` and ``add`` write stored fields; only a command that ranks assembles."""
+
+    @pytest.fixture
+    def assembled(self, monkeypatch):
+        # wrapped in every module that holds it, so each import of it counts
+        calls = []
+        original = index_module._assemble
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[2]))  # documents assembled
+            return original(*args, **kwargs)
+
+        for module in (index_module, store, cli):
+            monkeypatch.setattr(module, "_assemble", counted, raising=False)
+        return calls
+
+    @staticmethod
+    def _pair(tmp_path, capsys):
+        records = [{"id": f"r{n}", "title": t}
+                   for n, t in enumerate(generate_titles(random.Random(31), 60))]
+        records.insert(7, {"id": "blank", "title": "?!?"})
+        return TestCmdAdd._pair(tmp_path, capsys, records)
+
+    @staticmethod
+    def _add(corpus, index_path):
+        return ["add", "--index", str(index_path), "--corpus", str(corpus),
+                "--id", "x1", "--title", "Sistem Pakar Diagnosa Penyakit"]
+
+    @pytest.mark.parametrize("corpus_format", ["record", "plain"])
+    def test_index_writes_without_assembling_and_a_query_assembles_once(
+        self, tmp_path, capsys, assembled, corpus_format
+    ):
+        corpus = tmp_path / "corpus"
+        if corpus_format == "plain":
+            corpus.write_text("\n".join(SAMPLE_TITLES) + "\n", encoding="utf-8")
+        else:
+            corpus.write_text("".join(json.dumps({"id": f"r{n}", "title": t}) + "\n"
+                                      for n, t in enumerate(SAMPLE_TITLES)), encoding="utf-8")
+        index_path = tmp_path / "corpus.idx"
+        code, _, _ = run_cli(["index", "--input", str(corpus), "--format", corpus_format,
+                              "--output", str(index_path)], capsys)
+        assert code == EXIT_OK
+        assert len(assembled) == 0
+        code, _, _ = run_cli(["query", "--index", str(index_path), "--query", "sistem"], capsys)
+        assert code == EXIT_OK
+        assert len(assembled) == 1
+
+    def test_a_fresh_add(self, tmp_path, capsys, assembled):
+        corpus, index_path = self._pair(tmp_path, capsys)
+        assembled.clear()
+        code, out, _ = run_cli(self._add(corpus, index_path), capsys)
+        assert (code, out) == (EXIT_OK, "corpus size: 61\n")
+        assert len(assembled) == 0
+
+    def test_a_healed_add(self, tmp_path, capsys, assembled):
+        corpus, index_path = self._pair(tmp_path, capsys)
+        # the index already holds the case, as a crash before the append leaves it
+        cases = [*read_corpus(corpus, "record"), Case("x1", "Sistem Pakar Diagnosa Penyakit")]
+        save_index(build_index(cases)[0], index_path)
+        assembled.clear()
+        code, out, _ = run_cli(self._add(corpus, index_path), capsys)
+        assert (code, out) == (EXIT_OK, "corpus size: 61\n")
+        assert len(assembled) == 0
+
+    def test_an_add_whose_append_fails(self, tmp_path, capsys, assembled, monkeypatch):
+        corpus, index_path = self._pair(tmp_path, capsys)
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+
+        def fail(*args, **kwargs):
+            raise OSError("injected failure in append")
+
+        monkeypatch.setattr(cli, "append_case", fail)
+        assembled.clear()
+        code, _, err = run_cli(self._add(corpus, index_path), capsys)
+        assert code == EXIT_DATA
+        assert "injected failure" in err
+        assert len(assembled) == 0
+        assert index_path.read_bytes() == before[index_path.name]
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 class TestCmdEval:

@@ -154,13 +154,20 @@ class TestRank:
             search(small_index, "a b", threshold=float("nan"), top_k=1)
 
     @pytest.mark.parametrize("top_k", [None, 1, 2])
-    def test_negative_threshold_matches_like_zero(self, small_index, top_k):
+    def test_negative_threshold_raises_value_error(self, small_index, top_k):
+        # scores lie in [0, 1]: below 0, every document would have to match
         for scorer in ("cosine", "set"):
             query = small_index.vectorize_query(["a", "b"], scorer)
-            below = rank(small_index, query, threshold=-0.5, top_k=top_k)
+            with pytest.raises(ValueError, match="threshold"):
+                rank(small_index, query, threshold=-0.5, top_k=top_k)
+            with pytest.raises(ValueError, match="threshold"):
+                search(small_index, "a b", scorer=scorer, threshold=-0.5, top_k=top_k)
             at_zero = rank(small_index, query, top_k=top_k)
-            assert below.matches == at_zero.matches
-            assert below.total_matches == at_zero.total_matches == 3
+            for zero in (0.0, -0.0):
+                assert rank(small_index, query, threshold=zero, top_k=top_k) == at_zero
+                found = search(small_index, "a b", scorer=scorer, threshold=zero, top_k=top_k)
+                assert found == at_zero
+            assert at_zero.total_matches == 3
 
     def test_threshold_is_strict(self, small_index):
         query = small_index.vectorize_query(["a"])

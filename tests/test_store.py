@@ -20,6 +20,8 @@ from cbrsearch import (
     read_corpus,
     save_index,
 )
+from cbrsearch.index import _build_fields, _extend_fields, extend_index
+from cbrsearch.store import _read_index, _write_index
 from conftest import corpus_cases, generate_token_corpus, sealed_index_text
 
 
@@ -65,6 +67,30 @@ class TestRoundTrip:
         path = tmp_path / "cfg.idx"
         save_index(index, path)
         assert load_index(path).config == config
+
+    def test_the_fields_writer_gives_the_bytes_of_save_index(self, tmp_path):
+        # each step's stored fields, written unassembled, are the bytes of
+        # the index the step assembles: built, loaded and extended
+        cases = corpus_cases(generate_token_corpus(random.Random(6022), max_docs=60))
+        cases.insert(3, Case("blank", "?! ."))
+        config = PreprocessConfig(stopwords=frozenset({"kata01"}), min_token_length=2)
+        new_case = Case("new", "kata01 kata02 baru")
+        saved = tmp_path / "saved.idx"
+        save_index(build_index(cases, config)[0], saved)
+        steps = {
+            "built": (_build_fields(cases, config)[0], build_index(cases, config)[0]),
+            "loaded": (_read_index(saved), load_index(saved)),
+            "extended": (
+                _extend_fields(*_read_index(saved), new_case),
+                extend_index(*_read_index(saved), new_case),
+            ),
+        }
+        for step, (fields, index) in steps.items():
+            written, expected = tmp_path / f"{step}.fields", tmp_path / f"{step}.idx"
+            _write_index(written, *fields)
+            save_index(index, expected)
+            assert written.read_bytes() == expected.read_bytes(), step
+        assert (tmp_path / "loaded.fields").read_bytes() == saved.read_bytes()
 
 
 def _bump_first_count(text: str) -> str:
