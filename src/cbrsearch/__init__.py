@@ -30,7 +30,6 @@ from .errors import (
     TermNotIndexed,
 )
 from .index import (
-    INDEX_FORMAT_VERSION,
     Case,
     DocumentVector,
     Index,
@@ -47,7 +46,7 @@ from .similarity import (
     rank,
     set_similarity,
 )
-from .store import append_case, load_index, read_corpus, save_index
+from .store import INDEX_FORMAT_VERSION, append_case, load_index, read_corpus, save_index
 
 __version__ = "0.1.0"
 

@@ -158,22 +158,16 @@ class CaseBase:
     def retain(self, new_case: Case) -> "CaseBase":
         """Return a new CaseBase with *new_case* appended and indexed.
 
-        The new index is the stored one's count rows plus one row for
-        *new_case*, whose title is the only one tokenized; document
-        frequencies and every weight are recomputed once, since the corpus
-        size changed. It equals a build of the new case list from scratch.
+        The new index extends ``index.fields``: the stored count rows plus
+        one row for *new_case*, whose title is the only one tokenized;
+        document frequencies and every weight are recomputed once, since the
+        corpus size changed. It equals a build of the new case list from
+        scratch.
         """
         if new_case.id in self._by_id:
             raise DataError(f"duplicate case id: {new_case.id!r}")
-        index = self.index
-        grown = extend_index(
-            self.config,
-            index.vocabulary.terms,
-            index.doc_ids,
-            index.titles.values(),
-            index.count_rows,
-            new_case,
-        )  # refuses a title that tokenizes to empty
+        # refuses a title that tokenizes to empty
+        grown = extend_index(self.index.fields, new_case)
         report = IngestReport(
             indexed=grown.corpus_size,
             skipped=self.report.skipped,

@@ -211,7 +211,7 @@ def _add(args) -> int:
         return EXIT_OK
     # index first, so a failed save leaves both files as they were; a failed
     # append puts the old index back
-    _write_index(args.index, *_extend_fields(*fields, new_case))
+    _write_index(args.index, *_extend_fields(fields, new_case))
     try:
         append_case(args.corpus, new_case)
     except BaseException:

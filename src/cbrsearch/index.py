@@ -12,13 +12,14 @@ ordinal back to its case id. A query is one :class:`QueryVector` type for
 both scorers (see :meth:`Index.vectorize_query`).
 
 The :class:`Index` is an immutable snapshot: build it once, query it from any
-number of readers, and construct a new one to change the corpus.
-:func:`extend_index` constructs the one with a case appended from the stored
-count rows, tokenizing only the new title. Both run in two steps: the first
-gives the stored fields (:data:`Fields`, exactly what an index file holds),
-and :func:`_assemble` derives postings, weights, idf and norms from them. A
-writer that only saves an index, as the command line's ``index`` and ``add``
-do, takes the first step alone.
+number of readers, and construct a new one to change the corpus. An index is
+its stored fields (:data:`Fields`, exactly what an index file holds):
+``Index(fields)`` derives postings, weights, idf and norms from them, and two
+indexes are equal when their fields are. :func:`build_index` and
+:func:`extend_index`, which appends a case to the stored count rows and
+tokenizes only the new title, each compute the fields and then construct the
+index; a writer that only saves an index, as the command line's ``index``
+and ``add`` do, computes the fields alone.
 """
 
 from __future__ import annotations
@@ -34,12 +35,10 @@ from types import MappingProxyType
 from .errors import DataError, TermNotIndexed
 from .preprocess import PreprocessConfig, tokenize
 
-INDEX_FORMAT_VERSION = 3
-
 SCORERS = ("cosine", "set")
 
-# what an index stores, in the order _assemble takes it: config, terms (a
-# term's id is its position), doc ids, titles and count rows
+# what an index stores, and its value: config, terms (a term's id is its
+# position), doc ids, titles and count rows
 Fields = tuple[PreprocessConfig, list[str], list[str], list[str], list[list[int]]]
 
 
@@ -153,9 +152,11 @@ class QueryVector:
 
 
 class Index:
-    """Immutable snapshot of an indexed corpus.
+    """Immutable snapshot of an indexed corpus, derived from its stored fields.
 
     Attributes:
+        fields: the stored fields (:data:`Fields`) the index was constructed
+            from; its value, and what equality compares.
         config: preprocessing settings the corpus was tokenized with.
         vocabulary: term table with document frequencies.
         doc_ids: ordinal -> doc_id; ordinals number documents in corpus order.
@@ -175,6 +176,7 @@ class Index:
     """
 
     __slots__ = (
+        "fields",
         "config",
         "vocabulary",
         "doc_ids",
@@ -190,28 +192,52 @@ class Index:
         "_ratios",
     )
 
-    def __init__(
-        self,
-        config: PreprocessConfig,
-        vocabulary: Vocabulary,
-        doc_ids: Sequence[str],
-        titles: Sequence[str],
-        count_rows: list[list[int]],
-        postings: list[array],
-        posting_weights: list[array],
-        ordinal_norms: list[float],
-        ordinal_set_norms: list[float],
-        idf: list[float],
-    ):
+    def __init__(self, fields: Fields):
+        """Derive every table from *fields*, once.
+
+        ``count_rows[ordinal]`` is the flat ``[tid, count, ...]`` row of the
+        document ``doc_ids[ordinal]``, ascending by term id; every term id
+        must occur in some row. Postings are appended while walking the rows,
+        so every posting array comes out ascending by ordinal without a sort.
+        A built, a loaded and an extended index all come through here, so
+        all compute weights through the identical floating-point path.
+        """
+        config, id_to_term, doc_ids, titles, count_rows = fields
+        df = [0] * len(id_to_term)
+        for row in count_rows:
+            for tid in row[0::2]:
+                df[tid] += 1
+        corpus_size = len(count_rows)
+        idf = [math.log10(corpus_size / count) for count in df]
+
+        postings = [array("i") for _ in id_to_term]
+        posting_weights = [array("d") for _ in id_to_term]
+        norms: list[float] = []
+        for ordinal, row in enumerate(count_rows):
+            counts = row[1::2]
+            token_total = sum(counts)
+            norm_sq = 0.0
+            for tid, count in zip(row[0::2], counts):
+                weight = (count / token_total) * idf[tid]
+                norm_sq += weight * weight
+                postings[tid].append(ordinal)
+                posting_weights[tid].append(weight)
+            norms.append(math.sqrt(norm_sq))
+
+        # roots taken after the loop keep these floats together in memory: a
+        # set query reads one per candidate, and scattered among per-document
+        # allocations they made set-scorer ranking about 15% slower
+        set_norms = [math.sqrt(len(row) // 2) for row in count_rows]
+        self.fields = fields
         self.config = config
-        self.vocabulary = vocabulary
+        self.vocabulary = Vocabulary(id_to_term, df)
         self.doc_ids: tuple[str, ...] = tuple(doc_ids)
         self.titles: dict[str, str] = dict(zip(self.doc_ids, titles))
         self.count_rows = count_rows
         self.postings = postings
         self.posting_weights = posting_weights
-        self.ordinal_norms = ordinal_norms
-        self.ordinal_set_norms = ordinal_set_norms
+        self.ordinal_norms = norms
+        self.ordinal_set_norms = set_norms
         self._idf = idf
         self._documents: Mapping[str, DocumentVector] | None = None
         self._norms: Mapping[str, float] | None = None
@@ -223,26 +249,11 @@ class Index:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Index):
             return NotImplemented
-        return (
-            self.config == other.config
-            and self.vocabulary == other.vocabulary
-            and self.doc_ids == other.doc_ids
-            and self.titles == other.titles
-            and self.count_rows == other.count_rows
-            and self.postings == other.postings
-            and self.posting_weights == other.posting_weights
-            and self.ordinal_norms == other.ordinal_norms
-            and self.ordinal_set_norms == other.ordinal_set_norms
-            and self._idf == other._idf
-        )
+        return self.fields == other.fields
 
     @property
     def corpus_size(self) -> int:
         return len(self.doc_ids)
-
-    @property
-    def format_version(self) -> int:
-        return INDEX_FORMAT_VERSION
 
     @property
     def documents(self) -> Mapping[str, DocumentVector]:
@@ -299,7 +310,7 @@ class Index:
         return total
 
     def _row_weights(self, row: list[int]) -> dict[int, float]:
-        """Term id -> weight over a count row, by the expression :func:`_assemble` uses."""
+        """Term id -> weight over a count row, by the expression the constructor posts."""
         counts = row[1::2]
         token_total = sum(counts)
         idf = self._idf
@@ -370,62 +381,6 @@ class Index:
         return QueryVector(weights, tuple(sorted(dropped)), scorer)
 
 
-def _assemble(
-    config: PreprocessConfig,
-    id_to_term: Sequence[str],
-    doc_ids: Sequence[str],
-    titles: Sequence[str],
-    count_rows: list[list[int]],
-) -> Index:
-    """Build an Index from per-document count rows.
-
-    ``count_rows[ordinal]`` is the flat ``[tid, count, ...]`` row of the
-    document ``doc_ids[ordinal]``, ascending by term id; every term id must
-    occur in some row. Postings are appended while walking the rows, so
-    every posting array comes out ascending by ordinal without a sort. Every
-    table the Index holds (idf, norms, set norms) is computed here, once.
-    Shared by :func:`build_index` and the on-disk loader so both compute
-    weights through the identical floating-point path.
-    """
-    df = [0] * len(id_to_term)
-    for row in count_rows:
-        for tid in row[0::2]:
-            df[tid] += 1
-    corpus_size = len(count_rows)
-    idf = [math.log10(corpus_size / count) for count in df]
-
-    postings = [array("i") for _ in id_to_term]
-    posting_weights = [array("d") for _ in id_to_term]
-    norms: list[float] = []
-    for ordinal, row in enumerate(count_rows):
-        counts = row[1::2]
-        token_total = sum(counts)
-        norm_sq = 0.0
-        for tid, count in zip(row[0::2], counts):
-            weight = (count / token_total) * idf[tid]
-            norm_sq += weight * weight
-            postings[tid].append(ordinal)
-            posting_weights[tid].append(weight)
-        norms.append(math.sqrt(norm_sq))
-
-    # roots taken after the loop keep these floats together in memory: a set
-    # query reads one per candidate, and scattered among per-document
-    # allocations they made set-scorer ranking about 15% slower
-    set_norms = [math.sqrt(len(row) // 2) for row in count_rows]
-    return Index(
-        config=config,
-        vocabulary=Vocabulary(id_to_term, df),
-        doc_ids=doc_ids,
-        titles=titles,
-        count_rows=count_rows,
-        postings=postings,
-        posting_weights=posting_weights,
-        ordinal_norms=norms,
-        ordinal_set_norms=set_norms,
-        idf=idf,
-    )
-
-
 def build_index(
     cases: Iterable[Case], config: PreprocessConfig | None = None
 ) -> tuple[Index, IngestReport]:
@@ -439,7 +394,7 @@ def build_index(
     if config is None:
         config = PreprocessConfig()
     fields, report = _build_fields(cases, config)
-    return _assemble(*fields), report
+    return Index(fields), report
 
 
 def _build_fields(cases: Iterable[Case], config: PreprocessConfig) -> tuple[Fields, IngestReport]:
@@ -477,35 +432,21 @@ def _build_fields(cases: Iterable[Case], config: PreprocessConfig) -> tuple[Fiel
     return (config, id_to_term, doc_ids, titles, count_rows), report
 
 
-def extend_index(
-    config: PreprocessConfig,
-    terms: Sequence[str],
-    doc_ids: Sequence[str],
-    titles: Iterable[str],
-    count_rows: Sequence[list[int]],
-    new_case: Case,
-) -> Index:
-    """The index of a stored corpus with *new_case* appended, tokenizing only it.
+def extend_index(fields: Fields, new_case: Case) -> Index:
+    """The index of the stored *fields* with *new_case* appended, tokenizing only it.
 
-    *terms*, *doc_ids*, *titles* and *count_rows* are the fields of an
-    index as :func:`build_index` (or the loader) gives them, tokenized with
-    *config*; none of them is modified. The new title's unseen terms get the
-    next ids in first-occurrence order, so the result equals
+    *fields* are an index's stored fields as :func:`build_index` (or the
+    loader) gives them; none of them is modified. The new title's unseen
+    terms get the next ids in first-occurrence order, so the result equals
     ``build_index`` over the corpus with *new_case* appended. A duplicate id
     or a title that tokenizes to empty is a :class:`DataError`.
     """
-    return _assemble(*_extend_fields(config, terms, doc_ids, titles, count_rows, new_case))
+    return Index(_extend_fields(fields, new_case))
 
 
-def _extend_fields(
-    config: PreprocessConfig,
-    terms: Sequence[str],
-    doc_ids: Sequence[str],
-    titles: Iterable[str],
-    count_rows: Sequence[list[int]],
-    new_case: Case,
-) -> Fields:
+def _extend_fields(fields: Fields, new_case: Case) -> Fields:
     """The stored fields of :func:`extend_index`'s index, with its checks."""
+    config, terms, doc_ids, titles, count_rows = fields
     if new_case.id in doc_ids:
         raise DataError(f"duplicate case id: {new_case.id!r}")
     tokens = tokenize(new_case.title, config)

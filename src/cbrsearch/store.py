@@ -16,11 +16,12 @@ Index file (format version 3)
     versions 1 and 2 included, are rejected with a hint to rebuild them
     with ``cbrsearch index``.
 
-    The file holds an index's stored fields (``index.Fields``) and nothing
-    else. One serializer writes them, :func:`_write_index`, and one reader
-    checks them, :func:`_read_index`. :func:`save_index` writes an index's
-    fields, and :func:`load_index` assembles what the reader returns; the
-    command line's ``index`` and ``add`` write fields they never assemble.
+    The file holds an index's stored fields (``index.Fields``, its value)
+    and nothing else. One serializer writes them, :func:`_write_index`, and
+    one reader checks them, :func:`_read_index`. :func:`save_index` writes
+    ``index.fields``, and :func:`load_index` constructs an ``Index`` from what
+    the reader returns; the command line's ``index`` and ``add`` write fields
+    they never construct an index from.
 
 Corpus files
     ``record`` mode: one JSON object per line with fields ``id`` and
@@ -39,8 +40,10 @@ from operator import floordiv, lt, mod, sub
 from pathlib import Path
 
 from .errors import ConfigError, DataError, IndexFormatError
-from .index import INDEX_FORMAT_VERSION, Case, Fields, Index, _assemble
+from .index import Case, Fields, Index
 from .preprocess import PreprocessConfig
+
+INDEX_FORMAT_VERSION = 3
 
 _FORMAT_NAME = "cbrsearch-index"
 _CHECKSUM_KEY = ',"weights_sha256":'
@@ -61,14 +64,7 @@ def _seal(body: str) -> str:
 
 def save_index(index: Index, path: str | Path) -> None:
     """Write *index* to *path* as a versioned, checksummed JSON document."""
-    _write_index(
-        path,
-        index.config,
-        index.vocabulary.terms,
-        index.doc_ids,
-        list(index.titles.values()),
-        index.count_rows,
-    )
+    _write_index(path, *index.fields)
 
 
 def _write_index(
@@ -160,14 +156,14 @@ def load_index(path: str | Path) -> Index:
     checksum mismatch. Unsupported versions are rejected, never migrated:
     the message says to rebuild the index with ``cbrsearch index``.
     """
-    return _assemble(*_read_index(path))
+    return Index(_read_index(path))
 
 
 def _read_index(path: str | Path) -> Fields:
     """The checked fields of an index file: config, terms, ids, titles, count rows.
 
     Every check :func:`load_index` makes happens here, with its messages;
-    only the assembly of the :class:`Index` is left to the caller.
+    only the construction of the :class:`Index` is left to the caller.
     """
     try:
         raw = Path(path).read_text(encoding="utf-8")
@@ -175,7 +171,7 @@ def _read_index(path: str | Path) -> Fields:
         raise IndexFormatError(f"cannot read index file {path}: {exc}") from exc
     try:
         document = json.loads(raw)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # nested too deeply: RecursionError
         raise _corrupt(path, f"not parseable as JSON ({exc})") from exc
     if not isinstance(document, dict) or document.get("format") != _FORMAT_NAME:
         raise _corrupt(path, "unrecognized layout")
@@ -276,7 +272,7 @@ def read_corpus(path: str | Path, corpus_format: str) -> list[Case]:
             continue
         try:
             record = json.loads(line)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise DataError(f"{path}:{lineno}: not a valid record ({exc})") from exc
         if not isinstance(record, dict):
             raise DataError(f"{path}:{lineno}: record must be an object")

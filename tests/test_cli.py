@@ -27,6 +27,10 @@ from cbrsearch import index as index_module
 from cbrsearch.cli import EXIT_DATA, EXIT_OK, EXIT_PROPERTY, EXIT_USAGE, main
 from conftest import SAMPLE_TITLES, generate_titles, sealed_index_text
 
+# arrays nested deeper than the default recursion limit: json.loads raises
+# RecursionError on them, not ValueError, before it reaches the missing ends
+DEEP_JSON = "[" * 1000
+
 
 def run_cli(argv, capsys):
     code = main(argv)
@@ -106,6 +110,22 @@ class TestCmdIndex:
         )
         assert code == EXIT_DATA
         assert "r1" in err
+
+    def test_a_too_deeply_nested_record_exits_2_naming_the_line(self, tmp_path, capsys):
+        corpus = tmp_path / "deep.jsonl"
+        corpus.write_text(
+            '{"id":"r1","title":"Sistem Parkir"}\n{"id":"r2","title":' + DEEP_JSON + "}\n",
+            encoding="utf-8",
+        )
+        output = tmp_path / "x.idx"
+        code, out, err = run_cli(
+            ["index", "--input", str(corpus), "--format", "record", "--output", str(output)],
+            capsys,
+        )
+        assert code == EXIT_DATA
+        assert out == ""
+        assert f"{corpus}:2: not a valid record" in err
+        assert not output.exists()
 
     def test_stopword_file_is_applied(self, plain_corpus, tmp_path, capsys):
         stop = tmp_path / "stop.txt"
@@ -223,6 +243,14 @@ class TestCmdQuery:
         assert code == EXIT_DATA
         assert "corrupt" in err
 
+    def test_a_too_deeply_nested_index_exits_2_naming_the_file(self, tmp_path, capsys):
+        deep = tmp_path / "deep.idx"
+        deep.write_text(DEEP_JSON, encoding="utf-8")
+        code, out, err = run_cli(["query", "--index", str(deep), "--query", "x"], capsys)
+        assert code == EXIT_DATA
+        assert out == ""
+        assert f"corrupt index file {deep}: not parseable as JSON" in err
+
     @pytest.mark.parametrize(
         "version, text",
         [
@@ -322,6 +350,31 @@ class TestCmdAdd:
         )
         assert code == EXIT_DATA
         assert "tokenizes to empty" in err
+
+    @pytest.mark.parametrize("deep_file", ["index", "corpus"])
+    def test_a_too_deeply_nested_file_exits_2_leaving_both_files(
+        self, record_pair, capsys, deep_file
+    ):
+        corpus, index_path = record_pair
+        if deep_file == "index":
+            index_path.write_text(DEEP_JSON, encoding="utf-8")
+            expected = f"corrupt index file {index_path}: not parseable as JSON"
+        else:
+            with open(corpus, "a", encoding="utf-8") as handle:
+                handle.write('{"id":"r6","title":' + DEEP_JSON + "}\n")
+            expected = f"{corpus}:{len(SAMPLE_TITLES) + 1}: not a valid record"
+        corpus_before = corpus.read_bytes()
+        index_before = index_path.read_bytes()
+        code, out, err = run_cli(
+            ["add", "--index", str(index_path), "--corpus", str(corpus),
+             "--id", "r7", "--title", "Sistem Pakar Diagnosa Penyakit"],
+            capsys,
+        )
+        assert code == EXIT_DATA
+        assert out == ""
+        assert expected in err
+        assert corpus.read_bytes() == corpus_before
+        assert index_path.read_bytes() == index_before
 
     def test_corpus_that_disagrees_with_the_index_exits_2_without_touching_files(
         self, record_pair, capsys
@@ -494,20 +547,19 @@ class TestCmdAdd:
 
 
 class TestNoWriterAssembles:
-    """``index`` and ``add`` write stored fields; only a command that ranks assembles."""
+    """``index`` and ``add`` write stored fields; only a command that ranks constructs an Index."""
 
     @pytest.fixture
     def assembled(self, monkeypatch):
-        # wrapped in every module that holds it, so each import of it counts
+        # every construction, through any module's name for the class, counts
         calls = []
-        original = index_module._assemble
+        original = index_module.Index.__init__
 
-        def counted(*args, **kwargs):
-            calls.append(len(args[2]))  # documents assembled
-            return original(*args, **kwargs)
+        def counted(index, fields):
+            calls.append(len(fields[2]))  # documents indexed
+            original(index, fields)
 
-        for module in (index_module, store, cli):
-            monkeypatch.setattr(module, "_assemble", counted, raising=False)
+        monkeypatch.setattr(index_module.Index, "__init__", counted)
         return calls
 
     @staticmethod

@@ -4,17 +4,21 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 
 import pytest
 
 from brute import DenseOracle
 from cbrsearch import (
     Case,
+    CaseBase,
     DataError,
+    Index,
     PreprocessConfig,
     TermNotIndexed,
     build_index,
     cosine_similarity,
+    load_index,
     save_index,
 )
 from cbrsearch.index import extend_index
@@ -72,16 +76,6 @@ class TestBuildIndex:
 
 
 class TestExtendIndex:
-    @staticmethod
-    def _fields(index):
-        return (
-            index.config,
-            index.vocabulary.terms,
-            index.doc_ids,
-            index.titles.values(),
-            index.count_rows,
-        )
-
     def test_equals_a_build_with_the_case_appended(self, tmp_path):
         rng = random.Random(6061)
         for trial in range(20):
@@ -90,7 +84,7 @@ class TestExtendIndex:
             new_case = Case("new", f"kata00 baru{trial} kata01 baru{trial} lain")
             index, _ = build_index(cases)
             rows = [list(row) for row in index.count_rows]
-            extended = extend_index(*self._fields(index), new_case)
+            extended = extend_index(index.fields, new_case)
             assert extended == build_index([*cases, new_case])[0]
             assert extended.vocabulary.terms[-2:] == (f"baru{trial}", "lain")
             assert index.count_rows == rows  # the stored fields are not modified
@@ -100,9 +94,51 @@ class TestExtendIndex:
 
     def test_refuses_a_duplicate_id_and_an_empty_title(self, small_index):
         with pytest.raises(DataError, match="duplicate case id: 'd2'"):
-            extend_index(*self._fields(small_index), Case("d2", "x"))
+            extend_index(small_index.fields, Case("d2", "x"))
         with pytest.raises(DataError, match="tokenizes to empty"):
-            extend_index(*self._fields(small_index), Case("d4", "?!"))
+            extend_index(small_index.fields, Case("d4", "?!"))
+
+
+# each changes one stored field of (config, terms, ids, titles, count rows)
+# and leaves the others as they are
+ONE_FIELD_EDITS = {
+    "config": lambda c, t, i, ti, r: (PreprocessConfig(min_token_length=2), t, i, ti, r),
+    "term": lambda c, t, i, ti, r: (c, [t[0] + "x", *t[1:]], i, ti, r),
+    "id": lambda c, t, i, ti, r: (c, t, ["other", *i[1:]], ti, r),
+    "title": lambda c, t, i, ti, r: (c, t, i, [ti[0] + " lagi", *ti[1:]], r),
+    "count": lambda c, t, i, ti, r: (c, t, i, ti, [[r[0][0], r[0][1] + 1, *r[0][2:]], *r[1:]]),
+}
+
+
+class TestIndexIsItsFields:
+    """Equality compares the stored fields, since every other table is derived from them."""
+
+    @pytest.mark.parametrize("edit", ONE_FIELD_EDITS.values(), ids=ONE_FIELD_EDITS.keys())
+    def test_an_index_with_one_field_edited_is_unequal(self, small_index, edit):
+        assert Index(edit(*small_index.fields)) != small_index
+
+    @pytest.mark.parametrize("source", ["built", "loaded", "extended", "retained"])
+    def test_its_fields_derive_every_table_bit_for_bit(self, tmp_path, source):
+        cases = corpus_cases(generate_token_corpus(random.Random(6071), max_docs=40, max_vocab=30))
+        cases.insert(5, Case("skipped", "?!"))
+        new_case = Case("new", "kata00 baru kata01 lain")
+        saved = tmp_path / "saved.idx"
+        save_index(build_index(cases)[0], saved)
+        index = {
+            "built": lambda: build_index(cases)[0],
+            "loaded": lambda: load_index(saved),
+            "extended": lambda: extend_index(load_index(saved).fields, new_case),
+            "retained": lambda: CaseBase(cases).retain(new_case).index,
+        }[source]()
+        again = Index(index.fields)
+        assert again == index
+        for table in ("postings", "posting_weights"):
+            rows = [(a.typecode, a.tobytes()) for a in getattr(again, table)]
+            assert rows == [(a.typecode, a.tobytes()) for a in getattr(index, table)], table
+        for table in ("ordinal_norms", "ordinal_set_norms"):
+            bits = array("d", getattr(again, table)).tobytes()
+            assert bits == array("d", getattr(index, table)).tobytes(), table
+        assert again.vocabulary.document_frequencies == index.vocabulary.document_frequencies
 
 
 class TestTermFrequency:

@@ -81,8 +81,8 @@ class TestRoundTrip:
             "built": (_build_fields(cases, config)[0], build_index(cases, config)[0]),
             "loaded": (_read_index(saved), load_index(saved)),
             "extended": (
-                _extend_fields(*_read_index(saved), new_case),
-                extend_index(*_read_index(saved), new_case),
+                _extend_fields(_read_index(saved), new_case),
+                extend_index(_read_index(saved), new_case),
             ),
         }
         for step, (fields, index) in steps.items():
