@@ -8,10 +8,10 @@ shuffled; both stages must find the same titles).
 
 Every command that answers a query (``query``, both stages of ``eval``) calls
 :func:`cbrsearch.casebase.search`, the package's one query path, and only
-those load an :class:`Index`. The commands that write an index file,
-``index`` and ``add``, tokenize into its stored fields and write them as
-they are: postings, weights and norms serve only a search, so they are never
-built there.
+those load an :class:`Index`, which derives only the tables of the terms
+they rank. The commands that write an index file, ``index`` and ``add``,
+tokenize into its stored fields and write them as they are: postings,
+weights and norms serve only a search, so they are never built there.
 
 Exit codes: 0 success, 1 usage error, 2 data or I/O error, 3 search property
 violation (``eval`` only).
@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import fcntl
 import json
+import math
 import random
 import sys
 from contextlib import contextmanager
@@ -57,14 +58,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0  # not an integer: refused below
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return value
 
 
 def _threshold(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan  # not a number: refused below
     if not 0.0 <= value < 1.0:  # also false for NaN
         raise argparse.ArgumentTypeError(f"must be in [0, 1), got {text!r}")
     return value
@@ -279,6 +286,9 @@ def run_two_stage_eval(
     if not titles:
         raise DataError("no titles to evaluate")
     stored_titles = set(index.titles.values())
+    # a shuffled title has its title's tokens: one row scan derives every query's terms
+    tokens = {token for title in titles for token in tokenize(title, index.config)}
+    index._derive({tid for tid in map(index.vocabulary.lookup, tokens) if tid is not None})
     rows: list[EvalRow] = []
     violations: list[str] = []
     for row_number, title in enumerate(titles, start=1):

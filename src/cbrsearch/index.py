@@ -13,13 +13,16 @@ both scorers (see :meth:`Index.vectorize_query`).
 
 The :class:`Index` is an immutable snapshot: build it once, query it from any
 number of readers, and construct a new one to change the corpus. An index is
-its stored fields (:data:`Fields`, exactly what an index file holds):
-``Index(fields)`` derives postings, weights, idf and norms from them, and two
-indexes are equal when their fields are. :func:`build_index` and
-:func:`extend_index`, which appends a case to the stored count rows and
-tokenizes only the new title, each compute the fields and then construct the
-index; a writer that only saves an index, as the command line's ``index``
-and ``add`` do, computes the fields alone.
+its stored fields (:data:`Fields`, exactly what an index file holds), and
+two indexes are equal when their fields are. ``Index(fields)`` derives df
+and idf from them; the postings, weights and norms of a batch of terms come
+from one scan of the count rows, on the first query that ranks them.
+:func:`build_index` and :func:`extend_index`, which appends a case to the
+stored count rows and tokenizes only the new title, each compute the fields
+and then derive every term, so a long-lived reader never pays on first use;
+a loaded index derives only what its queries rank. A writer that only saves
+an index, as the command line's ``index`` and ``add`` do, computes the
+fields alone.
 """
 
 from __future__ import annotations
@@ -163,16 +166,20 @@ class Index:
         titles: doc_id -> original title, for display, in corpus order.
         count_rows: ordinal -> flat ``[tid, count, ...]`` list of the
             document's term counts, ascending by term id.
-        postings: term_id -> ``array('i')`` of document ordinals, ascending.
+        postings: term_id -> ``array('i')`` of document ordinals, ascending;
+            None until :meth:`_derive` posts the term.
         posting_weights: term_id -> ``array('d')`` of the documents' weights
-            for the term, parallel to ``postings[term_id]``.
-        ordinal_norms: ordinal -> L2 norm of the document's weight vector.
+            for the term, parallel to ``postings[term_id]``; None until posted.
+        ordinal_norms: ordinal -> L2 norm of the document's weight vector;
+            None until a term the document holds is posted.
         ordinal_set_norms: ordinal -> L2 norm of the document's 0/1 incidence
             vector, ``sqrt(distinct terms)``.
 
-    ``documents`` and ``norms`` are read-only, id-keyed views derived from
-    these tables on first access; nothing on the query, load or save path
-    reads them. :meth:`term_ratios` caches one array per term on first use.
+    ``documents`` and ``norms`` are read-only, id-keyed views derived on
+    first access; nothing on the query, load or save path reads them.
+    ``norms``, :meth:`term_ratios` (which caches one array per term) and
+    :func:`rank` derive the terms they read first, so no underived entry is
+    ever read; ``documents`` reads only the count rows.
     """
 
     __slots__ = (
@@ -193,14 +200,12 @@ class Index:
     )
 
     def __init__(self, fields: Fields):
-        """Derive every table from *fields*, once.
+        """Derive the cheap tables from *fields*: df, idf and the set norms.
 
         ``count_rows[ordinal]`` is the flat ``[tid, count, ...]`` row of the
         document ``doc_ids[ordinal]``, ascending by term id; every term id
-        must occur in some row. Postings are appended while walking the rows,
-        so every posting array comes out ascending by ordinal without a sort.
-        A built, a loaded and an extended index all come through here, so
-        all compute weights through the identical floating-point path.
+        must occur in some row. Postings, their weights and the norms are
+        left to :meth:`_derive`.
         """
         config, id_to_term, doc_ids, titles, count_rows = fields
         df = [0] * len(id_to_term)
@@ -208,40 +213,64 @@ class Index:
             for tid in row[0::2]:
                 df[tid] += 1
         corpus_size = len(count_rows)
-        idf = [math.log10(corpus_size / count) for count in df]
-
-        postings = [array("i") for _ in id_to_term]
-        posting_weights = [array("d") for _ in id_to_term]
-        norms: list[float] = []
-        for ordinal, row in enumerate(count_rows):
-            counts = row[1::2]
-            token_total = sum(counts)
-            norm_sq = 0.0
-            for tid, count in zip(row[0::2], counts):
-                weight = (count / token_total) * idf[tid]
-                norm_sq += weight * weight
-                postings[tid].append(ordinal)
-                posting_weights[tid].append(weight)
-            norms.append(math.sqrt(norm_sq))
-
-        # roots taken after the loop keep these floats together in memory: a
-        # set query reads one per candidate, and scattered among per-document
-        # allocations they made set-scorer ranking about 15% slower
-        set_norms = [math.sqrt(len(row) // 2) for row in count_rows]
         self.fields = fields
         self.config = config
         self.vocabulary = Vocabulary(id_to_term, df)
         self.doc_ids: tuple[str, ...] = tuple(doc_ids)
         self.titles: dict[str, str] = dict(zip(self.doc_ids, titles))
         self.count_rows = count_rows
-        self.postings = postings
-        self.posting_weights = posting_weights
-        self.ordinal_norms = norms
-        self.ordinal_set_norms = set_norms
-        self._idf = idf
+        self.postings: list[array | None] = [None] * len(id_to_term)
+        self.posting_weights: list[array | None] = [None] * len(id_to_term)
+        self.ordinal_norms: list[float | None] = [None] * corpus_size
+        # roots taken in one pass keep these floats together in memory: a set
+        # query reads one per candidate, and scattered among per-document
+        # allocations they made set-scorer ranking about 15% slower
+        self.ordinal_set_norms = [math.sqrt(len(row) // 2) for row in count_rows]
+        self._idf = [math.log10(corpus_size / count) for count in df]
         self._documents: Mapping[str, DocumentVector] | None = None
         self._norms: Mapping[str, float] | None = None
         self._ratios: dict[int, array] = {}
+
+    def _derive(self, term_ids: Iterable[int]) -> None:
+        """Post the unposted terms of *term_ids*, and norm their documents, in one row scan.
+
+        Postings are appended while walking the rows, so every posting array
+        comes out ascending by ordinal without a sort, and every index, built,
+        loaded or extended, computes weights through this one floating-point
+        path. A term's arrays are published, postings last, only once they
+        and its documents' norms are complete, so concurrent readers may
+        derive the same term twice but never read half a table.
+        """
+        postings, idf, norms = self.postings, self._idf, self.ordinal_norms
+        wanted = {tid for tid in term_ids if postings[tid] is None}
+        if not wanted:
+            return
+        # term id -> the arrays being filled, None for a term not wanted; two
+        # lists, not one of pairs: freed pairs left holes among the arrays
+        # and raised peak memory by about 0.4 MB at 100k titles
+        ordinal_slots: list[array | None] = [None] * len(postings)
+        weight_slots: list[array | None] = [None] * len(postings)
+        for tid in wanted:
+            ordinal_slots[tid], weight_slots[tid] = array("i"), array("d")
+        some = len(wanted) < len(postings)
+        for ordinal, row in enumerate(self.count_rows):
+            tids = row[0::2]
+            if some and wanted.isdisjoint(tids):
+                continue
+            counts = row[1::2]
+            token_total = sum(counts)
+            norm_sq = 0.0
+            for tid, count in zip(tids, counts):
+                weight = (count / token_total) * idf[tid]
+                norm_sq += weight * weight
+                ordinals = ordinal_slots[tid]
+                if ordinals is not None:
+                    ordinals.append(ordinal)
+                    weight_slots[tid].append(weight)
+            norms[ordinal] = math.sqrt(norm_sq)
+        for tid in wanted:
+            self.posting_weights[tid] = weight_slots[tid]
+            postings[tid] = ordinal_slots[tid]  # last: a posted term is complete
 
     def __repr__(self) -> str:
         return f"Index({self.corpus_size} documents, {len(self.vocabulary)} terms)"
@@ -275,6 +304,7 @@ class Index:
     def norms(self) -> Mapping[str, float]:
         """doc_id -> ``ordinal_norms`` entry (a read-only view)."""
         if self._norms is None:
+            self._derive(range(len(self.postings)))
             self._norms = MappingProxyType(dict(zip(self.doc_ids, self.ordinal_norms)))
         return self._norms
 
@@ -289,6 +319,7 @@ class Index:
         """
         ratios = self._ratios.get(term_id)
         if ratios is None:
+            self._derive((term_id,))
             norms = map(self.ordinal_norms.__getitem__, self.postings[term_id])
             ratios = map(truediv, self.posting_weights[term_id], norms)
             ratios = array("d", sorted(ratios, reverse=True))
@@ -310,7 +341,7 @@ class Index:
         return total
 
     def _row_weights(self, row: list[int]) -> dict[int, float]:
-        """Term id -> weight over a count row, by the expression the constructor posts."""
+        """Term id -> weight over a count row, by the expression :meth:`_derive` posts."""
         counts = row[1::2]
         token_total = sum(counts)
         idf = self._idf
@@ -394,7 +425,14 @@ def build_index(
     if config is None:
         config = PreprocessConfig()
     fields, report = _build_fields(cases, config)
-    return Index(fields), report
+    return _fully_derived(fields), report
+
+
+def _fully_derived(fields: Fields) -> Index:
+    """The index of *fields* with every table derived, as a long-lived reader wants it."""
+    index = Index(fields)
+    index._derive(range(len(index.postings)))
+    return index
 
 
 def _build_fields(cases: Iterable[Case], config: PreprocessConfig) -> tuple[Fields, IngestReport]:
@@ -441,7 +479,7 @@ def extend_index(fields: Fields, new_case: Case) -> Index:
     ``build_index`` over the corpus with *new_case* appended. A duplicate id
     or a title that tokenizes to empty is a :class:`DataError`.
     """
-    return Index(_extend_fields(fields, new_case))
+    return _fully_derived(_extend_fields(fields, new_case))
 
 
 def _extend_fields(fields: Fields, new_case: Case) -> Fields:

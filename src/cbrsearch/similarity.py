@@ -263,6 +263,7 @@ def rank(
         raise ValueError(f"threshold must be a number of at least 0, got {threshold!r}")
     if not isinstance(query, QueryVector):
         raise TypeError(f"query must be a QueryVector, got {type(query).__name__}")
+    index._derive(query.weights)
     ordinals, scores, total = _score(index, query, threshold, top_k)
     if top_k is not None and top_k < len(scores):
         # only scores at or above the k-th best can rank in the top k

@@ -6,10 +6,11 @@ Index file (format version 3)
     id is its position), the documents as parallel ``ids`` and ``titles``
     lists, and one flat ``[tid, count, tid, count, ...]`` row per document
     in ``counts``, ascending by term id. Weights, token totals and document
-    frequencies are never written: on load they are recomputed through the
-    same code path ``build_index`` uses, so an index is defined by its
-    stored counts. Serialization is canonical (sorted keys, fixed
-    separators), which makes equal indexes produce byte-identical files.
+    frequencies are never written: a loaded index recomputes them through
+    the same code path ``build_index`` uses, the weights of a term when a
+    query first ranks it, so an index is defined by its stored counts.
+    Serialization is canonical (sorted keys, fixed separators), which makes
+    equal indexes produce byte-identical files.
     The last key, ``weights_sha256``, is the sha256 of the UTF-8 bytes of
     the canonical document without it, so any edit to a stored value, or
     to the file's layout, is rejected. Files of any other format version,
@@ -20,8 +21,9 @@ Index file (format version 3)
     and nothing else. One serializer writes them, :func:`_write_index`, and
     one reader checks them, :func:`_read_index`. :func:`save_index` writes
     ``index.fields``, and :func:`load_index` constructs an ``Index`` from what
-    the reader returns; the command line's ``index`` and ``add`` write fields
-    they never construct an index from.
+    the reader returns, which derives no postings until a query ranks; the
+    command line's ``index`` and ``add`` write fields they never construct
+    an index from.
 
 Corpus files
     ``record`` mode: one JSON object per line with fields ``id`` and

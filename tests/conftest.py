@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import random
+import sys
+from pathlib import Path
 
 from cbrsearch import Case
 
@@ -92,3 +95,22 @@ def sealed_index_text(document: dict) -> str:
     )
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
     return f'{body[:-1]},"weights_sha256":"{digest}"}}\n'
+
+
+def zipf_titles(seed: int, size: int, per_kind: int):
+    """*size* Zipf-skewed titles and a query pool from the benchmark's generator.
+
+    Loads ``perfbench/generate.py`` by path. Returns the cases, numbered
+    from 1 as a plain corpus is, and the pool of ``3 * per_kind`` queries.
+    """
+    name = "perfbench_generate"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "generate.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    generate = sys.modules[name]
+    gen = generate.Generator(seed)
+    corpus = gen.corpus(size)
+    cases = [Case(str(n), generate.render(tokens)) for n, tokens in enumerate(corpus, start=1)]
+    return cases, gen.queries(corpus, per_kind)

@@ -690,6 +690,31 @@ class TestCmdEval:
         assert code == EXIT_DATA
         assert "no titles" in err
 
+    def test_a_loaded_index_derives_every_query_in_one_row_scan(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        class ScannedRows(list):
+            scans = 0
+
+            def __iter__(self):
+                self.scans += 1
+                return super().__iter__()
+
+        cases = [Case(str(n), t) for n, t in enumerate(generate_titles(random.Random(5), 80))]
+        index_path, titles = tmp_path / "corpus.idx", tmp_path / "titles.txt"
+        save_index(build_index(cases)[0], index_path)
+        lines = [case.title for case in cases[:12]] + ["sistem zzz"]
+        titles.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        argv = ["eval", "--index", str(index_path), "--titles", str(titles), "--seed", "42"]
+        loaded = load_index(index_path)
+        rows = loaded.count_rows = ScannedRows(loaded.count_rows)
+        monkeypatch.setattr(cli, "load_index", lambda path: loaded)
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err, rows.scans) == (EXIT_OK, "", 1)
+        assert None in loaded.postings  # only the titles' terms were derived
+        monkeypatch.setattr(cli, "load_index", lambda path: build_index(cases)[0])
+        assert run_cli(argv, capsys) == (EXIT_OK, out, "")
+
     def test_no_titles_raises_a_data_error(self, indexed):
         with pytest.raises(DataError, match="no titles to evaluate"):
             cli.run_two_stage_eval(load_index(indexed), [], 1, "cosine")
@@ -764,6 +789,20 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         assert out == ""
         assert "--threshold" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["index", "--input", "x", "--format", "plain", "--output", "y", "--min-token-len", "abc"],
+         "argument --min-token-len: must be a positive integer, got 'abc'"),
+        (["query", "--index", "x", "--query", "q", "--top-k", "abc"],
+         "argument --top-k: must be a positive integer, got 'abc'"),
+        (["query", "--index", "x", "--query", "q", "--threshold", "abc"],
+         "argument --threshold: must be in [0, 1), got 'abc'"),
+    ], ids=["min-token-len", "top-k", "threshold"])
+    def test_a_non_number_is_refused_in_the_options_own_words(self, capsys, argv, message):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.endswith(f"error: {message}\n")
+        assert "invalid" not in err
 
     def test_help_exits_zero(self, capsys):
         code, out, _ = run_cli(["--help"], capsys)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 import random
+import sys
+import threading
 from array import array
 
 import pytest
@@ -20,9 +22,10 @@ from cbrsearch import (
     cosine_similarity,
     load_index,
     save_index,
+    search,
 )
 from cbrsearch.index import extend_index
-from conftest import generate_token_corpus, corpus_cases
+from conftest import SAMPLE_TITLES, corpus_cases, generate_titles, generate_token_corpus, zipf_titles
 
 # log10(3/2) by hand: idf of a term in 2 of 3 documents
 IDF_TWO_OF_THREE = 0.17609125905568124
@@ -131,6 +134,9 @@ class TestIndexIsItsFields:
             "retained": lambda: CaseBase(cases).retain(new_case).index,
         }[source]()
         again = Index(index.fields)
+        again._derive(range(len(again.postings)))
+        if source == "loaded":  # a loaded index derives a term on first use
+            index._derive(range(len(index.postings)))
         assert again == index
         for table in ("postings", "posting_weights"):
             rows = [(a.typecode, a.tobytes()) for a in getattr(again, table)]
@@ -139,6 +145,86 @@ class TestIndexIsItsFields:
             bits = array("d", getattr(again, table)).tobytes()
             assert bits == array("d", getattr(index, table)).tobytes(), table
         assert again.vocabulary.document_frequencies == index.vocabulary.document_frequencies
+
+
+# corpora a loaded index is checked against a build on
+LAZY_CORPORA = {
+    "sample": lambda: [Case(str(n), title) for n, title in enumerate(SAMPLE_TITLES)],
+    "titles": lambda: [Case(str(n), t) for n, t in enumerate(generate_titles(random.Random(17), 90))],
+    "tokens": lambda: corpus_cases(generate_token_corpus(random.Random(23))),
+    "zipf-2k": lambda: zipf_titles(7, 2000, 1)[0],
+}
+
+
+def _bits(values) -> tuple[str, bytes]:
+    values = values if isinstance(values, array) else array("d", values)
+    return values.typecode, values.tobytes()
+
+
+class TestDeriveOnFirstUse:
+    """A loaded index derives a term's tables on first use, equal to a build's bit for bit."""
+
+    @staticmethod
+    def _loaded_and_built(tmp_path, cases):
+        built, _ = build_index(cases)
+        save_index(built, tmp_path / "saved.idx")
+        return load_index(tmp_path / "saved.idx"), built
+
+    @pytest.mark.parametrize("corpus", LAZY_CORPORA.values(), ids=LAZY_CORPORA.keys())
+    def test_one_term_at_a_time_equals_a_build(self, tmp_path, corpus):
+        loaded, built = self._loaded_and_built(tmp_path, corpus())
+        terms = len(built.postings)
+        assert loaded.postings == loaded.posting_weights == [None] * terms
+        assert loaded.ordinal_norms == [None] * loaded.corpus_size
+        assert None not in built.postings and None not in built.ordinal_norms
+        order = list(range(terms))
+        random.Random(terms).shuffle(order)
+        for tid in order:
+            loaded._derive([tid])
+            ordinals = loaded.postings[tid]
+            assert _bits(ordinals) == _bits(built.postings[tid])
+            assert _bits(loaded.posting_weights[tid]) == _bits(built.posting_weights[tid])
+            norms = _bits(map(loaded.ordinal_norms.__getitem__, ordinals))
+            assert norms == _bits(map(built.ordinal_norms.__getitem__, ordinals))
+        assert _bits(loaded.ordinal_norms) == _bits(built.ordinal_norms)
+
+    def test_every_view_derives_what_it_reads(self, tmp_path):
+        loaded, built = self._loaded_and_built(tmp_path, LAZY_CORPORA["titles"]())
+        assert loaded.documents == built.documents
+        for term in built.vocabulary.terms:
+            for doc_id in built.doc_ids:
+                assert loaded.tfidf_weight(term, doc_id) == built.tfidf_weight(term, doc_id)
+        assert loaded.postings == [None] * len(built.postings)  # nothing above derived
+        for tid, df in enumerate(built.vocabulary.document_frequencies):
+            if df < built.corpus_size:
+                assert _bits(loaded.term_ratios(tid)) == _bits(built.term_ratios(tid))
+        fresh = load_index(tmp_path / "saved.idx")
+        assert fresh.norms == built.norms
+
+    def test_concurrent_readers_of_a_fresh_load_rank_as_a_build(self, tmp_path):
+        cases, pool = zipf_titles(11, 2000, 16)
+        loaded, built = self._loaded_and_built(tmp_path, cases)
+        expected = [search(built, q.text, scorer=q.scorer, top_k=10) for q in pool]
+        results: dict[int, object] = {}
+        start = threading.Barrier(8)
+
+        def reader(first: int) -> None:
+            start.wait()
+            for n in range(first, len(pool), 8):
+                query = pool[n]
+                results[n] = search(loaded, query.text, scorer=query.scorer, top_k=10)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+        try:
+            threads = [threading.Thread(target=reader, args=(first,)) for first in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert [results[n] for n in range(len(pool))] == expected
 
 
 class TestTermFrequency:

@@ -42,6 +42,7 @@ class TestRoundTrip:
         loaded = load_index(path)
         assert loaded.vocabulary == small_index.vocabulary
         assert loaded.documents == small_index.documents
+        loaded._derive(range(len(loaded.postings)))  # a loaded index derives on first use
         assert loaded.postings == small_index.postings
         assert loaded == small_index
 
