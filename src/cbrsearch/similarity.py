@@ -252,7 +252,8 @@ def rank(
 
     A ``top_k`` that is not an ``int`` (a ``bool`` included) raises
     TypeError; one below 1 raises ValueError. Scores lie in [0, 1], so a
-    *threshold* below 0, or NaN, raises ValueError too.
+    *threshold* below 0, or NaN, raises ValueError too, and so does a query
+    term id outside ``range(len(index.vocabulary))``.
     """
     if top_k is not None:
         if isinstance(top_k, bool) or not isinstance(top_k, int):
@@ -263,6 +264,10 @@ def rank(
         raise ValueError(f"threshold must be a number of at least 0, got {threshold!r}")
     if not isinstance(query, QueryVector):
         raise TypeError(f"query must be a QueryVector, got {type(query).__name__}")
+    term_count = len(index.vocabulary)
+    for tid in query.weights:
+        if not 0 <= tid < term_count:
+            raise ValueError(f"term id {tid} is not in the vocabulary of {term_count} terms")
     index._derive(query.weights)
     ordinals, scores, total = _score(index, query, threshold, top_k)
     if top_k is not None and top_k < len(scores):

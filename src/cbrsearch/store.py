@@ -26,9 +26,15 @@ Index file (format version 3)
     an index from.
 
 Corpus files
-    ``record`` mode: one JSON object per line with fields ``id`` and
-    ``title`` (required), ``solution`` and ``meta`` (optional).
-    ``plain`` mode: one title per line; ids are 1-based line numbers.
+    ``record`` mode: JSON Lines, one JSON object per ``\\n``-separated line
+    with fields ``id`` and ``title`` (required), ``solution`` and ``meta``
+    (optional). Only ``\\n`` ends a record, so U+2028, U+2029 and U+0085,
+    which :func:`append_case` writes as they are, stay inside one. Most
+    files are parsed one chunk of lines per ``json.loads``
+    (:func:`_parse_records`); the per-line reader, :func:`_read_records`,
+    makes every error, naming the file and line number.
+    ``plain`` mode: one title per line (``str.splitlines``); ids are 1-based
+    line numbers.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from collections.abc import Sequence
 from itertools import accumulate, chain, repeat
 from operator import floordiv, lt, mod, sub
 from pathlib import Path
+from types import NoneType
 
 from .errors import ConfigError, DataError, IndexFormatError
 from .index import Case, Fields, Index
@@ -51,6 +58,8 @@ _FORMAT_NAME = "cbrsearch-index"
 _CHECKSUM_KEY = ',"weights_sha256":'
 
 CORPUS_FORMATS = ("record", "plain")
+
+_CHUNK_LINES = 512  # record lines per json.loads of the fast record reader
 
 
 def _seal(body: str) -> str:
@@ -253,9 +262,15 @@ def _read_index(path: str | Path) -> Fields:
 def read_corpus(path: str | Path, corpus_format: str) -> list[Case]:
     """Read a corpus file into cases.
 
-    ``record`` mode parses one JSON object per line (blank lines skipped);
-    ``plain`` mode takes every line as a title, ids numbered from 1 so line
-    numbers stay stable even when a blank line is later skipped by indexing.
+    ``record`` mode parses one JSON object per ``\\n``-separated line (blank
+    lines skipped); ``plain`` mode takes every line as a title, ids numbered
+    from 1 so line numbers stay stable even when a blank line is later
+    skipped by indexing.
+
+    A record file whose text holds no ``]`` and no ``\\ud``/``\\uD`` escape
+    is parsed by :func:`_parse_records`, a chunk of lines at a time; any
+    other file, and any file that path rejects, goes through
+    :func:`_read_records`, one line at a time, which alone makes the errors.
     """
     if corpus_format not in CORPUS_FORMATS:
         raise ValueError(f"corpus format must be one of {CORPUS_FORMATS}, got {corpus_format!r}")
@@ -263,11 +278,84 @@ def read_corpus(path: str | Path, corpus_format: str) -> list[Case]:
         raw = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read corpus file {path}: {exc}") from exc
-    lines = raw.splitlines()
 
     if corpus_format == "plain":
-        return [Case(id=str(lineno), title=line) for lineno, line in enumerate(lines, start=1)]
+        return [
+            Case(id=str(lineno), title=line)
+            for lineno, line in enumerate(raw.splitlines(), start=1)
+        ]
+    # JSON Lines: only \n ends a record (reading as text made \r\n and a lone
+    # \r into \n), so U+2028, U+2029 and U+0085 stay text inside a record
+    lines = raw.split("\n")
+    if "]" not in raw and "\\ud" not in raw and "\\uD" not in raw:
+        cases = _parse_records(list(filter(str.strip, lines)))
+        if cases is not None:
+            return cases
+    return _read_records(path, lines)
 
+
+def _parse_records(lines: list[str]) -> list[Case] | None:
+    """The cases of the non-blank record *lines*, or None if one is not valid.
+
+    Each chunk of :data:`_CHUNK_LINES` lines is one ``json.loads`` of the
+    lines joined as ``[[line],\\n[line],...]``, and the record checks of
+    :func:`_read_records` run over the whole chunk at once. The caller passes
+    only text with no ``]`` and no ``\\ud``/``\\uD`` escape, and under that
+    guard the result is exactly what the per-line reader gives:
+
+    - Strict JSON rejects a raw ``\\n`` inside a string (RFC 8259, section
+      7), so no string spans a separator, and every bracket the join adds
+      is structural.
+    - With no ``]`` in the text, the join's ``]`` are the only ones, one
+      for each ``[`` it adds. A ``[`` inside a line would leave a list
+      unclosed, and an object left open at a line's end would meet a ``]``;
+      either fails the parse. So inner list *i* holds exactly the values of
+      line *i*, and its one value is what ``json.loads`` gives for that line
+      alone.
+    - The text was decoded as strict UTF-8, so a lone surrogate can only
+      come from a ``\\uD800``-``\\uDFFF`` escape, and every string here is
+      encodable.
+
+    None sends the whole file to the per-line reader, which finds the first
+    bad line and makes its message. Chunks bound the record dicts held at
+    once, and each chunk's dicts are freed before its cases are made, so
+    the cases reuse their memory rather than leave it in holes.
+    """
+    cases: list[Case] = []
+    for start in range(0, len(lines), _CHUNK_LINES):
+        chunk = lines[start : start + _CHUNK_LINES]
+        try:
+            rows = json.loads("[[" + "],\n[".join(chunk) + "]]")
+        except (ValueError, RecursionError):
+            return None
+        if len(rows) != len(chunk) or set(map(len, rows)) != {1}:
+            return None
+        records = list(chain.from_iterable(rows))
+        if not _only(dict, records):
+            return None
+        ids, titles, solutions, metas = (
+            list(map(dict.get, records, repeat(key))) for key in ("id", "title", "solution", "meta")
+        )
+        del rows, records  # before the cases are made: see the docstring
+        valid = (
+            _only(str, ids) and all(ids) and _only(str, titles) and all(titles)
+            and set(map(type, solutions)) <= {str, NoneType}
+            and set(map(type, metas)) <= {dict, NoneType}
+            # JSON object keys are strings: a meta map is flat when its values are
+            and _only(str, chain.from_iterable(map(dict.values, filter(None, metas))))
+        )
+        if not valid:
+            return None
+        cases += map(Case, ids, titles, solutions, metas)
+    return cases
+
+
+def _read_records(path: str | Path, lines: list[str]) -> list[Case]:
+    """The cases of the record *lines*, one ``json.loads`` per non-blank line.
+
+    The reference reader, and the one that raises: the first bad line is a
+    :class:`DataError` naming *path* and its 1-based line number.
+    """
     cases: list[Case] = []
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():

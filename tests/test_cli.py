@@ -478,6 +478,30 @@ class TestCmdAdd:
         assert 1 <= len(calls) <= 2
         assert set(calls) == {"Sistem Pakar Diagnosa Penyakit"}
 
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\u0085"])
+    def test_a_title_holding_a_unicode_line_separator_keeps_the_corpus_readable(
+        self, record_pair, capsys, separator
+    ):
+        # add writes the character as it is; only \n may end a record line
+        corpus, index_path = record_pair
+        for case_id, title in [("r6", f"Sistem{separator}Pakar"), ("r7", "Aplikasi Pakar")]:
+            code, _, err = run_cli(
+                ["add", "--index", str(index_path), "--corpus", str(corpus),
+                 "--id", case_id, "--title", title],
+                capsys,
+            )
+            assert (code, err) == (EXIT_OK, "")
+        cases = read_corpus(corpus, "record")
+        assert cases[5] == Case("r6", f"Sistem{separator}Pakar")
+        rebuilt = corpus.with_name("rebuilt.idx")
+        code, _, _ = run_cli(
+            ["index", "--input", str(corpus), "--format", "record", "--output", str(rebuilt)],
+            capsys,
+        )
+        assert code == EXIT_OK
+        assert rebuilt.read_bytes() == index_path.read_bytes()
+        assert load_index(index_path) == build_index(cases)[0]
+
     def test_a_skipped_record_mid_corpus_is_walked_past(self, tmp_path, capsys):
         titles = generate_titles(random.Random(7), 40)
         records = [{"id": f"r{n}", "title": t} for n, t in enumerate(titles)]

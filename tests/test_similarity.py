@@ -153,6 +153,17 @@ class TestRank:
         with pytest.raises(ValueError, match="threshold"):
             search(small_index, "a b", threshold=float("nan"), top_k=1)
 
+    @pytest.mark.parametrize("bad", [-1, 3], ids=["negative", "vocabulary-size"])
+    @pytest.mark.parametrize("top_k", [None, 1])
+    def test_a_term_id_outside_the_vocabulary_raises_value_error(self, small_index, bad, top_k):
+        # three terms: -1 would read the last one's postings, 3 none at all
+        for scorer in ("cosine", "set"):
+            query = QueryVector({0: 1.0, bad: 1.0}, scorer=scorer)
+            with pytest.raises(ValueError, match=f"term id {bad} is not in the vocabulary"):
+                rank(small_index, query, top_k=top_k)
+        edge = QueryVector({0: 1.0, 2: 1.0})
+        assert rank(small_index, edge, top_k=top_k).total_matches == 3
+
     @pytest.mark.parametrize("top_k", [None, 1, 2])
     def test_negative_threshold_raises_value_error(self, small_index, top_k):
         # scores lie in [0, 1]: below 0, every document would have to match

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -19,9 +20,10 @@ from cbrsearch import (
     load_index,
     read_corpus,
     save_index,
+    store,
 )
 from cbrsearch.index import _build_fields, _extend_fields, extend_index
-from cbrsearch.store import _read_index, _write_index
+from cbrsearch.store import _read_index, _read_records, _write_index
 from conftest import corpus_cases, generate_token_corpus, sealed_index_text
 
 
@@ -374,6 +376,152 @@ class TestReadCorpusRecords:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
             read_corpus(tmp_path / "absent.jsonl", "record")
+
+
+def _read_outcome(read, *args):
+    """What *read* returns, or the message of the DataError it raises."""
+    try:
+        return read(*args)
+    except DataError as exc:
+        return f"DataError: {exc}"
+
+
+def _json_lines(records):
+    return records.flatmap(
+        lambda record: st.sampled_from([True, False]).map(
+            lambda ascii_only: json.dumps(record, ensure_ascii=ascii_only)
+        )
+    )
+
+
+# the basic plane only: json.dumps escapes a character beyond it as a
+# surrogate pair, \ud83d\ude00 say, which keeps a file off the fast path
+_CHARACTERS = st.characters(max_codepoint=0xFFFF, exclude_categories=("Cs",))
+_TEXT = st.text(_CHARACTERS, max_size=3)
+_RECORDS = st.fixed_dictionaries(
+    {"id": st.text(_CHARACTERS, min_size=1, max_size=3),
+     "title": st.text(_CHARACTERS, min_size=1, max_size=4)},
+    optional={
+        "solution": st.none() | _TEXT,
+        "meta": st.dictionaries(_TEXT, _TEXT, max_size=2),
+        "x": st.integers(),
+    },
+)
+# what a record field may hold, of its type or not
+_FIELD = st.none() | st.integers() | _TEXT | st.dictionaries(_TEXT, _TEXT | st.integers(), max_size=2)
+# a valid record with one field set to any value, or a value that is no record
+_ODD_RECORDS = _FIELD | st.builds(
+    lambda record, key, value: {**record, key: value},
+    _RECORDS, st.sampled_from(["id", "title", "solution", "meta"]), _FIELD,
+)
+# the pieces a one-parse reader could misread: brackets, quotes and backslashes,
+# characters str.splitlines breaks at, escapes of a lone surrogate and of a
+# plain character, and whole records, so a line may hold more than one value
+_FRAGMENTS = st.sampled_from([
+    "[", "]", "{", "}", '"', "\\", ",", ":", " ", "\r", "\u2028", "\u0085", "\u00a0",
+    "\\ud800", "\\uD83D\\ude00", "\\u00e9", '"id"', '"title"', '"x"', "null", "1",
+    '{"id":"a","title":"b"}', '{"id":"c","title":"d","meta":{"k":"v"}}',
+])
+_ODD_LINES = st.one_of(
+    _json_lines(_ODD_RECORDS),
+    st.sampled_from(["", "\u00a0", "  ", '{"id":"a","title":"b"} , {"id":"c","title":"d"}']),
+    st.lists(_FRAGMENTS, max_size=6).map("".join),
+)
+
+
+@pytest.fixture(scope="module")
+def corpus_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("records") / "corpus.jsonl"
+
+
+class TestReadCorpusOneParse:
+    """The chunked reader gives what the per-line reader gives, cases or error."""
+
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(
+        valid=st.lists(_json_lines(_RECORDS), max_size=8),
+        odd=st.lists(st.tuples(st.integers(0, 8), _ODD_LINES), max_size=2),
+        chunk_lines=st.sampled_from([1, 2, 512]),
+    )
+    def test_equals_the_per_line_reader(self, corpus_file, valid, odd, chunk_lines):
+        lines = list(valid)
+        for position, line in odd:
+            lines.insert(position, line)
+        corpus_file.write_text("\n".join(lines), encoding="utf-8")
+        with mock.patch.object(store, "_CHUNK_LINES", chunk_lines):
+            chunked = _read_outcome(read_corpus, corpus_file, "record")
+        text = corpus_file.read_text(encoding="utf-8")
+        assert chunked == _read_outcome(_read_records, corpus_file, text.split("\n"))
+
+    def test_every_field_with_edge_values(self, corpus_file):
+        valid = '{"id":"r1","title":"a","solution":"s","meta":{"k":"v"}}'
+        values = [*_EDGE_VALUES, {"k": 0}]
+        corpora = [[valid, json.dumps(value)] for value in values[1:]]  # no record at all
+        for field in ("id", "title", "solution", "meta"):
+            for value in values:
+                record = json.loads(valid)
+                if value is _DELETE:
+                    del record[field]
+                else:
+                    record[field] = value
+                corpora.append([valid, json.dumps(record)])
+        for lines in corpora:
+            corpus_file.write_text("\n".join(lines), encoding="utf-8")
+            expected = _read_outcome(_read_records, corpus_file, lines)
+            assert _read_outcome(read_corpus, corpus_file, "record") == expected, lines
+
+    def test_a_clean_corpus_never_reaches_the_per_line_reader(self, tmp_path):
+        path = tmp_path / "meta.jsonl"
+        path.write_text(
+            '{"id":"r1","title":"Sistem Parkir","meta":{"tahun":"2020","kota":"Malang"}}\r\n'
+            '\n'
+            '{"id":"r2","title":"Aplikasi\u2028Kasir","solution":null,"meta":{}}\r\n'
+            '{"id":"r3","title":"Caf\\u00e9 \\\\ [sic","solution":"modul"}\n',
+            encoding="utf-8",
+        )
+        expected = [
+            Case("r1", "Sistem Parkir", meta={"tahun": "2020", "kota": "Malang"}),
+            Case("r2", "Aplikasi\u2028Kasir", meta={}),
+            Case("r3", "Café \\ [sic", solution="modul"),
+        ]
+        with mock.patch.object(store, "_read_records", side_effect=AssertionError):
+            assert read_corpus(path, "record") == expected
+        assert _read_records(path, path.read_text(encoding="utf-8").split("\n")) == expected
+
+    @pytest.mark.parametrize("text, reason", [
+        # joined with "],[" or "],\n[", these three lines parse as three
+        # one-record lists: line 1 adds a list, lines 2 and 3 merge in one
+        ('{"id":"a","title":"b"}],[{"id":"c","title":"d"}\n'
+         '{"id":"e","title":"x","junk":[[\n'
+         "]]}\n", "Extra data"),
+        # joined with "],[", one title spans both lines: one list of one record
+        ('{"id":"a","title":"b\n'
+         'c"}\n', "Unterminated string"),
+    ], ids=["brackets", "string"])
+    def test_lines_that_join_into_other_lists_fail_at_line_1(self, tmp_path, text, reason):
+        path = tmp_path / "split.jsonl"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError, match=rf"split\.jsonl:1: not a valid record \({reason}"):
+            read_corpus(path, "record")
+
+    def test_a_bad_line_in_the_third_chunk_is_named_by_its_line_number(self, tmp_path):
+        lines = [json.dumps({"id": f"r{n}", "title": f"judul {n}"}) for n in range(1100)]
+        lines[3:3] = ["", "  "]  # blank lines count for line numbers, not chunks
+        lines[1091] = '{"id":"r1089","title":""}'
+        path = tmp_path / "long.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(DataError) as caught:
+            read_corpus(path, "record")
+        assert str(caught.value) == f"{path}:1092: missing or invalid 'title'"
+
+    def test_a_lone_surrogate_escape_names_the_title(self, tmp_path):
+        path = tmp_path / "surrogate.jsonl"
+        path.write_text(
+            '{"id":"r1","title":"ok"}\n{"id":"r2","title":"x \\ud800"}\n', encoding="utf-8"
+        )
+        with pytest.raises(DataError) as caught:
+            read_corpus(path, "record")
+        assert str(caught.value) == f"{path}:2: 'title' is not encodable as UTF-8"
 
 
 class TestReadCorpusPlain:
