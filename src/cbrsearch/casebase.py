@@ -11,12 +11,15 @@ only the new title and recomputes document frequencies and every weight
 once, since the corpus size changed. `revise` keeps the index when the
 title does not change and rebuilds it when it does, since an edited title
 can reorder the terms' first occurrences.
+
+:class:`RetrievalOutcome` and :class:`ReuseResult` are immutable named
+tuples.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 
 from .errors import DataError, StateError
 from .index import Case, Index, IngestReport, build_index, extend_index
@@ -43,22 +46,22 @@ def search(
     return rank(index, query, threshold=threshold, top_k=top_k)
 
 
-@dataclass(frozen=True)
-class RetrievalOutcome:
+class RetrievalOutcome(namedtuple("RetrievalOutcome", "results top_case")):
     """Ranked matches plus the full record of the best one, if any."""
 
+    __slots__ = ()
     results: RankedResults
     top_case: Case | None
 
 
-@dataclass(frozen=True)
-class ReuseResult:
+class ReuseResult(namedtuple("ReuseResult", "case_id text score title_only")):
     """The reusable part of the best match.
 
     ``title_only`` is True when the case stored no solution and its title
     stands in for one.
     """
 
+    __slots__ = ()
     case_id: str
     text: str
     score: float

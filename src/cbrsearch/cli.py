@@ -25,8 +25,8 @@ import json
 import math
 import random
 import sys
+from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 
 from .casebase import search
@@ -245,8 +245,13 @@ def _index_tail(cases, doc_ids, titles, config) -> list[tuple[str, str]] | None:
     return [] if expected is None else [expected, *pairs]
 
 
-@dataclass(frozen=True)
-class EvalRow:
+class EvalRow(
+    namedtuple(
+        "EvalRow",
+        "original_query permuted_query found_stage1 found_stage2 top_score_stage2",
+    )
+):
+    __slots__ = ()
     original_query: str
     permuted_query: str
     found_stage1: int
@@ -254,8 +259,8 @@ class EvalRow:
     top_score_stage2: float
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(namedtuple("EvalReport", "rows mean_top_score seed scorer")):
+    __slots__ = ()
     rows: tuple[EvalRow, ...]
     mean_top_score: float
     seed: int

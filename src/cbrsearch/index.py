@@ -23,14 +23,18 @@ and then derive every term, so a long-lived reader never pays on first use;
 a loaded index derives only what its queries rank. A writer that only saves
 an index, as the command line's ``index`` and ``add`` do, computes the
 fields alone.
+
+The records, :class:`Case`, :class:`IngestReport`, :class:`DocumentVector`
+and :class:`QueryVector`, are immutable named tuples. A :class:`Case` checks
+its id when it is constructed and when ``_replace`` copies it.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from itertools import chain
 from operator import truediv
 from types import MappingProxyType
@@ -45,24 +49,36 @@ SCORERS = ("cosine", "set")
 Fields = tuple[PreprocessConfig, list[str], list[str], list[str], list[list[int]]]
 
 
-@dataclass(frozen=True)
-class Case:
+class Case(namedtuple("Case", "id title solution meta")):
     """One stored problem: a title plus an optional reusable solution."""
 
+    __slots__ = ()
     id: str
     title: str
-    solution: str | None = None
-    meta: Mapping[str, str] | None = None
+    solution: str | None
+    meta: Mapping[str, str] | None
 
-    def __post_init__(self) -> None:
-        if not self.id:
+    def __new__(
+        cls,
+        id: str,
+        title: str,
+        solution: str | None = None,
+        meta: Mapping[str, str] | None = None,
+    ):
+        if not id:
             raise DataError("case id must be non-empty")
+        return tuple.__new__(cls, (id, title, solution, meta))
+
+    @classmethod
+    def _make(cls, iterable) -> Case:
+        # through __new__, so _replace checks the id as construction does
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class IngestReport:
+class IngestReport(namedtuple("IngestReport", "indexed skipped vocabulary_size")):
     """What an index build did: how many cases went in, which were skipped."""
 
+    __slots__ = ()
     indexed: int
     skipped: tuple[tuple[str, str], ...]  # (case_id, reason)
     vocabulary_size: int
@@ -125,8 +141,7 @@ class Vocabulary:
         return 0 if tid is None else self._df[tid]
 
 
-@dataclass(frozen=True)
-class DocumentVector:
+class DocumentVector(namedtuple("DocumentVector", "doc_id weights raw_counts token_total")):
     """Sparse weight vector for one document, as seen through ``Index.documents``.
 
     ``weights`` and ``raw_counts`` are keyed by term id in ascending order;
@@ -134,14 +149,16 @@ class DocumentVector:
     every in-document frequency.
     """
 
+    __slots__ = ()
     doc_id: str
     weights: dict[int, float]
     raw_counts: dict[int, int]
     token_total: int
 
 
-@dataclass(frozen=True)
-class QueryVector:
+class QueryVector(
+    namedtuple("QueryVector", "weights dropped_terms scorer", defaults=((), "cosine"))
+):
     """A query converted into the weight space of one scorer.
 
     ``weights`` maps term id to query weight; ``scorer`` names the document
@@ -149,9 +166,10 @@ class QueryVector:
     are reported in ``dropped_terms`` (sorted, deduplicated) instead.
     """
 
+    __slots__ = ()
     weights: dict[int, float]
-    dropped_terms: tuple[str, ...] = ()
-    scorer: str = "cosine"
+    dropped_terms: tuple[str, ...]
+    scorer: str
 
 
 class Index:

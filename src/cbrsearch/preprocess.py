@@ -3,13 +3,17 @@
 Titles and queries pass through the same pipeline so query terms land in
 exactly the form the index stores: split on non-alphanumeric runs, lowercase,
 drop stopwords and under-length tokens. No stemming, no n-grams.
+
+:class:`PreprocessConfig` is an immutable named tuple. Construction and
+``_replace`` alike check its minimum token length and lowercase its
+stopwords.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 
 from .errors import ConfigError
@@ -18,24 +22,33 @@ from .errors import ConfigError
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 
-@dataclass(frozen=True)
-class PreprocessConfig:
+class PreprocessConfig(namedtuple("PreprocessConfig", "casefold stopwords min_token_length")):
     """Tokenizer settings shared by indexing and querying.
 
     Stopword entries are held in lowercase form regardless of how they were
     supplied, since that is the form matched tokens take.
     """
 
-    casefold: bool = True
-    stopwords: frozenset[str] = frozenset()
-    min_token_length: int = 1
+    __slots__ = ()
+    casefold: bool
+    stopwords: frozenset[str]
+    min_token_length: int
 
-    def __post_init__(self) -> None:
-        if self.min_token_length < 1:
-            raise ConfigError(
-                f"min_token_length must be >= 1, got {self.min_token_length}"
-            )
-        object.__setattr__(self, "stopwords", frozenset(w.lower() for w in self.stopwords))
+    def __new__(
+        cls,
+        casefold: bool = True,
+        stopwords: frozenset[str] = frozenset(),
+        min_token_length: int = 1,
+    ):
+        if min_token_length < 1:
+            raise ConfigError(f"min_token_length must be >= 1, got {min_token_length}")
+        stopwords = frozenset(w.lower() for w in stopwords)
+        return tuple.__new__(cls, (casefold, stopwords, min_token_length))
+
+    @classmethod
+    def _make(cls, iterable) -> PreprocessConfig:
+        # through __new__, so _replace checks and lowercases as construction does
+        return cls(*iterable)
 
     def fingerprint(self) -> str:
         """Stable hex digest identifying this configuration."""
@@ -54,18 +67,14 @@ def tokenize(text: str, config: PreprocessConfig | None = None) -> list[str]:
     punctuation and whitespace never survive into tokens. Empty or
     separator-only input yields an empty list rather than an error.
     """
-    if config is None:
-        config = PreprocessConfig()
+    # one unpacking: a field read on a named tuple costs more than a local
+    casefold, stopwords, min_length = PreprocessConfig() if config is None else config
     pieces = _TOKEN_RE.findall(text)
-    if config.casefold:
+    if casefold:
         # plain lowercase, not full casefolding: keeps Latin-script corpora
         # locale-independent
         pieces = [piece.lower() for piece in pieces]
-    return [
-        piece
-        for piece in pieces
-        if len(piece) >= config.min_token_length and piece not in config.stopwords
-    ]
+    return [piece for piece in pieces if len(piece) >= min_length and piece not in stopwords]
 
 
 def load_stopwords(path: str | Path) -> set[str]:

@@ -22,14 +22,18 @@ are scored. Every other query skips nothing: set queries, whose term
 bounds are all ``1 / sqrt(distinct terms)``, too loose to skip much;
 single-term queries; thresholds above 0; and queries without ``top_k``.
 Matches, scores and ``total_matches`` are bit-identical either way.
+
+:class:`RankedMatch` and :class:`RankedResults` are immutable named tuples.
+Iterate over ``results.matches``: the results themselves unpack into their
+five fields.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass
 from itertools import chain, compress, repeat
 from operator import le, lt, neg, truediv
 
@@ -38,23 +42,26 @@ from .index import Index, QueryVector
 SLACK = 1e-9  # room left in every bound check for rounding
 
 
-@dataclass(frozen=True)
-class RankedMatch:
+class RankedMatch(namedtuple("RankedMatch", "case_id score rank")):
+    __slots__ = ()
     case_id: str
     score: float
     rank: int
 
 
-@dataclass(frozen=True)
-class RankedResults:
+class RankedResults(
+    namedtuple("RankedResults", "matches total_matches scorer threshold dropped_terms")
+):
     """Ordered matches for one query.
 
     ``total_matches`` counts every document scoring above the threshold,
     before any top-k truncation. Empty results still carry ``dropped_terms``
     so a query that lost all its tokens is distinguishable from one that
-    simply matched nothing.
+    simply matched nothing. Iterate over ``matches``: the results themselves
+    are a tuple of these five fields.
     """
 
+    __slots__ = ()
     matches: tuple[RankedMatch, ...]
     total_matches: int
     scorer: str
