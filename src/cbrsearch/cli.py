@@ -207,6 +207,7 @@ def _add(args) -> int:
     # the corpus must rebuild the stored index, before the new case joins it
     # or, after a crash between the save and the append below, with it
     tail = _index_tail(cases, doc_ids, titles, config)
+    del cases  # not needed past the walk: freed before the index is written
     if tail not in ([], [(new_case.id, new_case.title)]):
         raise DataError(
             f"corpus and index disagree: {args.corpus} does not rebuild {args.index}; "

@@ -13,9 +13,11 @@ Index file (format version 3)
     equal indexes produce byte-identical files.
     The last key, ``weights_sha256``, is the sha256 of the UTF-8 bytes of
     the canonical document without it, so any edit to a stored value, or
-    to the file's layout, is rejected. Files of any other format version,
-    versions 1 and 2 included, are rejected with a hint to rebuild them
-    with ``cbrsearch index``.
+    to the file's layout, is rejected. The file is read with no newline
+    translation, so a final ``\\r\\n`` or ``\\r`` in place of the ``\\n`` fails
+    the checksum too. Files of any other format version, versions 1 and 2
+    included, are rejected with a hint to rebuild them with
+    ``cbrsearch index``.
 
     The file holds an index's stored fields (``index.Fields``, its value)
     and nothing else. One serializer writes them, :func:`_write_index`, and
@@ -23,7 +25,11 @@ Index file (format version 3)
     ``index.fields``, and :func:`load_index` constructs an ``Index`` from what
     the reader returns, which derives no postings until a query ranks; the
     command line's ``index`` and ``add`` write fields they never construct
-    an index from.
+    an index from. Each holds one copy of the file's text at a time: the
+    writer encodes every list (the counts, ids, terms and titles) one
+    chunk of items per ``json.dumps`` and hashes and writes the encoded
+    pieces as they are, and the reader hashes the one UTF-8 encoding of
+    the text it parsed.
 
 Corpus files
     ``record`` mode: JSON Lines, one JSON object per ``\\n``-separated line
@@ -42,9 +48,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from collections.abc import Sequence
-from itertools import accumulate, chain, repeat
-from operator import floordiv, lt, mod, sub
+from collections.abc import Iterator, Sequence
+from itertools import accumulate, chain, islice, repeat
+from operator import countOf, floordiv, ge, mod, sub
 from pathlib import Path
 from types import NoneType
 
@@ -56,21 +62,35 @@ INDEX_FORMAT_VERSION = 3
 
 _FORMAT_NAME = "cbrsearch-index"
 _CHECKSUM_KEY = ',"weights_sha256":'
+_SEAL_LENGTH = len(_CHECKSUM_KEY) + 68  # the key, the quoted 64-digit digest, "}\n"
 
 CORPUS_FORMATS = ("record", "plain")
 
-_CHUNK_LINES = 512  # record lines per json.loads of the fast record reader
+_CHUNK_LINES = 512  # record lines per json.loads of the fast record reader, and
+# list items per json.dumps of the index writer
 
 
-def _seal(body: str) -> str:
-    """The file text for *body*, a canonical JSON object: its sha256 spliced in.
+def _sealed(text: str) -> bool:
+    """Whether the checksum that ends the file text *text* holds.
 
-    ``weights_sha256`` sorts after every other key, so the result is exactly
-    the canonical serialization of the whole document. Encoding is strict,
-    so a lone surrogate raises UnicodeEncodeError.
+    A sealed file is its canonical body, the closing ``}`` left off, then
+    :func:`_seal_tail` of the body's sha256: ``weights_sha256`` sorts after
+    every other key, so the file is the canonical serialization of the
+    whole document. The one UTF-8 encoding of *text* (which, decoded as
+    strict UTF-8, holds no lone surrogate) is hashed through a memoryview
+    up to its last :data:`_SEAL_LENGTH` bytes, and only those bytes are
+    compared. The tail holds no checksum key after its first bytes, so the
+    body ends where the last key in *text* starts.
     """
-    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    return f'{body[:-1]}{_CHECKSUM_KEY}"{digest}"}}\n'
+    data = text.encode("utf-8")
+    digest = hashlib.sha256(memoryview(data)[:-_SEAL_LENGTH])
+    digest.update(b"}")
+    return data[-_SEAL_LENGTH:] == _seal_tail(digest)
+
+
+def _seal_tail(digest) -> bytes:
+    """The last bytes of a sealed file: the checksum key, *digest* in hex, ``"}\\n``."""
+    return f'{_CHECKSUM_KEY}"{digest.hexdigest()}"}}\n'.encode("ascii")
 
 
 def save_index(index: Index, path: str | Path) -> None:
@@ -93,6 +113,15 @@ def _write_index(
     directory, is flushed to disk, and then replaces *path* in one step, so
     a failure at any point leaves either the old file or the new one, never
     a partial one.
+
+    The bytes are those of one canonical ``json.dumps`` of the document,
+    sealed, but each list is encoded a chunk of :data:`_CHUNK_LINES` items
+    at a time (:func:`_json_pieces`), so the encoders never hold the whole
+    text. The encoded pieces, about one copy of the file, are hashed and
+    written in binary mode as they are; the body's closing ``}`` is swapped
+    for :func:`_seal_tail`. Every piece is encoded before the temporary file
+    is opened, so text UTF-8 cannot encode (a lone surrogate) raises
+    UnicodeEncodeError while neither file exists.
     """
     document = {
         "format": _FORMAT_NAME,
@@ -108,20 +137,49 @@ def _write_index(
         "titles": titles,
         "counts": count_rows,
     }
-    payload = _seal(
-        json.dumps(document, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
-    )
+    pieces = [b"{"]
+    for key in sorted(document):
+        pieces += f"{_canonical_json(key)}:".encode("utf-8"), *_json_pieces(document[key]), b","
+    pieces[-1] = b"}"
+    digest = hashlib.sha256()
+    for piece in pieces:
+        digest.update(piece)
+    pieces[-1] = _seal_tail(digest)  # in place of the body's closing "}"
     target = Path(path)
     temporary = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
-        with open(temporary, "w", encoding="utf-8") as handle:
-            handle.write(payload)
+        with open(temporary, "wb") as handle:
+            handle.writelines(pieces)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(temporary, target)
     except BaseException:
         temporary.unlink(missing_ok=True)
         raise
+
+
+def _canonical_json(value) -> str:
+    """*value* as canonical JSON: sorted keys, no spaces, non-ASCII as is."""
+    return json.dumps(value, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+
+
+def _json_pieces(value) -> Iterator[bytes | memoryview]:
+    """The UTF-8 of :func:`_canonical_json` of *value*, a list in pieces.
+
+    A list (or tuple) is encoded one :data:`_CHUNK_LINES` slice of items per
+    ``json.dumps``, so no encoder holds the whole list's text. Encoding is
+    strict: a lone surrogate raises UnicodeEncodeError.
+    """
+    if not isinstance(value, (list, tuple)):
+        yield _canonical_json(value).encode("utf-8")
+        return
+    yield b"["
+    for start in range(0, len(value), _CHUNK_LINES):
+        if start:
+            yield b","
+        chunk = _canonical_json(value[start : start + _CHUNK_LINES]).encode("utf-8")
+        yield memoryview(chunk)[1:-1]
+    yield b"]"
 
 
 def _corrupt(path, detail: str) -> IndexFormatError:
@@ -148,15 +206,17 @@ def _term_ids(count_rows: list, term_count: int) -> list[int] | None:
     flat = list(chain.from_iterable(count_rows))
     if not _only(int, flat):
         return None
-    tids, counts = flat[0::2], flat[1::2]
-    if min(counts) < 1 or min(tids) < 0 or max(tids) >= term_count:
+    tids, least_count = flat[0::2], min(islice(flat, 1, None, 2))
+    del flat  # the one full-length list besides tids
+    if least_count < 1 or min(tids) < 0 or max(tids) >= term_count:
         return None
     # in the term ids of all rows in sequence, a step may fail to ascend only
     # where one row ends and the next begins
-    ascends = list(map(lt, tids, tids[1:]))
-    row_ends = list(accumulate(map(floordiv, lengths, repeat(2))))
-    at_row_ends = list(map(ascends.__getitem__, map(sub, row_ends[:-1], repeat(1))))
-    return tids if ascends.count(False) == at_row_ends.count(False) else None
+    descents = countOf(map(ge, tids, islice(tids, 1, None)), True)
+    row_starts = list(accumulate(map(floordiv, lengths[:-1], repeat(2))))
+    row_lasts = map(tids.__getitem__, map(sub, row_starts, repeat(1)))
+    row_firsts = map(tids.__getitem__, row_starts)
+    return tids if descents == countOf(map(ge, row_lasts, row_firsts), True) else None
 
 
 def load_index(path: str | Path) -> Index:
@@ -175,9 +235,18 @@ def _read_index(path: str | Path) -> Fields:
 
     Every check :func:`load_index` makes happens here, with its messages;
     only the construction of the :class:`Index` is left to the caller.
+
+    The text is read with ``newline=""``, so the checksum sees the file's
+    own line ending: a final ``\\r\\n`` or ``\\r`` is a mismatch. The
+    parse comes first, then the field checks, then the checksum, each
+    holding about one copy of the text beside the parsed document:
+    :func:`_term_ids` keeps no full-length list but the term ids, and
+    :func:`_sealed` hashes one encoding of the text.
     """
     try:
-        raw = Path(path).read_text(encoding="utf-8")
+        # newline="": the checksum covers the file's own line ending
+        with open(path, encoding="utf-8", newline="") as handle:
+            raw = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise IndexFormatError(f"cannot read index file {path}: {exc}") from exc
     try:
@@ -247,11 +316,15 @@ def _read_index(path: str | Path) -> Fields:
     if len(set(tids)) != len(terms):
         raise _corrupt(path, "a vocabulary term occurs in no document")
 
-    try:
-        "".join(chain(doc_ids, titles, terms)).encode("utf-8")
-    except UnicodeEncodeError as exc:
-        raise _corrupt(path, f"text not encodable as UTF-8 ({exc})") from exc
-    if _seal(raw.rpartition(_CHECKSUM_KEY)[0] + "}") != raw:
+    # the text was decoded as strict UTF-8, so only a \uD800-\uDFFF escape can
+    # put a lone surrogate into a string, and an escape needs a backslash
+    # (found by memchr; a search for "\\ud" takes longer than this check)
+    if "\\" in raw:
+        try:
+            "".join(chain(doc_ids, titles, terms)).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise _corrupt(path, f"text not encodable as UTF-8 ({exc})") from exc
+    if not _sealed(raw):
         raise IndexFormatError(
             f"index checksum mismatch in {path}: the file was edited or "
             "reformatted after it was saved"
@@ -413,7 +486,7 @@ def append_case(path: str | Path, case: Case) -> None:
         record["solution"] = case.solution
     if case.meta:
         record["meta"] = dict(case.meta)
-    line = json.dumps(record, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+    line = _canonical_json(record)
     target = Path(path)
     prefix = ""
     if target.exists():
