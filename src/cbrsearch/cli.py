@@ -195,7 +195,7 @@ def cmd_add(args) -> int:
 
 def _add(args) -> int:
     fields = _read_index(args.index)
-    config, _, doc_ids, titles, _ = fields
+    config, _, doc_ids, titles, *_ = fields
     cases = read_corpus(args.corpus, "record")
     new_case = Case(id=args.id, title=args.title, solution=args.solution)
     field = unencodable_field(new_case)

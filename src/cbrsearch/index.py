@@ -3,9 +3,11 @@
 A term's in-document frequency is its count divided by the document's token
 total; its corpus weight multiplies that by ``log10(corpus_size / df)`` where
 ``df`` is the number of documents containing the term. Every document gets a
-dense ordinal, its position in corpus order, and one count row: a flat
-``[tid, count, tid, count, ...]`` list in ascending term id, the only
-per-document record an index keeps and the one it is saved as. The postings
+dense ordinal, its position in corpus order, and one count row: its distinct
+term ids, ascending, and their counts. The rows are kept, and saved, as three
+flat columns in compressed-sparse-row layout: ``row_lengths`` (term ids per
+document), then ``term_ids`` and ``counts``, every row's entries in corpus
+order; they are the only per-document record an index keeps. The postings
 of a term are two parallel arrays: the ordinals of the documents containing
 it, ascending, and their weights for the term; ``Index.doc_ids`` maps an
 ordinal back to its case id. A query is one :class:`QueryVector` type for
@@ -35,7 +37,7 @@ import math
 from array import array
 from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
-from itertools import chain
+from itertools import accumulate, pairwise
 from operator import truediv
 from types import MappingProxyType
 
@@ -45,8 +47,11 @@ from .preprocess import PreprocessConfig, tokenize
 SCORERS = ("cosine", "set")
 
 # what an index stores, and its value: config, terms (a term's id is its
-# position), doc ids, titles and count rows
-Fields = tuple[PreprocessConfig, list[str], list[str], list[str], list[list[int]]]
+# position), doc ids, titles, and the count rows as row lengths, term ids and
+# counts
+Fields = tuple[PreprocessConfig, list[str], list[str], list[str], list[int], list[int], list[int]]
+# the last three fields, the count rows: row lengths, term ids and counts
+Columns = tuple[list[int], list[int], list[int]]
 
 
 class Case(namedtuple("Case", "id title solution meta")):
@@ -109,7 +114,7 @@ class Vocabulary:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Vocabulary):
             return NotImplemented
-        return self._terms == other._terms and self._df == other._df
+        return self._terms == other._terms  # df is derived from the count rows
 
     def __repr__(self) -> str:
         return f"Vocabulary({len(self._terms)} terms)"
@@ -182,8 +187,11 @@ class Index:
         vocabulary: term table with document frequencies.
         doc_ids: ordinal -> doc_id; ordinals number documents in corpus order.
         titles: doc_id -> original title, for display, in corpus order.
-        count_rows: ordinal -> flat ``[tid, count, ...]`` list of the
-            document's term counts, ascending by term id.
+        row_offsets: ordinal -> where the document's count row starts in
+            ``term_ids`` and ``counts``; one entry more than documents, so
+            a row ends where the next starts.
+        term_ids: every count row's term ids, ascending within a row.
+        counts: every count row's counts, parallel to ``term_ids``.
         postings: term_id -> ``array('i')`` of document ordinals, ascending;
             None until :meth:`_derive` posts the term.
         posting_weights: term_id -> ``array('d')`` of the documents' weights
@@ -206,7 +214,9 @@ class Index:
         "vocabulary",
         "doc_ids",
         "titles",
-        "count_rows",
+        "row_offsets",
+        "term_ids",
+        "counts",
         "postings",
         "posting_weights",
         "ordinal_norms",
@@ -220,30 +230,31 @@ class Index:
     def __init__(self, fields: Fields):
         """Derive the cheap tables from *fields*: df, idf and the set norms.
 
-        ``count_rows[ordinal]`` is the flat ``[tid, count, ...]`` row of the
-        document ``doc_ids[ordinal]``, ascending by term id; every term id
-        must occur in some row. Postings, their weights and the norms are
-        left to :meth:`_derive`.
+        The document ``doc_ids[ordinal]`` holds the next
+        ``row_lengths[ordinal]`` entries of ``term_ids``, ascending, and of
+        ``counts``; every term id must occur in some row. Postings, their
+        weights and the norms are left to :meth:`_derive`.
         """
-        config, id_to_term, doc_ids, titles, count_rows = fields
+        config, id_to_term, doc_ids, titles, row_lengths, term_ids, counts = fields
         df = [0] * len(id_to_term)
-        for row in count_rows:
-            for tid in row[0::2]:
-                df[tid] += 1
-        corpus_size = len(count_rows)
+        for tid in term_ids:
+            df[tid] += 1
+        corpus_size = len(row_lengths)
         self.fields = fields
         self.config = config
         self.vocabulary = Vocabulary(id_to_term, df)
         self.doc_ids: tuple[str, ...] = tuple(doc_ids)
         self.titles: dict[str, str] = dict(zip(self.doc_ids, titles))
-        self.count_rows = count_rows
+        self.row_offsets = [0, *accumulate(row_lengths)]
+        self.term_ids = term_ids
+        self.counts = counts
         self.postings: list[array | None] = [None] * len(id_to_term)
         self.posting_weights: list[array | None] = [None] * len(id_to_term)
         self.ordinal_norms: list[float | None] = [None] * corpus_size
         # roots taken in one pass keep these floats together in memory: a set
         # query reads one per candidate, and scattered among per-document
         # allocations they made set-scorer ranking about 15% slower
-        self.ordinal_set_norms = [math.sqrt(len(row) // 2) for row in count_rows]
+        self.ordinal_set_norms = list(map(math.sqrt, row_lengths))
         self._idf = [math.log10(corpus_size / count) for count in df]
         self._documents: Mapping[str, DocumentVector] | None = None
         self._norms: Mapping[str, float] | None = None
@@ -271,11 +282,12 @@ class Index:
         for tid in wanted:
             ordinal_slots[tid], weight_slots[tid] = array("i"), array("d")
         some = len(wanted) < len(postings)
-        for ordinal, row in enumerate(self.count_rows):
-            tids = row[0::2]
+        all_tids, all_counts = self.term_ids, self.counts
+        for ordinal, (start, end) in enumerate(pairwise(self.row_offsets)):
+            tids = all_tids[start:end]
             if some and wanted.isdisjoint(tids):
                 continue
-            counts = row[1::2]
+            counts = all_counts[start:end]
             token_total = sum(counts)
             norm_sq = 0.0
             for tid, count in zip(tids, counts):
@@ -311,9 +323,9 @@ class Index:
         """
         if self._documents is None:
             documents = {}
-            for doc_id, row in zip(self.doc_ids, self.count_rows):
-                raw = dict(zip(row[0::2], row[1::2]))
-                weights = self._row_weights(row)
+            for ordinal, doc_id in enumerate(self.doc_ids):
+                raw = dict(zip(*self._row(ordinal)))
+                weights = self._row_weights(ordinal)
                 documents[doc_id] = DocumentVector(doc_id, weights, raw, sum(raw.values()))
             self._documents = MappingProxyType(documents)
         return self._documents
@@ -352,18 +364,23 @@ class Index:
         the postings bit for bit.
         """
         total = 0.0
-        for tid, weight in self._row_weights(self.count_rows[ordinal]).items():
+        for tid, weight in self._row_weights(ordinal).items():
             query_weight = weights.get(tid)
             if query_weight is not None:
                 total += query_weight * weight
         return total
 
-    def _row_weights(self, row: list[int]) -> dict[int, float]:
-        """Term id -> weight over a count row, by the expression :meth:`_derive` posts."""
-        counts = row[1::2]
+    def _row(self, ordinal: int) -> tuple[list[int], list[int]]:
+        """The term ids and the counts of document *ordinal*'s count row."""
+        start, end = self.row_offsets[ordinal : ordinal + 2]
+        return self.term_ids[start:end], self.counts[start:end]
+
+    def _row_weights(self, ordinal: int) -> dict[int, float]:
+        """Term id -> weight over row *ordinal*, by the expression :meth:`_derive` posts."""
+        tids, counts = self._row(ordinal)
         token_total = sum(counts)
         idf = self._idf
-        return {tid: (count / token_total) * idf[tid] for tid, count in zip(row[0::2], counts)}
+        return {tid: (count / token_total) * idf[tid] for tid, count in zip(tids, counts)}
 
     def term_frequency(self, term: str, doc_id: str) -> float:
         """In-document frequency: count of *term* over the doc's token total.
@@ -466,7 +483,7 @@ def _build_fields(cases: Iterable[Case], config: PreprocessConfig) -> tuple[Fiel
     tid_by_term: dict[str, int] = {}
     doc_ids: list[str] = []
     titles: list[str] = []
-    count_rows: list[list[int]] = []
+    columns: Columns = ([], [], [])
     skipped: list[tuple[str, str]] = []
     for case in cases:
         tokens = tokenize(case.title, config)
@@ -475,17 +492,17 @@ def _build_fields(cases: Iterable[Case], config: PreprocessConfig) -> tuple[Fiel
             continue
         doc_ids.append(case.id)
         titles.append(case.title)
-        count_rows.append(_count_row(tokens, id_to_term, tid_by_term))
+        _append_row(tokens, id_to_term, tid_by_term, columns)
 
-    if not count_rows:
+    if not doc_ids:
         raise DataError("no indexable cases: every title tokenized to empty")
 
     report = IngestReport(
-        indexed=len(count_rows),
+        indexed=len(doc_ids),
         skipped=tuple(skipped),
         vocabulary_size=len(id_to_term),
     )
-    return (config, id_to_term, doc_ids, titles, count_rows), report
+    return (config, id_to_term, doc_ids, titles, *columns), report
 
 
 def extend_index(fields: Fields, new_case: Case) -> Index:
@@ -502,7 +519,7 @@ def extend_index(fields: Fields, new_case: Case) -> Index:
 
 def _extend_fields(fields: Fields, new_case: Case) -> Fields:
     """The stored fields of :func:`extend_index`'s index, with its checks."""
-    config, terms, doc_ids, titles, count_rows = fields
+    config, terms, doc_ids, titles, *columns = fields
     if new_case.id in doc_ids:
         raise DataError(f"duplicate case id: {new_case.id!r}")
     tokens = tokenize(new_case.title, config)
@@ -510,14 +527,9 @@ def _extend_fields(fields: Fields, new_case: Case) -> Fields:
         raise DataError(f"title of case {new_case.id!r} tokenizes to empty")
     id_to_term = list(terms)
     tid_by_term = {term: tid for tid, term in enumerate(id_to_term)}
-    row = _count_row(tokens, id_to_term, tid_by_term)
-    return (
-        config,
-        id_to_term,
-        [*doc_ids, new_case.id],
-        [*titles, new_case.title],
-        [*count_rows, row],
-    )
+    columns = tuple(map(list, columns))  # copies, so the stored fields stay as they are
+    _append_row(tokens, id_to_term, tid_by_term, columns)
+    return (config, id_to_term, [*doc_ids, new_case.id], [*titles, new_case.title], *columns)
 
 
 def _refuse_duplicate_ids(cases: Iterable[Case]) -> None:
@@ -529,13 +541,14 @@ def _refuse_duplicate_ids(cases: Iterable[Case]) -> None:
         seen.add(case.id)
 
 
-def _count_row(
-    tokens: Sequence[str], id_to_term: list[str], tid_by_term: dict[str, int]
-) -> list[int]:
-    """The flat ``[tid, count, ...]`` row of *tokens*, ascending by term id.
+def _append_row(
+    tokens: Sequence[str], id_to_term: list[str], tid_by_term: dict[str, int], columns: Columns
+) -> None:
+    """Append the count row of *tokens* to the row lengths, term ids and counts of *columns*.
 
-    A token not yet in *tid_by_term* becomes the next term id, appended to
-    *id_to_term* and entered in *tid_by_term*.
+    The row holds each distinct term id of *tokens*, ascending, and its
+    count. A token not yet in *tid_by_term* becomes the next term id,
+    appended to *id_to_term* and entered in *tid_by_term*.
     """
     counts: dict[int, int] = {}
     for token in tokens:
@@ -545,4 +558,7 @@ def _count_row(
             tid_by_term[token] = tid
             id_to_term.append(token)
         counts[tid] = counts.get(tid, 0) + 1
-    return list(chain.from_iterable(sorted(counts.items())))
+    tids = sorted(counts)
+    columns[0].append(len(tids))
+    columns[1].extend(tids)
+    columns[2].extend(map(counts.__getitem__, tids))

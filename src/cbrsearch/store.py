@@ -1,11 +1,13 @@
 """On-disk formats: the index snapshot and the corpus files.
 
-Index file (format version 3)
+Index file (format version 4)
     A single-line JSON document. It stores the preprocessing configuration
     and its fingerprint, the vocabulary as a plain ``terms`` list (a term's
     id is its position), the documents as parallel ``ids`` and ``titles``
-    lists, and one flat ``[tid, count, tid, count, ...]`` row per document
-    in ``counts``, ascending by term id. Weights, token totals and document
+    lists, and the documents' count rows as three flat int lists:
+    ``row_lengths`` (distinct terms per document), then ``term_ids`` and
+    ``counts``, which hold every row's term ids, ascending within a row,
+    and their counts, rows in document order. Weights, token totals and document
     frequencies are never written: a loaded index recomputes them through
     the same code path ``build_index`` uses, the weights of a term when a
     query first ranks it, so an index is defined by its stored counts.
@@ -15,7 +17,7 @@ Index file (format version 3)
     the canonical document without it, so any edit to a stored value, or
     to the file's layout, is rejected. The file is read with no newline
     translation, so a final ``\\r\\n`` or ``\\r`` in place of the ``\\n`` fails
-    the checksum too. Files of any other format version, versions 1 and 2
+    the checksum too. Files of any other format version, versions 1 to 3
     included, are rejected with a hint to rebuild them with
     ``cbrsearch index``.
 
@@ -26,7 +28,7 @@ Index file (format version 3)
     the reader returns, which derives no postings until a query ranks; the
     command line's ``index`` and ``add`` write fields they never construct
     an index from. Each holds one copy of the file's text at a time: the
-    writer encodes every list (the counts, ids, terms and titles) one
+    writer encodes every list (the count columns, ids, terms and titles) one
     chunk of items per ``json.dumps`` and hashes and writes the encoded
     pieces as they are, and the reader hashes the one UTF-8 encoding of
     the text it parsed.
@@ -48,9 +50,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import accumulate, chain, islice, repeat
-from operator import countOf, floordiv, ge, mod, sub
+from operator import countOf, ge, sub
 from pathlib import Path
 from types import NoneType
 
@@ -58,11 +60,14 @@ from .errors import ConfigError, DataError, IndexFormatError
 from .index import Case, Fields, Index
 from .preprocess import PreprocessConfig
 
-INDEX_FORMAT_VERSION = 3
+INDEX_FORMAT_VERSION = 4
 
 _FORMAT_NAME = "cbrsearch-index"
 _CHECKSUM_KEY = ',"weights_sha256":'
 _SEAL_LENGTH = len(_CHECKSUM_KEY) + 68  # the key, the quoted 64-digit digest, "}\n"
+
+# the document keys of the fields after the config (see :data:`Fields`), in order
+_LIST_KEYS = ("terms", "ids", "titles", "row_lengths", "term_ids", "counts")
 
 CORPUS_FORMATS = ("record", "plain")
 
@@ -98,15 +103,10 @@ def save_index(index: Index, path: str | Path) -> None:
     _write_index(path, *index.fields)
 
 
-def _write_index(
-    path: str | Path,
-    config: PreprocessConfig,
-    terms: Sequence[str],
-    doc_ids: Sequence[str],
-    titles: Sequence[str],
-    count_rows: Sequence[list[int]],
-) -> None:
+def _write_index(path: str | Path, config: PreprocessConfig, *lists: Sequence) -> None:
     """Write an index's stored fields (see :data:`Fields`) to *path*.
+
+    *lists* are the fields after *config*, stored under :data:`_LIST_KEYS`.
 
     The one serializer: :func:`save_index` and the command line's writers
     all go through it. The document goes to a temporary file in the same
@@ -132,10 +132,7 @@ def _write_index(
             "stopwords": sorted(config.stopwords),
         },
         "preprocess_fingerprint": config.fingerprint(),
-        "terms": terms,
-        "ids": doc_ids,
-        "titles": titles,
-        "counts": count_rows,
+        **dict(zip(_LIST_KEYS, lists, strict=True)),
     }
     pieces = [b"{"]
     for key in sorted(document):
@@ -191,32 +188,45 @@ def _only(kind: type, values) -> bool:
     return set(map(type, values)) <= {kind}
 
 
-def _term_ids(count_rows: list, term_count: int) -> list[int] | None:
-    """The term ids of all count rows in sequence, or None if a row is bad.
+def _term_ids(row_lengths: list, term_ids: list, counts: list, term_count: int) -> set[int] | None:
+    """The distinct term ids of the count rows the three lists hold, or None if they are bad.
 
-    A good row is a non-empty flat ``[tid, count, ...]`` list of ints with
-    term ids in range and strictly ascending, and every count at least 1.
-    The checks run over all rows at once.
+    The lists are the stored columns of at least one row. They are good when
+    every entry is an int, every row length at least 1, the lengths sum to
+    the number of term ids and counts, every term id is in range and
+    strictly ascends within its row, and every count is at least 1. The
+    checks run over whole columns; no row is sliced out.
     """
-    if not _only(list, count_rows):
+    if not _only(int, chain(row_lengths, term_ids, counts)):
         return None
-    lengths = list(map(len, count_rows))
-    if 0 in lengths or any(map(mod, lengths, repeat(2))):
+    if min(row_lengths) < 1 or not sum(row_lengths) == len(term_ids) == len(counts):
         return None
-    flat = list(chain.from_iterable(count_rows))
-    if not _only(int, flat):
-        return None
-    tids, least_count = flat[0::2], min(islice(flat, 1, None, 2))
-    del flat  # the one full-length list besides tids
-    if least_count < 1 or min(tids) < 0 or max(tids) >= term_count:
+    distinct = set(term_ids)
+    if min(counts) < 1 or min(distinct) < 0 or max(distinct) >= term_count:
         return None
     # in the term ids of all rows in sequence, a step may fail to ascend only
     # where one row ends and the next begins
-    descents = countOf(map(ge, tids, islice(tids, 1, None)), True)
-    row_starts = list(accumulate(map(floordiv, lengths[:-1], repeat(2))))
-    row_lasts = map(tids.__getitem__, map(sub, row_starts, repeat(1)))
-    row_firsts = map(tids.__getitem__, row_starts)
-    return tids if descents == countOf(map(ge, row_lasts, row_firsts), True) else None
+    descents = countOf(map(ge, term_ids, islice(term_ids, 1, None)), True)
+    row_starts = list(accumulate(row_lengths[:-1]))
+    row_lasts = map(term_ids.__getitem__, map(sub, row_starts, repeat(1)))
+    row_firsts = map(term_ids.__getitem__, row_starts)
+    return distinct if descents == countOf(map(ge, row_lasts, row_firsts), True) else None
+
+
+def _unencodable(text: str, strings: Iterable[str]) -> UnicodeEncodeError | None:
+    """The error of encoding *strings*, parsed from the JSON *text*, as UTF-8, or None.
+
+    *text* was decoded as strict UTF-8, so only a ``\\uD800``-``\\uDFFF``
+    escape can put a lone surrogate into a parsed string, and an escape
+    needs a backslash: when *text* holds none (found by memchr, far faster
+    than a search for ``\\ud``), *strings* are not encoded at all.
+    """
+    if "\\" in text:
+        try:
+            "".join(strings).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            return exc
+    return None
 
 
 def load_index(path: str | Path) -> Index:
@@ -231,7 +241,7 @@ def load_index(path: str | Path) -> Index:
 
 
 def _read_index(path: str | Path) -> Fields:
-    """The checked fields of an index file: config, terms, ids, titles, count rows.
+    """The checked fields of an index file (see :data:`Fields`).
 
     Every check :func:`load_index` makes happens here, with its messages;
     only the construction of the :class:`Index` is left to the caller.
@@ -240,8 +250,8 @@ def _read_index(path: str | Path) -> Fields:
     own line ending: a final ``\\r\\n`` or ``\\r`` is a mismatch. The
     parse comes first, then the field checks, then the checksum, each
     holding about one copy of the text beside the parsed document:
-    :func:`_term_ids` keeps no full-length list but the term ids, and
-    :func:`_sealed` hashes one encoding of the text.
+    :func:`_term_ids` builds no full-length list, and :func:`_sealed`
+    hashes one encoding of the text.
     """
     try:
         # newline="": the checksum covers the file's own line ending
@@ -276,26 +286,24 @@ def _read_index(path: str | Path) -> Fields:
             min_token_length=min_token_length,
         )
         fingerprint = document["preprocess_fingerprint"]
-        terms = document["terms"]
-        doc_ids = document["ids"]
-        titles = document["titles"]
-        count_rows = document["counts"]
+        lists = list(map(document.__getitem__, _LIST_KEYS))
+        terms, doc_ids, titles, row_lengths, term_ids, counts = lists
         if "weights_sha256" not in document:
             raise KeyError("weights_sha256")
     except (KeyError, TypeError, ValueError, OverflowError, ConfigError) as exc:
         raise _corrupt(path, f"missing or malformed field ({exc})") from exc
     if config.fingerprint() != fingerprint:
         raise _corrupt(path, "preprocess fingerprint does not match stored configuration")
-    if not _only(list, (terms, doc_ids, titles, count_rows)):
-        raise _corrupt(path, "terms, ids, titles and counts must be lists")
+    if not _only(list, lists):
+        raise _corrupt(path, "terms, ids, titles, row_lengths, term_ids and counts must be lists")
     if not _only(str, terms):
         raise _corrupt(path, "a vocabulary term is not a string")
     if len(set(terms)) != len(terms):
         raise _corrupt(path, "vocabulary repeats a term")
     if not doc_ids:
         raise _corrupt(path, "no documents")
-    if not len(doc_ids) == len(titles) == len(count_rows):
-        raise _corrupt(path, "ids, titles and counts differ in length")
+    if not len(doc_ids) == len(titles) == len(row_lengths):
+        raise _corrupt(path, "ids, titles and row_lengths differ in length")
     if not _only(str, doc_ids) or not all(doc_ids):
         bad = next(d for d in doc_ids if type(d) is not str or not d)
         raise _corrupt(path, f"document id {bad!r} is not a non-empty string")
@@ -306,30 +314,24 @@ def _read_index(path: str | Path) -> Fields:
     if not _only(str, titles):
         bad = next(d for d, title in zip(doc_ids, titles) if type(title) is not str)
         raise _corrupt(path, f"title of document {bad!r} is not a string")
-    tids = _term_ids(count_rows, len(terms))
-    if tids is None:
+    distinct_term_ids = _term_ids(row_lengths, term_ids, counts, len(terms))
+    if distinct_term_ids is None:
         raise _corrupt(
             path,
-            "a count row is not a non-empty list of integer [term id, count] pairs "
-            "with term ids in range and ascending and counts of at least 1",
+            "the count rows are not non-empty runs of integer term ids, in range and "
+            "ascending, with as many integer counts of at least 1",
         )
-    if len(set(tids)) != len(terms):
+    if len(distinct_term_ids) != len(terms):
         raise _corrupt(path, "a vocabulary term occurs in no document")
-
-    # the text was decoded as strict UTF-8, so only a \uD800-\uDFFF escape can
-    # put a lone surrogate into a string, and an escape needs a backslash
-    # (found by memchr; a search for "\\ud" takes longer than this check)
-    if "\\" in raw:
-        try:
-            "".join(chain(doc_ids, titles, terms)).encode("utf-8")
-        except UnicodeEncodeError as exc:
-            raise _corrupt(path, f"text not encodable as UTF-8 ({exc})") from exc
+    unencodable = _unencodable(raw, chain(doc_ids, titles, terms))
+    if unencodable is not None:
+        raise _corrupt(path, f"text not encodable as UTF-8 ({unencodable})") from unencodable
     if not _sealed(raw):
         raise IndexFormatError(
             f"index checksum mismatch in {path}: the file was edited or "
             "reformatted after it was saved"
         )
-    return config, terms, doc_ids, titles, count_rows
+    return (config, *lists)
 
 
 def read_corpus(path: str | Path, corpus_format: str) -> list[Case]:
@@ -340,9 +342,9 @@ def read_corpus(path: str | Path, corpus_format: str) -> list[Case]:
     from 1 so line numbers stay stable even when a blank line is later
     skipped by indexing.
 
-    A record file whose text holds no ``]`` and no ``\\ud``/``\\uD`` escape
-    is parsed by :func:`_parse_records`, a chunk of lines at a time; any
-    other file, and any file that path rejects, goes through
+    A record file whose text holds no ``]`` is parsed by
+    :func:`_parse_records`, a chunk of lines at a time; any other file, and
+    any file that path rejects, goes through
     :func:`_read_records`, one line at a time, which alone makes the errors.
     """
     if corpus_format not in CORPUS_FORMATS:
@@ -360,7 +362,7 @@ def read_corpus(path: str | Path, corpus_format: str) -> list[Case]:
     # JSON Lines: only \n ends a record (reading as text made \r\n and a lone
     # \r into \n), so U+2028, U+2029 and U+0085 stay text inside a record
     lines = raw.split("\n")
-    if "]" not in raw and "\\ud" not in raw and "\\uD" not in raw:
+    if "]" not in raw:
         cases = _parse_records(list(filter(str.strip, lines)))
         if cases is not None:
             return cases
@@ -373,8 +375,8 @@ def _parse_records(lines: list[str]) -> list[Case] | None:
     Each chunk of :data:`_CHUNK_LINES` lines is one ``json.loads`` of the
     lines joined as ``[[line],\\n[line],...]``, and the record checks of
     :func:`_read_records` run over the whole chunk at once. The caller passes
-    only text with no ``]`` and no ``\\ud``/``\\uD`` escape, and under that
-    guard the result is exactly what the per-line reader gives:
+    only text with no ``]``, and under that guard the result is exactly what
+    the per-line reader gives:
 
     - Strict JSON rejects a raw ``\\n`` inside a string (RFC 8259, section
       7), so no string spans a separator, and every bracket the join adds
@@ -385,9 +387,10 @@ def _parse_records(lines: list[str]) -> list[Case] | None:
       either fails the parse. So inner list *i* holds exactly the values of
       line *i*, and its one value is what ``json.loads`` gives for that line
       alone.
-    - The text was decoded as strict UTF-8, so a lone surrogate can only
-      come from a ``\\uD800``-``\\uDFFF`` escape, and every string here is
-      encodable.
+    - A chunk whose strings UTF-8 cannot encode (a lone surrogate, from a
+      ``\\uD800``-``\\uDFFF`` escape) is refused, as the per-line reader
+      refuses the line; :func:`_unencodable` checks only a chunk with a
+      backslash.
 
     None sends the whole file to the per-line reader, which finds the first
     bad line and makes its message. Chunks bound the record dicts held at
@@ -397,8 +400,9 @@ def _parse_records(lines: list[str]) -> list[Case] | None:
     cases: list[Case] = []
     for start in range(0, len(lines), _CHUNK_LINES):
         chunk = lines[start : start + _CHUNK_LINES]
+        text = "[[" + "],\n[".join(chunk) + "]]"
         try:
-            rows = json.loads("[[" + "],\n[".join(chunk) + "]]")
+            rows = json.loads(text)
         except (ValueError, RecursionError):
             return None
         if len(rows) != len(chunk) or set(map(len, rows)) != {1}:
@@ -416,6 +420,10 @@ def _parse_records(lines: list[str]) -> list[Case] | None:
             and set(map(type, metas)) <= {dict, NoneType}
             # JSON object keys are strings: a meta map is flat when its values are
             and _only(str, chain.from_iterable(map(dict.values, filter(None, metas))))
+            and _unencodable(text, chain(
+                ids, titles, filter(None, solutions),
+                chain.from_iterable(chain.from_iterable(map(dict.items, filter(None, metas)))),
+            )) is None
         )
         if not valid:
             return None

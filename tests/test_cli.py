@@ -269,8 +269,15 @@ class TestCmdQuery:
              '"57e8a2f347fabab1d98b0b5b9aaf7030e26684ce14872f64e523cebc1930c4a0",'
              '"terms":["a","b","c"],"titles":["a b","a c"],"weights_sha256":'
              '"2610681ddccaa6de3c2fa7708a47d349e1237ac72b3df0dcc7b183afc080bee6"}\n'),
+            (3,
+             '{"counts":[[0,1,1,1],[0,1,2,1]],"format":"cbrsearch-index","format_version":3,'
+             '"ids":["d1","d2"],"preprocess":{"casefold":true,"min_token_length":1,'
+             '"stopwords":[]},"preprocess_fingerprint":'
+             '"57e8a2f347fabab1d98b0b5b9aaf7030e26684ce14872f64e523cebc1930c4a0",'
+             '"terms":["a","b","c"],"titles":["a b","a c"],"weights_sha256":'
+             '"50e99a24b60b5e6eb2cf2f893e6ad8fe573144f1e52c1cbe93811d6bb0c82649"}\n'),
         ],
-        ids=["v1", "v2"],
+        ids=["v1", "v2", "v3"],
     )
     def test_format_version_1_index_exits_2_with_a_rebuild_hint(
         self, tmp_path, capsys, version, text
@@ -731,7 +738,7 @@ class TestCmdEval:
         titles.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
         argv = ["eval", "--index", str(index_path), "--titles", str(titles), "--seed", "42"]
         loaded = load_index(index_path)
-        rows = loaded.count_rows = ScannedRows(loaded.count_rows)
+        rows = loaded.row_offsets = ScannedRows(loaded.row_offsets)
         monkeypatch.setattr(cli, "load_index", lambda path: loaded)
         code, out, err = run_cli(argv, capsys)
         assert (code, err, rows.scans) == (EXIT_OK, "", 1)

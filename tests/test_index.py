@@ -86,11 +86,12 @@ class TestExtendIndex:
             cases.insert(len(cases) // 2, Case("skipped", "?!"))
             new_case = Case("new", f"kata00 baru{trial} kata01 baru{trial} lain")
             index, _ = build_index(cases)
-            rows = [list(row) for row in index.count_rows]
+            columns = [list(column) for column in index.fields[4:]]
             extended = extend_index(index.fields, new_case)
             assert extended == build_index([*cases, new_case])[0]
             assert extended.vocabulary.terms[-2:] == (f"baru{trial}", "lain")
-            assert index.count_rows == rows  # the stored fields are not modified
+            # the stored fields are not modified
+            assert list(index.fields[4:]) == columns
             save_index(extended, tmp_path / "extended.idx")
             save_index(build_index([*cases, new_case])[0], tmp_path / "built.idx")
             assert (tmp_path / "extended.idx").read_bytes() == (tmp_path / "built.idx").read_bytes()
@@ -102,14 +103,16 @@ class TestExtendIndex:
             extend_index(small_index.fields, Case("d4", "?!"))
 
 
-# each changes one stored field of (config, terms, ids, titles, count rows)
-# and leaves the others as they are
+# each changes one stored field of (config, terms, ids, titles, row lengths,
+# term ids, counts) and leaves the others as they are
 ONE_FIELD_EDITS = {
-    "config": lambda c, t, i, ti, r: (PreprocessConfig(min_token_length=2), t, i, ti, r),
-    "term": lambda c, t, i, ti, r: (c, [t[0] + "x", *t[1:]], i, ti, r),
-    "id": lambda c, t, i, ti, r: (c, t, ["other", *i[1:]], ti, r),
-    "title": lambda c, t, i, ti, r: (c, t, i, [ti[0] + " lagi", *ti[1:]], r),
-    "count": lambda c, t, i, ti, r: (c, t, i, ti, [[r[0][0], r[0][1] + 1, *r[0][2:]], *r[1:]]),
+    "config": lambda c, t, i, ti, *r: (PreprocessConfig(min_token_length=2), t, i, ti, *r),
+    "term": lambda c, t, i, ti, *r: (c, [t[0] + "x", *t[1:]], i, ti, *r),
+    "id": lambda c, t, i, ti, *r: (c, t, ["other", *i[1:]], ti, *r),
+    "title": lambda c, t, i, ti, *r: (c, t, i, [ti[0] + " lagi", *ti[1:]], *r),
+    "row-length": lambda c, t, i, ti, n, r, k: (c, t, i, ti, [n[0] - 1, n[1] + 1, *n[2:]], r, k),
+    "term-id": lambda c, t, i, ti, n, r, k: (c, t, i, ti, n, [*r[:-2], r[-1], r[-2]], k),
+    "count": lambda c, t, i, ti, n, r, k: (c, t, i, ti, n, r, [k[0] + 1, *k[1:]]),
 }
 
 

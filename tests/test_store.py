@@ -7,8 +7,7 @@ import hashlib
 import json
 import random
 import tracemalloc
-from itertools import accumulate, chain, repeat
-from operator import floordiv, lt, mod, sub
+from itertools import chain
 from unittest import mock
 
 import pytest
@@ -104,13 +103,13 @@ class TestRoundTrip:
 
 def _bump_first_count(text: str) -> str:
     document = json.loads(text)
-    document["counts"][0][1] += 1
+    document["counts"][0] += 1
     return _canonical(document)
 
 
 def _scale_first_row(text: str) -> str:
     document = json.loads(text)
-    document["counts"][0] = [0, 3, 1, 1]
+    document["counts"][0] = 3
     return _canonical(document)
 
 
@@ -123,7 +122,7 @@ def _add_stopword(text: str) -> str:
 
 
 def _append_scaled_row_after_checksum(text: str) -> str:
-    return text.removesuffix("}\n") + ',"counts":[[0,3,1,1],[0,1,1,1,2,1]]}\n'
+    return text.removesuffix("}\n") + ',"counts":[3,1,1,1,1]}\n'
 
 
 class TestRejection:
@@ -226,6 +225,10 @@ class TestRejection:
         with pytest.raises(IndexFormatError, match="corrupt"):
             load_index(path)
 
+    # the saved columns of the rows below: row_lengths [2, 2, 2, 1],
+    # term_ids [0, 1, 0, 2, 1, 2, 2] and counts [1, 1, 1, 1, 1, 1, 1]
+    FOUR_ROWS = ["a b", "a c", "b c", "c"]
+
     @pytest.mark.parametrize(
         "field, value",
         [
@@ -234,11 +237,21 @@ class TestRejection:
             (["ids", 0], ["d1"]),
             (["titles", 0], 7),
             (["terms", 1], "a"),  # term 0 is "a" already
-            (["counts", 0, 1], [2]),
-            (["counts", 0], [1, 1, 0, 1]),  # the same counts, not ascending
+            (["counts", 1], [2]),
+            (["term_ids"], [1, 0, 0, 2, 1, 2, 2]),  # the same ids, the first row not ascending
             (["terms"], ["a", "b", "c", "d"]),
             (["preprocess", "stopwords"], [1]),
             (["preprocess", "min_token_length"], 0),
+            # each below breaks one check of the count columns and passes the others
+            (["row_lengths"], [0, 4, 2, 1]),
+            (["row_lengths", 3], True),
+            (["row_lengths", 0], 2.0),
+            (["row_lengths", 3], 2),
+            (["counts"], [1, 1, 1, 1, 1, 1]),
+            (["term_ids", 0], False),
+            (["term_ids", 1], 1.0),
+            (["counts", 0], True),
+            (["counts", 0], 1.0),
         ],
         ids=[
             "documents-not-a-list",
@@ -251,11 +264,21 @@ class TestRejection:
             "term-in-no-document",
             "stopword-not-a-string",
             "min-token-length-zero",
+            "row-length-0",
+            "row-length-a-bool",
+            "row-length-a-float",
+            "row-lengths-sum-past-the-term-ids",
+            "counts-fewer-than-term-ids",
+            "term-id-a-bool",
+            "term-id-a-float",
+            "count-a-bool",
+            "count-a-float",
         ],
     )
-    def test_malformed_field_is_corrupt(self, small_index, tmp_path, field, value):
+    def test_malformed_field_is_corrupt(self, tmp_path, field, value):
+        index, _ = build_index([Case(f"d{n}", title) for n, title in enumerate(self.FOUR_ROWS)])
         path = tmp_path / "mutated.idx"
-        save_index(small_index, path)
+        save_index(index, path)
         document = json.loads(path.read_text(encoding="utf-8"))
         *parents, leaf = field
         target = document
@@ -370,10 +393,10 @@ def _sealed_once(text: str) -> bool:
 
 def _written_once(fields) -> bytes:
     """The bytes of one json.dumps of the whole document, sealed."""
-    config, terms, doc_ids, titles, count_rows = fields
+    config, terms, doc_ids, titles, row_lengths, term_ids, counts = fields
     document = {
         "format": "cbrsearch-index",
-        "format_version": 3,
+        "format_version": 4,
         "preprocess": {
             "casefold": config.casefold,
             "min_token_length": config.min_token_length,
@@ -383,27 +406,40 @@ def _written_once(fields) -> bytes:
         "terms": terms,
         "ids": doc_ids,
         "titles": titles,
-        "counts": count_rows,
+        "row_lengths": row_lengths,
+        "term_ids": term_ids,
+        "counts": counts,
     }
     return _seal_once(_canonical(document)[:-1]).encode("utf-8")
 
 
-def _term_ids_once(count_rows: list, term_count: int) -> list[int] | None:
-    if not set(map(type, count_rows)) <= {list}:
+def _term_ids_once(row_lengths: list, term_ids: list, counts: list, term_count: int):
+    """The count row check one row at a time, each row sliced out of the columns."""
+    if not all(type(value) is int for value in [*row_lengths, *term_ids, *counts]):
         return None
-    lengths = list(map(len, count_rows))
-    if 0 in lengths or any(map(mod, lengths, repeat(2))):
+    if sum(row_lengths) != len(term_ids) or len(counts) != len(term_ids):
         return None
-    flat = list(chain.from_iterable(count_rows))
-    if not set(map(type, flat)) <= {int}:
-        return None
-    tids, counts = flat[0::2], flat[1::2]
-    if min(counts) < 1 or min(tids) < 0 or max(tids) >= term_count:
-        return None
-    ascends = list(map(lt, tids, tids[1:]))
-    row_ends = list(accumulate(map(floordiv, lengths, repeat(2))))
-    at_row_ends = list(map(ascends.__getitem__, map(sub, row_ends[:-1], repeat(1))))
-    return tids if ascends.count(False) == at_row_ends.count(False) else None
+    start = 0
+    for length in row_lengths:
+        if length < 1:
+            return None
+        row = term_ids[start : start + length]
+        if row != sorted(set(row)) or row[0] < 0 or row[-1] >= term_count:
+            return None
+        start += length
+    return set(term_ids) if min(counts) >= 1 else None
+
+
+def _columns(rows: list) -> tuple[list, list, list]:
+    """Row lengths, term ids and counts of ``[term id, count, ...]`` *rows*.
+
+    A row of odd length leaves the columns of term ids and counts unequal.
+    """
+    return (
+        [len(row[0::2]) for row in rows],
+        list(chain.from_iterable(row[0::2] for row in rows)),
+        list(chain.from_iterable(row[1::2] for row in rows)),
+    )
 
 
 # text the writer must escape or keep as it is: quotes, backslashes, control
@@ -446,7 +482,9 @@ class TestWriter:
             st.lists(_ODD_TEXT, max_size=7),
             st.lists(_ODD_TEXT, max_size=7),
             st.lists(_ODD_TEXT, max_size=7),
-            st.lists(st.lists(st.integers(0, 10**6), max_size=6), max_size=7),
+            st.lists(st.integers(0, 10**6), max_size=7),
+            st.lists(st.integers(0, 10**6), max_size=7),
+            st.lists(st.integers(0, 10**6), max_size=7),
         ),
         chunk_lines=st.sampled_from([1, 2, 3, 512]),
     )
@@ -521,32 +559,39 @@ class TestReaderChecks:
         assert _sealed(text) == _sealed_once(text)
 
     @pytest.mark.parametrize(
-        "rows",
+        "columns",
         [
-            [[0, 1, 2, 3], [1, 1]],
-            [[0, 1, 2, 3], [0, 2, 1, 1]],  # a descent at a row's end only
-            [[2, 1], [0, 1], [1, 1]],
-            [[0, True], [1, 1]],
-            [[0, 1.0], [1, 1]],
-            [[0, 0], [1, 1]],
-            [[-1, 1], [1, 1]],
-            [[0, 1], [3, 1]],
-            [[0, 1, 0, 1], [1, 1]],  # a repeat inside a row
-            [[1, 1, 0, 1], [2, 1]],  # a descent inside a row
-            [[0, 1], [1, 1, 0, 1]],  # a descent inside the last row
-            [[0, 1], []],
-            [[0, 1, 2]],
-            [[0, 1], "x"],
+            ([2, 1], [0, 2, 1], [1, 3, 1]),
+            ([2, 2], [0, 2, 0, 1], [1, 3, 2, 1]),  # a descent at a row's end only
+            ([1, 1, 1], [2, 0, 1], [1, 1, 1]),
+            ([1, 1], [0, 1], [True, 1]),
+            ([1, 1], [0, 1], [1.0, 1]),
+            ([1, 1], [0, 1], [0, 1]),
+            ([1, 1], [-1, 1], [1, 1]),
+            ([1, 1], [0, 3], [1, 1]),
+            ([2, 1], [0, 0, 1], [1, 1, 1]),  # a repeat inside a row
+            ([2, 1], [1, 0, 2], [1, 1, 1]),  # a descent inside a row
+            ([1, 2], [0, 1, 0], [1, 1, 1]),  # a descent inside the last row
+            ([1, 0, 2], [0, 1, 2], [1, 1, 1]),  # ascending where the empty row sits
+            ([2], [0, 2], [1]),  # one count fewer than term ids
+            ([1, "x"], [0, 1], [1, 1]),  # a row length that is not a number
+            ([1, True], [0, 1], [1, 1]),
+            ([1, 1], [0, 1, 2], [1, 1, 1]),
+            ([2, 2], [0, 1, 2], [1, 1, 1]),
+            ([1, 1], [0, True], [1, 1]),
+            ([1, 1], [0, 1.0], [1, 1]),
+            ([1, 2], [0, 1, 2], [1, 1, 1]),  # an ascending step across a row boundary
         ],
         ids=[
             "good", "descent-at-a-row-end", "one-pair-rows", "bool-count", "float-count",
             "count-0", "negative-id", "id-out-of-range", "repeat-inside-a-row",
             "descent-inside-a-row", "descent-inside-the-last-row", "empty-row",
-            "odd-length-row", "row-not-a-list",
+            "odd-length-row", "row-not-a-list", "bool-row-length", "row-lengths-sum-short",
+            "row-lengths-sum-long", "bool-term-id", "float-term-id", "ascent-at-a-row-end",
         ],
     )
-    def test_the_count_row_check(self, rows):
-        assert _term_ids(rows, 3) == _term_ids_once(rows, 3)
+    def test_the_count_row_check(self, columns):
+        assert _term_ids(*columns, 3) == _term_ids_once(*columns, 3)
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(
@@ -554,10 +599,24 @@ class TestReaderChecks:
             st.lists(st.integers(-1, 4) | st.sampled_from([True, 1.0]), min_size=1, max_size=6),
             min_size=1,
             max_size=5,
-        )
+        ),
+        row_lengths=st.none() | st.lists(
+            st.integers(-1, 4) | st.sampled_from([True, 1.0]), min_size=1, max_size=5
+        ),
     )
-    def test_the_count_row_check_on_random_rows(self, rows):
-        assert _term_ids(rows, 4) == _term_ids_once(rows, 4)
+    def test_the_count_row_check_on_random_rows(self, rows, row_lengths):
+        # the columns of *rows*, or of their items under other row lengths
+        columns = _columns(rows)
+        if row_lengths is not None:
+            columns = (row_lengths, *columns[1:])
+        assert _term_ids(*columns, 4) == _term_ids_once(*columns, 4)
+
+    def test_an_ascending_step_across_a_row_boundary_loads(self, tmp_path):
+        index, _ = build_index([Case("d1", "a b"), Case("d2", "c d"), Case("d3", "d e")])
+        assert index.fields[4:] == ([2, 2, 2], [0, 1, 2, 3, 3, 4], [1, 1, 1, 1, 1, 1])
+        path = tmp_path / "ascending.idx"
+        save_index(index, path)
+        assert load_index(path) == index
 
     @pytest.mark.parametrize("escape", ["\\udcff", "\\uDCFF", "\\uDcfF"])
     def test_a_lone_surrogate_escape_of_either_case_is_not_encodable(
@@ -686,9 +745,9 @@ def _json_lines(records):
     )
 
 
-# the basic plane only: json.dumps escapes a character beyond it as a
-# surrogate pair, \ud83d\ude00 say, which keeps a file off the fast path
-_CHARACTERS = st.characters(max_codepoint=0xFFFF, exclude_categories=("Cs",))
+# every plane: json.dumps escapes a character beyond the basic one as a
+# surrogate pair, \ud83d\ude00 say, which the one-parse reader must accept
+_CHARACTERS = st.characters(exclude_categories=("Cs",))
 _TEXT = st.text(_CHARACTERS, max_size=3)
 _RECORDS = st.fixed_dictionaries(
     {"id": st.text(_CHARACTERS, min_size=1, max_size=3),
@@ -768,13 +827,16 @@ class TestReadCorpusOneParse:
             '{"id":"r1","title":"Sistem Parkir","meta":{"tahun":"2020","kota":"Malang"}}\r\n'
             '\n'
             '{"id":"r2","title":"Aplikasi\u2028Kasir","solution":null,"meta":{}}\r\n'
-            '{"id":"r3","title":"Caf\\u00e9 \\\\ [sic","solution":"modul"}\n',
+            '{"id":"r3","title":"Caf\\u00e9 \\\\ [sic","solution":"modul"}\n'
+            '{"id":"r4","title":"Emoji \\ud83d\\ude00","meta":{"\\uD83D\\uDE00":"\\ud83d\\ude00"}}\n',
             encoding="utf-8",
         )
         expected = [
             Case("r1", "Sistem Parkir", meta={"tahun": "2020", "kota": "Malang"}),
             Case("r2", "Aplikasi\u2028Kasir", meta={}),
             Case("r3", "Café \\ [sic", solution="modul"),
+            # an escaped surrogate pair is one character
+            Case("r4", "Emoji \U0001f600", meta={"\U0001f600": "\U0001f600"}),
         ]
         with mock.patch.object(store, "_read_records", side_effect=AssertionError):
             assert read_corpus(path, "record") == expected
@@ -814,6 +876,23 @@ class TestReadCorpusOneParse:
         with pytest.raises(DataError) as caught:
             read_corpus(path, "record")
         assert str(caught.value) == f"{path}:2: 'title' is not encodable as UTF-8"
+
+    @pytest.mark.parametrize(
+        "record, field",
+        [
+            ('{"id":"r2 \\udfff","title":"x"}', "id"),
+            ('{"id":"r2","title":"x","solution":"\\uDBFF y"}', "solution"),
+            ('{"id":"r2","title":"x","meta":{"k\\ud800":"v"}}', "meta"),
+            ('{"id":"r2","title":"x","meta":{"k":"\\ud83d"}}', "meta"),
+        ],
+        ids=["id", "solution", "meta-key", "meta-value"],
+    )
+    def test_a_lone_surrogate_escape_in_any_field_is_named(self, tmp_path, record, field):
+        path = tmp_path / "surrogate.jsonl"
+        path.write_text('{"id":"r1","title":"ok"}\n' + record + "\n", encoding="utf-8")
+        with pytest.raises(DataError) as caught:
+            read_corpus(path, "record")
+        assert str(caught.value) == f"{path}:2: {field!r} is not encodable as UTF-8"
 
 
 class TestReadCorpusPlain:
