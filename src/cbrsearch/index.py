@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections import namedtuple
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Container, Iterable, Mapping, Sequence
 from itertools import accumulate, pairwise
 from operator import truediv
 from types import MappingProxyType
@@ -360,14 +360,13 @@ class Index:
         """Dot product of term-id-keyed *weights* with document *ordinal*.
 
         Summed from 0.0 in ascending term id over the document's count row,
-        weighted by :meth:`_row_weights`, so it equals an accumulation over
-        the postings bit for bit.
+        weighted by :meth:`_row_weights` and filtered to the terms of
+        *weights*, so it equals an accumulation over the postings bit for
+        bit. No weight is computed for a row term outside *weights*.
         """
-        total = 0.0
-        for tid, weight in self._row_weights(ordinal).items():
-            query_weight = weights.get(tid)
-            if query_weight is not None:
-                total += query_weight * weight
+        total = 0.0  # a loop, not sum(), which compensates its rounding from 3.12
+        for tid, weight in self._row_weights(ordinal, weights).items():
+            total += weights[tid] * weight
         return total
 
     def _row(self, ordinal: int) -> tuple[list[int], list[int]]:
@@ -375,12 +374,21 @@ class Index:
         start, end = self.row_offsets[ordinal : ordinal + 2]
         return self.term_ids[start:end], self.counts[start:end]
 
-    def _row_weights(self, ordinal: int) -> dict[int, float]:
-        """Term id -> weight over row *ordinal*, by the expression :meth:`_derive` posts."""
+    def _row_weights(self, ordinal: int, only: Container[int] | None = None) -> dict[int, float]:
+        """Term id -> weight over row *ordinal*, by the expression :meth:`_derive` posts.
+
+        With *only*, a container of term ids, the row's other terms are left
+        out; the token total, and so every weight, still counts the whole row.
+        :attr:`documents` and :meth:`dot` read their weights here.
+        """
         tids, counts = self._row(ordinal)
         token_total = sum(counts)
         idf = self._idf
-        return {tid: (count / token_total) * idf[tid] for tid, count in zip(tids, counts)}
+        return {
+            tid: (count / token_total) * idf[tid]
+            for tid, count in zip(tids, counts)
+            if only is None or tid in only
+        }
 
     def term_frequency(self, term: str, doc_id: str) -> float:
         """In-document frequency: count of *term* over the doc's token total.

@@ -34,8 +34,7 @@ import heapq
 import math
 from collections import namedtuple
 from collections.abc import Mapping
-from itertools import chain, compress, repeat
-from operator import le, lt, neg, truediv
+from itertools import chain, repeat
 
 from .index import Index, QueryVector
 
@@ -177,6 +176,12 @@ def _score(
     :meth:`Index.dot`, so every score is bit-identical, and the match count
     is the size of the union of all the query's lists. A document or a
     hand-built query of norm 0 scores 0.0, as in :func:`cosine_similarity`.
+
+    Each per-candidate step (the scores, then the threshold filter or the
+    theta cut) is one comprehension that indexes ``dots`` and ``norms`` by
+    ordinal. On CPython 3.11 and later the scores run about twice as fast
+    as through chained ``map`` calls, and the filters as fast as
+    ``compress``; on 3.10 the two forms take about the same time.
     """
     weights = query.weights
     binary = query.scorer == "set"
@@ -194,26 +199,22 @@ def _score(
         union.update(ordinals)
     candidates = list(union)
     # dot / (query_norm * norm), clamped to 1.0 as min(score, 1.0) would
-    denominators = map(query_norm.__mul__, map(norms.__getitem__, candidates))
-    products = map(dots.__getitem__, candidates)
     if binary or query_norm and not _has_idf_0(index, weights):
-        scores = list(map(truediv, products, denominators))
+        scores = [dots[o] / (query_norm * norms[o]) for o in candidates]
     else:  # a zero norm scores 0.0, as in cosine_similarity
-        scores = [dot / den if den else 0.0 for dot, den in zip(products, denominators)]
+        scores = [dots[o] / den if (den := query_norm * norms[o]) else 0.0 for o in candidates]
     if not skipped:
         scores = _clamp(scores)
         if scores and min(scores) <= threshold:
-            keep = list(map(lt, repeat(threshold), scores))
-            candidates = list(compress(candidates, keep))
-            scores = list(compress(scores, keep))
+            candidates = [o for o, score in zip(candidates, scores) if score > threshold]
+            scores = [score for score in scores if score > threshold]
         return candidates, scores, len(scores)
 
     # theta's own term has a bound of at least theta, so it was not skipped
     # and at least top_k candidates hold a partial score
-    theta = max(theta, heapq.nlargest(top_k, scores)[-1])
-    kept = list(map(le, repeat(theta - reach - SLACK), scores))
-    candidates = list(compress(candidates, kept))
-    scores = list(compress(scores, kept))
+    floor = max(theta, heapq.nlargest(top_k, scores)[-1]) - reach - SLACK
+    candidates = [o for o, score in zip(candidates, scores) if score >= floor]
+    scores = [score for score in scores if score >= floor]
     unseen = set(chain.from_iterable(map(index.postings.__getitem__, skipped)))
     total = len(union) + len(unseen) - len(unseen.intersection(union))
     stale = unseen.intersection(candidates)
@@ -254,8 +255,9 @@ def rank(
     materialized; everything else scores zero implicitly. Matches must score
     strictly above *threshold*. Ordering is by descending score with ties
     broken by ascending case id, and ``top_k`` truncates the list without
-    changing the reported total; with ``top_k`` set, only the best ``top_k``
-    are selected, without sorting every match.
+    changing the reported total; with ``top_k`` set, only the matches at or
+    above the ``top_k``-th best score are paired with their case ids and
+    sorted, so ties at the cut still break by case id.
 
     A ``top_k`` that is not an ``int`` (a ``bool`` included) raises
     TypeError; one below 1 raises ValueError. Scores lie in [0, 1], so a
@@ -277,13 +279,14 @@ def rank(
             raise ValueError(f"term id {tid} is not in the vocabulary of {term_count} terms")
     index._derive(query.weights)
     ordinals, scores, total = _score(index, query, threshold, top_k)
+    doc_ids = index.doc_ids
     if top_k is not None and top_k < len(scores):
         # only scores at or above the k-th best can rank in the top k
         cut = heapq.nlargest(top_k, scores)[-1]
-        keep = list(map(le, repeat(cut), scores))
-        ordinals, scores = compress(ordinals, keep), compress(scores, keep)
-    case_ids = map(index.doc_ids.__getitem__, ordinals)
-    best = sorted(zip(map(neg, scores), case_ids))[:top_k]
+        best = [(-score, doc_ids[o]) for o, score in zip(ordinals, scores) if score >= cut]
+    else:
+        best = [(-score, doc_ids[o]) for o, score in zip(ordinals, scores)]
+    best = sorted(best)[:top_k]
     matches = tuple(
         RankedMatch(case_id=doc_id, score=-negated, rank=position)
         for position, (negated, doc_id) in enumerate(best, start=1)

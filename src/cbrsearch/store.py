@@ -323,9 +323,11 @@ def _read_index(path: str | Path) -> Fields:
         )
     if len(distinct_term_ids) != len(terms):
         raise _corrupt(path, "a vocabulary term occurs in no document")
-    unencodable = _unencodable(raw, chain(doc_ids, titles, terms))
-    if unencodable is not None:
-        raise _corrupt(path, f"text not encodable as UTF-8 ({unencodable})") from unencodable
+    if _unencodable(raw, chain(doc_ids, titles, terms)) is not None:
+        fields = map(unencodable_field, map(Case, doc_ids, titles))
+        bad = [f"{field} of document {d!r}" for d, field in zip(doc_ids, fields) if field]
+        bad += [f"vocabulary term {term!r}" for term in terms if _unencodable(raw, (term,))]
+        raise _corrupt(path, f"{bad[0]} is not encodable as UTF-8")
     if not _sealed(raw):
         raise IndexFormatError(
             f"index checksum mismatch in {path}: the file was edited or "

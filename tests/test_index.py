@@ -17,6 +17,7 @@ from cbrsearch import (
     DataError,
     Index,
     PreprocessConfig,
+    QueryVector,
     TermNotIndexed,
     build_index,
     cosine_similarity,
@@ -25,7 +26,14 @@ from cbrsearch import (
     search,
 )
 from cbrsearch.index import extend_index
-from conftest import SAMPLE_TITLES, corpus_cases, generate_titles, generate_token_corpus, zipf_titles
+from conftest import (
+    SAMPLE_TITLES,
+    corpus_cases,
+    generate_titles,
+    generate_token_corpus,
+    random_query_tokens,
+    zipf_titles,
+)
 
 # log10(3/2) by hand: idf of a term in 2 of 3 documents
 IDF_TWO_OF_THREE = 0.17609125905568124
@@ -368,6 +376,46 @@ class TestIndexInvariants:
                 }
                 assert posted == counted
                 assert ordinals == sorted(set(ordinals))
+
+    def test_dot_is_the_ascending_sum_of_query_times_posted_weights(self):
+        rng = random.Random(6174)
+        checked = 0
+        for doc_tokens, index in self._random_indexes(seed=1729):
+            index._derive(range(len(index.vocabulary)))
+            posted = {
+                (ordinal, tid): weight
+                for tid, ordinals in enumerate(index.postings)
+                for ordinal, weight in zip(ordinals, index.posting_weights[tid])
+            }
+            queries = [
+                index.vectorize_query(random_query_tokens(rng, doc_tokens), scorer)
+                for scorer in ("cosine", "set")
+                for _ in range(4)
+            ]
+            for _ in range(4):  # hand-built, and not keyed in ascending order
+                tids = rng.sample(range(len(index.vocabulary)), rng.randint(1, 6))
+                queries.append(QueryVector({tid: rng.uniform(0.0, 3.0) for tid in tids}))
+            for query in queries:
+                for ordinal in range(index.corpus_size):
+                    expected = 0.0
+                    for tid in sorted(query.weights):
+                        if (ordinal, tid) in posted:
+                            expected += query.weights[tid] * posted[ordinal, tid]
+                            checked += 1
+                    assert index.dot(ordinal, query.weights).hex() == expected.hex()
+        assert checked > 1000
+
+    def test_row_weights_are_the_document_weights_and_filter_to_only(self):
+        rng = random.Random(1089)
+        for _, index in self._random_indexes():
+            for ordinal, doc_id in enumerate(index.doc_ids):
+                weights = index._row_weights(ordinal)
+                assert _bits(weights.values()) == _bits(index.documents[doc_id].weights.values())
+                assert list(weights) == list(index.documents[doc_id].weights)
+                only = set(rng.sample(range(len(index.vocabulary)), 5))
+                assert index._row_weights(ordinal, only) == {
+                    tid: weight for tid, weight in weights.items() if tid in only
+                }
 
     def test_stored_norms_match_recomputation(self):
         for _, index in self._random_indexes():

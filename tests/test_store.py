@@ -622,15 +622,35 @@ class TestReaderChecks:
     def test_a_lone_surrogate_escape_of_either_case_is_not_encodable(
         self, small_index, tmp_path, escape
     ):
+        path = self._resealed_with_a_surrogate(small_index, tmp_path, "titles", 1, escape)
+        with pytest.raises(IndexFormatError) as caught:
+            load_index(path)
+        message = f"corrupt index file {path}: title of document 'd2' is not encodable as UTF-8"
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "key, position, name",
+        [("ids", 2, "id of document 'd3\\udcff'"), ("terms", 1, "vocabulary term 'b\\udcff'")],
+    )
+    def test_a_lone_surrogate_in_an_id_or_a_term_is_named(
+        self, small_index, tmp_path, key, position, name
+    ):
+        path = self._resealed_with_a_surrogate(small_index, tmp_path, key, position, "\\udcff")
+        with pytest.raises(IndexFormatError) as caught:
+            load_index(path)
+        assert str(caught.value) == f"corrupt index file {path}: {name} is not encodable as UTF-8"
+
+    @staticmethod
+    def _resealed_with_a_surrogate(index, tmp_path, key, position, escape):
+        """A sealed copy of *index* whose *key* string at *position* ends in *escape*."""
         path = tmp_path / "surrogate.idx"
-        save_index(small_index, path)
+        save_index(index, path)
         document = json.loads(path.read_text(encoding="utf-8"))
-        document["titles"][0] += "\udcff"
+        document[key][position] += "\udcff"
         text = sealed_index_text(document)
         body = text.rpartition(_CHECKSUM_KEY)[0].replace("\\udcff", escape) + "}"
         path.write_text(_seal_once(body), encoding="utf-8")
-        with pytest.raises(IndexFormatError, match="not encodable as UTF-8"):
-            load_index(path)
+        return path
 
     def test_an_escaped_backslash_before_ud_loads(self, tmp_path):
         index, _ = build_index([Case("d1", "a \\udcff b"), Case("d2", "a \\uDCFF c")])
