@@ -4,14 +4,16 @@ Subcommands: ``index`` builds an index file from a corpus, ``query`` ranks
 matches for a keyword or full-title query, ``add`` retains a new case into a
 corpus/index pair, and ``eval`` runs the two-stage word-order experiment
 (every title queried verbatim, then with its words deterministically
-shuffled; both stages must find the same titles).
+shuffled; both stages must find the same titles), one loop over the titles
+that prints its report once every title is done.
 
 Every command that answers a query (``query``, both stages of ``eval``) calls
 :func:`cbrsearch.casebase.search`, the package's one query path, and only
-those load an :class:`Index`, which derives only the tables of the terms
-they rank. The commands that write an index file, ``index`` and ``add``,
-tokenize into its stored fields and write them as they are: postings,
-weights and norms serve only a search, so they are never built there.
+those load an :class:`~cbrsearch.index.Index`, which derives only the
+tables of the terms they rank. The commands that write an index file,
+``index`` and ``add``, tokenize into its stored fields and write them as
+they are: postings, weights and norms serve only a search, so they are
+never built there.
 
 Exit codes: 0 success, 1 usage error, 2 data or I/O error, 3 search property
 violation (``eval`` only).
@@ -25,13 +27,12 @@ import json
 import math
 import random
 import sys
-from collections import namedtuple
 from contextlib import contextmanager
 from pathlib import Path
 
 from .casebase import search
 from .errors import DataError, SearchError
-from .index import SCORERS, Case, Index, _build_fields, _extend_fields, _refuse_duplicate_ids
+from .index import SCORERS, Case, _build_fields, _extend_fields, _refuse_duplicate_ids
 from .preprocess import PreprocessConfig, load_stopwords, tokenize
 from .store import (
     _read_index,
@@ -246,28 +247,6 @@ def _index_tail(cases, doc_ids, titles, config) -> list[tuple[str, str]] | None:
     return [] if expected is None else [expected, *pairs]
 
 
-class EvalRow(
-    namedtuple(
-        "EvalRow",
-        "original_query permuted_query found_stage1 found_stage2 top_score_stage2",
-    )
-):
-    __slots__ = ()
-    original_query: str
-    permuted_query: str
-    found_stage1: int
-    found_stage2: int
-    top_score_stage2: float
-
-
-class EvalReport(namedtuple("EvalReport", "rows mean_top_score seed scorer")):
-    __slots__ = ()
-    rows: tuple[EvalRow, ...]
-    mean_top_score: float
-    seed: int
-    scorer: str
-
-
 def _permute_title(title: str, seed: int, row: int) -> str:
     """Shuffle the whitespace-separated words of a raw title.
 
@@ -279,54 +258,14 @@ def _permute_title(title: str, seed: int, row: int) -> str:
     return " ".join(words)
 
 
-def run_two_stage_eval(
-    index: Index, titles: list[str], seed: int, scorer: str
-) -> tuple[EvalReport, list[str]]:
+def cmd_eval(args) -> int:
     """Query each title verbatim, then word-shuffled, and compare the stages.
 
-    Returns the report plus a list of violations: any row where the shuffled
-    query found a different number of titles, or where a title stored in the
-    corpus failed to come back with a top score of 1.0. No *titles* at all
-    is a :class:`DataError`.
+    A violation is any row where the shuffled query found a different number
+    of titles, or where a title stored in the corpus failed to come back with
+    a top score of 1.0. The report is printed once every row is done, and
+    the violations go to stderr.
     """
-    if not titles:
-        raise DataError("no titles to evaluate")
-    stored_titles = set(index.titles.values())
-    # a shuffled title has its title's tokens: one row scan derives every query's terms
-    tokens = {token for title in titles for token in tokenize(title, index.config)}
-    index._derive({tid for tid in map(index.vocabulary.lookup, tokens) if tid is not None})
-    rows: list[EvalRow] = []
-    violations: list[str] = []
-    for row_number, title in enumerate(titles, start=1):
-        found1 = search(index, title, scorer=scorer, top_k=1).total_matches
-        permuted = _permute_title(title, seed, row_number)
-        stage2 = search(index, permuted, scorer=scorer, top_k=1)
-        found2 = stage2.total_matches
-        top2 = stage2.top.score if stage2.top else 0.0
-        rows.append(
-            EvalRow(
-                original_query=title,
-                permuted_query=permuted,
-                found_stage1=found1,
-                found_stage2=found2,
-                top_score_stage2=top2,
-            )
-        )
-        if found2 != found1:
-            violations.append(
-                f"row {row_number}: stage-2 found {found2} titles, stage-1 found {found1}"
-            )
-        elif title in stored_titles and abs(top2 - 1.0) > SCORE_TOLERANCE:
-            violations.append(
-                f"row {row_number}: stage-2 top score {top2:.6f} for a stored title"
-                " (expected 1.0)"
-            )
-    mean = sum(r.top_score_stage2 for r in rows) / len(rows)
-    report = EvalReport(rows=tuple(rows), mean_top_score=mean, seed=seed, scorer=scorer)
-    return report, violations
-
-
-def cmd_eval(args) -> int:
     index = load_index(args.index)
     try:
         raw = Path(args.titles).read_text(encoding="utf-8")
@@ -336,23 +275,41 @@ def cmd_eval(args) -> int:
     if not titles:
         raise DataError(f"titles file {args.titles} contains no titles")
 
-    report, violations = run_two_stage_eval(index, titles, args.seed, args.scorer)
-    print(f"seed: {report.seed}")
-    print(f"scorer: {report.scorer}")
-    for row_number, row in enumerate(report.rows, start=1):
-        print(
-            f"row {row_number}: found_stage1={row.found_stage1} "
-            f"found_stage2={row.found_stage2} "
-            f"top_score_stage2={row.top_score_stage2:.6f}"
-        )
-        print(f"  stage1: {row.original_query}")
-        print(f"  stage2: {row.permuted_query}")
-    print(f"mean top score: {report.mean_top_score:.6f}")
-    if violations:
-        for violation in violations:
-            print(f"violation: {violation}", file=sys.stderr)
-        return EXIT_PROPERTY
-    return EXIT_OK
+    stored_titles = set(index.titles.values())
+    # a shuffled title has its title's tokens: one row scan derives every query's terms
+    tokens = {token for title in titles for token in tokenize(title, index.config)}
+    index._derive({tid for tid in map(index.vocabulary.lookup, tokens) if tid is not None})
+    lines = [f"seed: {args.seed}", f"scorer: {args.scorer}"]
+    top_scores: list[float] = []
+    violations: list[str] = []
+    for row_number, title in enumerate(titles, start=1):
+        found1 = search(index, title, scorer=args.scorer, top_k=1).total_matches
+        permuted = _permute_title(title, args.seed, row_number)
+        stage2 = search(index, permuted, scorer=args.scorer, top_k=1)
+        found2 = stage2.total_matches
+        top2 = stage2.top.score if stage2.top else 0.0
+        top_scores.append(top2)
+        lines += [
+            f"row {row_number}: found_stage1={found1} found_stage2={found2} "
+            f"top_score_stage2={top2:.6f}",
+            f"  stage1: {title}",
+            f"  stage2: {permuted}",
+        ]
+        if found2 != found1:
+            violations.append(
+                f"row {row_number}: stage-2 found {found2} titles, stage-1 found {found1}"
+            )
+        elif title in stored_titles and abs(top2 - 1.0) > SCORE_TOLERANCE:
+            violations.append(
+                f"row {row_number}: stage-2 top score {top2:.6f} for a stored title"
+                " (expected 1.0)"
+            )
+    for line in lines:
+        print(line)
+    print(f"mean top score: {sum(top_scores) / len(top_scores):.6f}")
+    for violation in violations:
+        print(f"violation: {violation}", file=sys.stderr)
+    return EXIT_PROPERTY if violations else EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,8 +1,8 @@
 """Text normalization for corpus titles and incoming queries.
 
 Titles and queries pass through the same pipeline so query terms land in
-exactly the form the index stores: split on non-alphanumeric runs, lowercase,
-drop stopwords and under-length tokens. No stemming, no n-grams.
+exactly the form the index stores: split on non-alphanumeric runs, lowercase
+every token, drop stopwords and under-length tokens. No stemming, no n-grams.
 
 :class:`PreprocessConfig` is an immutable named tuple. Construction and
 ``_replace`` alike check its minimum token length and lowercase its
@@ -22,7 +22,7 @@ from .errors import ConfigError
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 
-class PreprocessConfig(namedtuple("PreprocessConfig", "casefold stopwords min_token_length")):
+class PreprocessConfig(namedtuple("PreprocessConfig", "stopwords min_token_length")):
     """Tokenizer settings shared by indexing and querying.
 
     Stopword entries are held in lowercase form regardless of how they were
@@ -30,20 +30,14 @@ class PreprocessConfig(namedtuple("PreprocessConfig", "casefold stopwords min_to
     """
 
     __slots__ = ()
-    casefold: bool
     stopwords: frozenset[str]
     min_token_length: int
 
-    def __new__(
-        cls,
-        casefold: bool = True,
-        stopwords: frozenset[str] = frozenset(),
-        min_token_length: int = 1,
-    ):
+    def __new__(cls, stopwords: frozenset[str] = frozenset(), min_token_length: int = 1):
         if min_token_length < 1:
             raise ConfigError(f"min_token_length must be >= 1, got {min_token_length}")
         stopwords = frozenset(w.lower() for w in stopwords)
-        return tuple.__new__(cls, (casefold, stopwords, min_token_length))
+        return tuple.__new__(cls, (stopwords, min_token_length))
 
     @classmethod
     def _make(cls, iterable) -> PreprocessConfig:
@@ -51,9 +45,12 @@ class PreprocessConfig(namedtuple("PreprocessConfig", "casefold stopwords min_to
         return cls(*iterable)
 
     def fingerprint(self) -> str:
-        """Stable hex digest identifying this configuration."""
-        canonical = "casefold={}\nmin_token_length={}\nstopwords={}".format(
-            int(self.casefold),
+        """Stable hex digest identifying this configuration.
+
+        The digest still covers a ``casefold=1`` line, from when lowercasing
+        could be turned off, so index files keep the fingerprints they hold.
+        """
+        canonical = "casefold=1\nmin_token_length={}\nstopwords={}".format(
             self.min_token_length,
             ",".join(sorted(self.stopwords)),
         )
@@ -66,14 +63,14 @@ def tokenize(text: str, config: PreprocessConfig | None = None) -> list[str]:
     Splitting happens on maximal runs of non-alphanumeric characters, so
     punctuation and whitespace never survive into tokens. Empty or
     separator-only input yields an empty list rather than an error.
+    Every token is lowercased, after the split: lowering the text first
+    would let a character that lowercases to two (``"İ"``) split a token.
     """
     # one unpacking: a field read on a named tuple costs more than a local
-    casefold, stopwords, min_length = PreprocessConfig() if config is None else config
-    pieces = _TOKEN_RE.findall(text)
-    if casefold:
-        # plain lowercase, not full casefolding: keeps Latin-script corpora
-        # locale-independent
-        pieces = [piece.lower() for piece in pieces]
+    stopwords, min_length = PreprocessConfig() if config is None else config
+    # plain lowercase, not full casefolding: keeps Latin-script corpora
+    # locale-independent
+    pieces = [piece.lower() for piece in _TOKEN_RE.findall(text)]
     return [piece for piece in pieces if len(piece) >= min_length and piece not in stopwords]
 
 

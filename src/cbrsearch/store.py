@@ -2,9 +2,11 @@
 
 Index file (format version 4)
     A single-line JSON document. It stores the preprocessing configuration
-    and its fingerprint, the vocabulary as a plain ``terms`` list (a term's
-    id is its position), the documents as parallel ``ids`` and ``titles``
-    lists, and the documents' count rows as three flat int lists:
+    and its fingerprint (its ``casefold`` is always ``true``, as tokens are
+    always lowercased; a file holding ``false`` must be rebuilt), the
+    vocabulary as a plain ``terms`` list (a term's id is its position), the
+    documents as parallel ``ids`` and ``titles`` lists, and the documents'
+    count rows as three flat int lists:
     ``row_lengths`` (distinct terms per document), then ``term_ids`` and
     ``counts``, which hold every row's term ids, ascending within a row,
     and their counts, rows in document order. Weights, token totals and document
@@ -127,7 +129,7 @@ def _write_index(path: str | Path, config: PreprocessConfig, *lists: Sequence) -
         "format": _FORMAT_NAME,
         "format_version": INDEX_FORMAT_VERSION,
         "preprocess": {
-            "casefold": config.casefold,
+            "casefold": True,  # tokens are always lowercased
             "min_token_length": config.min_token_length,
             "stopwords": sorted(config.stopwords),
         },
@@ -281,7 +283,6 @@ def _read_index(path: str | Path) -> Fields:
         if type(casefold) is not bool or type(min_token_length) is not int:
             raise ValueError("casefold must be a bool and min_token_length an int")
         config = PreprocessConfig(
-            casefold=casefold,
             stopwords=frozenset(stopwords),
             min_token_length=min_token_length,
         )
@@ -292,6 +293,11 @@ def _read_index(path: str | Path) -> Fields:
             raise KeyError("weights_sha256")
     except (KeyError, TypeError, ValueError, OverflowError, ConfigError) as exc:
         raise _corrupt(path, f"missing or malformed field ({exc})") from exc
+    if not casefold:  # fingerprinted as casefold=0: checked before the fingerprint
+        raise IndexFormatError(
+            f"index file {path} keeps the case of its tokens, which is not supported; "
+            "rebuild it with `cbrsearch index`"
+        )
     if config.fingerprint() != fingerprint:
         raise _corrupt(path, "preprocess fingerprint does not match stored configuration")
     if not _only(list, lists):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import random
@@ -13,7 +14,6 @@ import pytest
 
 from cbrsearch import (
     Case,
-    DataError,
     PreprocessConfig,
     build_index,
     cli,
@@ -746,10 +746,6 @@ class TestCmdEval:
         monkeypatch.setattr(cli, "load_index", lambda path: build_index(cases)[0])
         assert run_cli(argv, capsys) == (EXIT_OK, out, "")
 
-    def test_no_titles_raises_a_data_error(self, indexed):
-        with pytest.raises(DataError, match="no titles to evaluate"):
-            cli.run_two_stage_eval(load_index(indexed), [], 1, "cosine")
-
     def test_count_mismatch_exits_3(self, indexed, titles_file, capsys, monkeypatch):
         # sabotage the shuffle so stage 2 queries something else entirely
         monkeypatch.setattr(cli, "_permute_title", lambda title, seed, row: "navigasi gedung")
@@ -776,6 +772,132 @@ class TestCmdEval:
         )
         assert code == EXIT_PROPERTY
         assert "expected 1.0" in err
+
+
+def _double_first_word(title, seed, row):
+    # keeps the term set (and so the found count) but tilts the query away
+    # from the stored title's direction
+    words = title.split()
+    return " ".join([words[0]] + words)
+
+
+class TestGoldenOutput:
+    """Output and file bytes pinned as literals, so a rewrite cannot drift.
+
+    The other tests compare one command with another inside one version of
+    the code; these hold every byte ``eval`` prints, and the sha256 of the
+    files ``index`` and ``add`` write, to values that do not move with it.
+    """
+
+    # a stored title, a keyword phrase that is not stored, and a line whose
+    # every token is unknown
+    EVAL_TITLES = (
+        "Sistem Navigasi Gedung dengan Metode Algoritma Djikstra\n"
+        "sistem monitoring kinerja\n"
+        "zzz qqq\n"
+    )
+    EVAL_ROWS = (
+        "row 1: found_stage1=4 found_stage2=4 top_score_stage2=1.000000\n"
+        "  stage1: Sistem Navigasi Gedung dengan Metode Algoritma Djikstra\n"
+        "  stage2: Sistem Djikstra Algoritma Gedung dengan Metode Navigasi\n"
+        "row 2: found_stage1=4 found_stage2=4 top_score_stage2={}\n"
+        "  stage1: sistem monitoring kinerja\n"
+        "  stage2: kinerja sistem monitoring\n"
+        "row 3: found_stage1=0 found_stage2=0 top_score_stage2=0.000000\n"
+        "  stage1: zzz qqq\n"
+        "  stage2: qqq zzz\n"
+    )
+
+    @pytest.fixture
+    def eval_argv(self, indexed, tmp_path):
+        titles = tmp_path / "titles.txt"
+        titles.write_text(self.EVAL_TITLES, encoding="utf-8")
+        return ["eval", "--index", str(indexed), "--titles", str(titles), "--seed", "42"]
+
+    @pytest.mark.parametrize(
+        "scorer, row_2_score, mean",
+        [("cosine", "0.344163", "0.448054"), ("set", "0.471405", "0.490468")],
+    )
+    def test_eval_prints_the_pinned_report(self, eval_argv, capsys, scorer, row_2_score, mean):
+        out = (
+            f"seed: 42\nscorer: {scorer}\n"
+            + self.EVAL_ROWS.format(row_2_score)
+            + f"mean top score: {mean}\n"
+        )
+        assert run_cli([*eval_argv, "--scorer", scorer], capsys) == (EXIT_OK, out, "")
+
+    @pytest.mark.parametrize(
+        "permute, out, err",
+        [
+            (
+                lambda title, seed, row: "navigasi gedung",
+                "row 1: found_stage1=4 found_stage2=1 top_score_stage2=0.576428\n"
+                "  stage1: Sistem Navigasi Gedung dengan Metode Algoritma Djikstra\n"
+                "  stage2: navigasi gedung\n"
+                "row 2: found_stage1=4 found_stage2=1 top_score_stage2=0.576428\n"
+                "  stage1: sistem monitoring kinerja\n"
+                "  stage2: navigasi gedung\n"
+                "row 3: found_stage1=0 found_stage2=1 top_score_stage2=0.576428\n"
+                "  stage1: zzz qqq\n"
+                "  stage2: navigasi gedung\n"
+                "mean top score: 0.576428\n",
+                "violation: row 1: stage-2 found 1 titles, stage-1 found 4\n"
+                "violation: row 2: stage-2 found 1 titles, stage-1 found 4\n"
+                "violation: row 3: stage-2 found 1 titles, stage-1 found 0\n",
+            ),
+            (
+                _double_first_word,
+                "row 1: found_stage1=4 found_stage2=4 top_score_stage2=0.998422\n"
+                "  stage1: Sistem Navigasi Gedung dengan Metode Algoritma Djikstra\n"
+                "  stage2: Sistem Sistem Navigasi Gedung dengan Metode Algoritma Djikstra\n"
+                "row 2: found_stage1=4 found_stage2=4 top_score_stage2=0.345752\n"
+                "  stage1: sistem monitoring kinerja\n"
+                "  stage2: sistem sistem monitoring kinerja\n"
+                "row 3: found_stage1=0 found_stage2=0 top_score_stage2=0.000000\n"
+                "  stage1: zzz qqq\n"
+                "  stage2: zzz zzz qqq\n"
+                "mean top score: 0.448058\n",
+                "violation: row 1: stage-2 top score 0.998422 for a stored title"
+                " (expected 1.0)\n",
+            ),
+        ],
+        ids=["count-mismatch", "degraded-top-score"],
+    )
+    def test_eval_violations_print_the_pinned_lines(
+        self, eval_argv, capsys, monkeypatch, permute, out, err
+    ):
+        monkeypatch.setattr(cli, "_permute_title", permute)
+        expected = (EXIT_PROPERTY, "seed: 42\nscorer: cosine\n" + out, err)
+        assert run_cli(eval_argv, capsys) == expected
+
+    def test_index_and_add_write_the_pinned_bytes(self, tmp_path, capsys):
+        corpus, stop, index_path = (
+            tmp_path / "corpus.jsonl", tmp_path / "stop.txt", tmp_path / "corpus.idx"
+        )
+        titles = [*SAMPLE_TITLES, "Aplikasi E Voting di Desa"]
+        corpus.write_text(
+            "".join(json.dumps({"id": f"r{n}", "title": t}) + "\n" for n, t in enumerate(titles, 1)),
+            encoding="utf-8",
+        )
+        stop.write_text("dan\nDengan\n", encoding="utf-8")
+        code, _, _ = run_cli(
+            ["index", "--input", str(corpus), "--format", "record", "--output", str(index_path),
+             "--stopwords", str(stop), "--min-token-len", "2"],
+            capsys,
+        )
+        assert code == EXIT_OK
+        assert hashlib.sha256(index_path.read_bytes()).hexdigest() == (
+            "c7943e44eeaf0ca20b3b3ac1ddfbaecd992f6e63ddc29c79cace4bf9b65acccd"
+        )
+        code, _, _ = run_cli(
+            ["add", "--index", str(index_path), "--corpus", str(corpus), "--id", "r7",
+             "--title", "Sistem Pakar X dan Monitoring Gedung"],
+            capsys,
+        )
+        assert code == EXIT_OK
+        assert hashlib.sha256(index_path.read_bytes()).hexdigest() == (
+            "67ee7654be3d81c5e743b5f25713f5918612aed3dde5c8fa0df7e5d51858ff18"
+        )
 
 
 class TestUsageErrors:

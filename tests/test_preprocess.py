@@ -26,10 +26,6 @@ class TestTokenize:
     def test_punctuation_splits_and_surface_order_is_kept(self):
         assert tokenize("TF-IDF, TF-IDF!") == ["tf", "idf", "tf", "idf"]
 
-    def test_casefold_can_be_disabled(self):
-        config = PreprocessConfig(casefold=False)
-        assert tokenize("Sistem TF-IDF", config) == ["Sistem", "TF", "IDF"]
-
     def test_stopwords_are_dropped(self):
         config = PreprocessConfig(stopwords=frozenset({"dengan", "dan"}))
         assert tokenize("Sistem dengan Metode dan Data", config) == ["sistem", "metode", "data"]
@@ -45,6 +41,10 @@ class TestTokenize:
 
     def test_digits_and_accented_letters_are_token_characters(self):
         assert tokenize("algoritma2 café") == ["algoritma2", "café"]
+
+    def test_each_token_is_lowercased_after_the_split(self):
+        # "İ".lower() gains a combining dot, which is no token character
+        assert tokenize("İstanbul İZMİR") == ["i\u0307stanbul", "i\u0307zmi\u0307r"]
 
     def test_min_token_length_below_one_is_rejected(self):
         with pytest.raises(ConfigError, match="min_token_length"):
@@ -106,6 +106,15 @@ class TestFingerprint:
 
     def test_any_field_change_changes_the_fingerprint(self):
         base = PreprocessConfig()
-        assert base.fingerprint() != PreprocessConfig(casefold=False).fingerprint()
         assert base.fingerprint() != PreprocessConfig(min_token_length=2).fingerprint()
         assert base.fingerprint() != PreprocessConfig(stopwords=frozenset({"di"})).fingerprint()
+
+    def test_fingerprints_are_pinned(self):
+        # index files store the fingerprint: a changed digest breaks every one
+        assert PreprocessConfig().fingerprint() == (
+            "57e8a2f347fabab1d98b0b5b9aaf7030e26684ce14872f64e523cebc1930c4a0"
+        )
+        config = PreprocessConfig(stopwords={"Dan", "di"}, min_token_length=2)
+        assert config.fingerprint() == (
+            "9746e50db8f42778a7e51a2abec034e9e0f9c715285dd1784f6425e0f7ebb58f"
+        )

@@ -22,7 +22,6 @@ from cbrsearch import (
     RetrievalOutcome,
     ReuseResult,
 )
-from cbrsearch.cli import EvalReport, EvalRow
 
 RECORDS = [
     Case,
@@ -34,8 +33,6 @@ RECORDS = [
     RankedResults,
     RetrievalOutcome,
     ReuseResult,
-    EvalRow,
-    EvalReport,
 ]
 
 

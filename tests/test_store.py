@@ -214,8 +214,9 @@ class TestRejection:
         ],
     )
     def test_config_of_the_wrong_json_type_is_corrupt(self, tmp_path, key, value, saved):
-        # the fingerprint still matches: the value means the saved one loosely read
-        config = PreprocessConfig(**{key: saved})
+        # the fingerprint still matches: the value means the saved one loosely read;
+        # casefold is always saved as true
+        config = PreprocessConfig(**({} if key == "casefold" else {key: saved}))
         index, _ = build_index([Case("d1", "sistem data"), Case("d2", "aplikasi web")], config)
         path = tmp_path / "config.idx"
         save_index(index, path)
@@ -224,6 +225,20 @@ class TestRejection:
         path.write_text(sealed_index_text(document), encoding="utf-8")
         with pytest.raises(IndexFormatError, match="corrupt"):
             load_index(path)
+
+    def test_a_file_that_keeps_the_case_of_its_tokens_must_be_rebuilt(self, tmp_path, capsys):
+        index, _ = build_index([Case("d1", "sistem data"), Case("d2", "aplikasi web")])
+        path = tmp_path / "cased.idx"
+        save_index(index, path)
+        document = json.loads(path.read_text(encoding="utf-8"))
+        document["preprocess"]["casefold"] = False
+        path.write_text(sealed_index_text(document), encoding="utf-8")
+        message = f"index file {path} keeps the case of its tokens, which is not supported; "
+        with pytest.raises(IndexFormatError, match="rebuild it with `cbrsearch index`$") as caught:
+            load_index(path)
+        assert str(caught.value).startswith(message)
+        assert main(["query", "--index", str(path), "--query", "sistem"]) == EXIT_DATA
+        assert capsys.readouterr() == ("", f"error: {caught.value}\n")
 
     # the saved columns of the rows below: row_lengths [2, 2, 2, 1],
     # term_ids [0, 1, 0, 2, 1, 2, 2] and counts [1, 1, 1, 1, 1, 1, 1]
@@ -398,7 +413,7 @@ def _written_once(fields) -> bytes:
         "format": "cbrsearch-index",
         "format_version": 4,
         "preprocess": {
-            "casefold": config.casefold,
+            "casefold": True,
             "min_token_length": config.min_token_length,
             "stopwords": sorted(config.stopwords),
         },
