@@ -27,7 +27,6 @@ from .errors import (
     IndexFormatError,
     SearchError,
     StateError,
-    TermNotIndexed,
 )
 from .index import (
     Case,
@@ -68,7 +67,6 @@ __all__ = [
     "ReuseResult",
     "SearchError",
     "StateError",
-    "TermNotIndexed",
     "Vocabulary",
     "append_case",
     "build_index",

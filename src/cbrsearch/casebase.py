@@ -131,20 +131,18 @@ class CaseBase:
         self,
         case_id: str,
         *,
-        id: str | None = None,
         title: str | None = None,
         solution: str | None = None,
         meta: Mapping[str, str] | None = None,
     ) -> "CaseBase":
         """Return a new CaseBase with the named case edited.
 
-        Fields left as None keep their current value. The id cannot change,
-        and the edited title must still produce at least one token. An edit
-        that keeps the title keeps the index and report as they are.
+        Fields left as None keep their current value. The case keeps
+        *case_id*, and the edited title must still produce at least one
+        token. An edit that keeps the title keeps the index and report as
+        they are.
         """
         current = self.case(case_id)
-        if id is not None and id != case_id:
-            raise DataError(f"revise cannot change the case id ({case_id!r} -> {id!r})")
         edited = Case(
             id=case_id,
             title=current.title if title is None else title,

@@ -128,9 +128,12 @@ def cmd_index(args) -> int:
     config = PreprocessConfig(
         stopwords=frozenset(stopwords), min_token_length=args.min_token_len
     )
-    cases = read_corpus(args.input, args.format)
-    fields, report = _build_fields(cases, config)
-    _write_index(args.output, *fields)
+    # under the corpus lock that `add` holds: a rebuild and an add of the
+    # same corpus run one after the other, so neither loses the other's work
+    with _locked(args.input):
+        cases = read_corpus(args.input, args.format)
+        fields, report = _build_fields(cases, config)
+        _write_index(args.output, *fields)
     print(f"cases indexed: {report.indexed}")
     print(f"cases skipped: {len(report.skipped)}")
     for case_id, reason in report.skipped:
@@ -320,10 +323,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except SearchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (SearchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -19,15 +19,3 @@ class StateError(SearchError):
 
 class IndexFormatError(SearchError):
     """An index file is unreadable, corrupt, or of an unsupported version."""
-
-
-class TermNotIndexed(SearchError, KeyError):
-    """A term has no entry in the index (document frequency is zero).
-
-    Query code treats this as "drop the term"; the inverse-document-frequency
-    ratio has no defined value when no document contains the term.
-    """
-
-    def __str__(self) -> str:
-        # bypass KeyError.__str__, which repr()s the message
-        return Exception.__str__(self)

@@ -41,7 +41,7 @@ from itertools import accumulate, pairwise
 from operator import truediv
 from types import MappingProxyType
 
-from .errors import DataError, TermNotIndexed
+from .errors import DataError
 from .preprocess import PreprocessConfig, tokenize
 
 SCORERS = ("cosine", "set")
@@ -108,9 +108,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def __contains__(self, term: str) -> bool:
-        return term in self._ids
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Vocabulary):
             return NotImplemented
@@ -131,19 +128,8 @@ class Vocabulary:
         """Term id, or None when the term was never indexed."""
         return self._ids.get(term)
 
-    def term_id(self, term: str) -> int:
-        tid = self._ids.get(term)
-        if tid is None:
-            raise TermNotIndexed(f"term not indexed: {term!r}")
-        return tid
-
     def term(self, term_id: int) -> str:
         return self._terms[term_id]
-
-    def document_frequency(self, term: str) -> int:
-        """Number of documents containing *term*; 0 for unknown terms."""
-        tid = self._ids.get(term)
-        return 0 if tid is None else self._df[tid]
 
 
 class DocumentVector(namedtuple("DocumentVector", "doc_id weights raw_counts token_total")):
@@ -403,25 +389,6 @@ class Index:
         if tid is None:
             return 0.0
         return doc.raw_counts.get(tid, 0) / doc.token_total
-
-    def inverse_document_frequency(self, term: str) -> float:
-        """log10(corpus_size / document_frequency) for an indexed term.
-
-        Raises :class:`TermNotIndexed` when no document contains the term:
-        the ratio is undefined at document frequency zero, and callers on the
-        query path treat that as "drop this term".
-        """
-        tid = self.vocabulary.lookup(term)
-        if tid is None:
-            raise TermNotIndexed(f"term not indexed: {term!r}")
-        return self._idf[tid]
-
-    def tfidf_weight(self, term: str, doc_id: str) -> float:
-        """Product of in-document frequency and inverse document frequency.
-
-        Equal to the weight stored in the document's vector.
-        """
-        return self.term_frequency(term, doc_id) * self.inverse_document_frequency(term)
 
     def vectorize_query(self, tokens: Sequence[str], scorer: str = "cosine") -> QueryVector:
         """Convert query tokens into the weight space of *scorer*.

@@ -36,7 +36,7 @@ from collections import namedtuple
 from collections.abc import Mapping
 from itertools import chain, repeat
 
-from .index import Index, QueryVector
+from .index import SCORERS, Index, QueryVector
 
 SLACK = 1e-9  # room left in every bound check for rounding
 
@@ -261,8 +261,11 @@ def rank(
 
     A ``top_k`` that is not an ``int`` (a ``bool`` included) raises
     TypeError; one below 1 raises ValueError. Scores lie in [0, 1], so a
-    *threshold* below 0, or NaN, raises ValueError too, and so does a query
-    term id outside ``range(len(index.vocabulary))``.
+    *threshold* below 0, or NaN, raises ValueError too. So does a query it
+    cannot score: one whose scorer is not in ``SCORERS``, one with a term id
+    outside ``range(len(index.vocabulary))``, or one whose weights have no
+    finite norm (a NaN or infinite weight, or one whose square overflows).
+    A query of norm 0 matches nothing.
     """
     if top_k is not None:
         if isinstance(top_k, bool) or not isinstance(top_k, int):
@@ -273,10 +276,14 @@ def rank(
         raise ValueError(f"threshold must be a number of at least 0, got {threshold!r}")
     if not isinstance(query, QueryVector):
         raise TypeError(f"query must be a QueryVector, got {type(query).__name__}")
+    if query.scorer not in SCORERS:
+        raise ValueError(f"unknown scorer: {query.scorer!r}")
     term_count = len(index.vocabulary)
     for tid in query.weights:
         if not 0 <= tid < term_count:
             raise ValueError(f"term id {tid} is not in the vocabulary of {term_count} terms")
+    if not math.isfinite(_norm(query.weights)):
+        raise ValueError("query weights must have a finite norm")
     index._derive(query.weights)
     ordinals, scores, total = _score(index, query, threshold, top_k)
     doc_ids = index.doc_ids

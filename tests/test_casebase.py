@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -130,7 +131,7 @@ class TestRevise:
             title_base.revise("nope", solution="x")
 
     def test_id_change_is_refused(self, title_base):
-        with pytest.raises(DataError, match="id"):
+        with pytest.raises(TypeError, match="id"):
             title_base.revise("2", id="9")
 
     def test_title_that_tokenizes_to_empty_is_refused(self, title_base):
@@ -234,3 +235,16 @@ class TestSelfConsistency:
             assert abs(top.score - 1.0) <= 1e-9
             tied = [m for m in outcome.results.matches if abs(m.score - top.score) <= 1e-12]
             assert case.id in {m.case_id for m in tied}
+
+
+def test_the_readme_quickstart_runs_as_written(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quickstart", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    titles = [Case("1", "Aplikasi Kasir Toko"), Case("2", "Sistem Navigasi Gedung")]
+    save_index(build_index(titles)[0], tmp_path / "titles.idx")
+    monkeypatch.chdir(tmp_path)  # the block loads "titles.idx" from the working directory
+    exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "graf ruangan + rute terpendek"
+    assert [line.split()[::2] for line in lines[1:]] == [["1", "2"]]

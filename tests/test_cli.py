@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
 import random
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -168,6 +170,23 @@ class TestCmdIndex:
         assert f"cases skipped: {len(blanks)}" in out
         save_index(build_index(read_corpus(corpus, "plain"), config)[0], tmp_path / "library.idx")
         assert (tmp_path / "cli.idx").read_bytes() == (tmp_path / "library.idx").read_bytes()
+
+    def test_waits_for_the_corpus_lock_that_add_holds(self, plain_corpus, tmp_path, capsys):
+        output = tmp_path / "waited.idx"
+        argv = ["index", "--input", str(plain_corpus), "--format", "plain",
+                "--output", str(output)]
+        codes = []
+        with open(plain_corpus, "rb") as held:
+            fcntl.flock(held.fileno(), fcntl.LOCK_EX)  # as a running add holds it
+            rebuild = threading.Thread(target=lambda: codes.append(main(argv)))
+            rebuild.start()
+            rebuild.join(0.5)
+            assert rebuild.is_alive()
+            assert not output.exists()
+        rebuild.join(30)  # closing the file released the lock
+        assert not rebuild.is_alive()
+        assert codes == [EXIT_OK]
+        assert "cases indexed: 5" in capsys.readouterr().out
 
 
 class TestCmdQuery:

@@ -18,7 +18,6 @@ from cbrsearch import (
     Index,
     PreprocessConfig,
     QueryVector,
-    TermNotIndexed,
     build_index,
     cosine_similarity,
     load_index,
@@ -50,15 +49,15 @@ def small_index():
 class TestBuildIndex:
     def test_document_frequencies_and_idf(self, small_index):
         assert small_index.corpus_size == 3
+        vocabulary = small_index.vocabulary
         for term in ("a", "b", "c"):
-            assert small_index.vocabulary.document_frequency(term) == 2
-            assert small_index.inverse_document_frequency(term) == pytest.approx(
-                IDF_TWO_OF_THREE, rel=1e-12
-            )
+            assert vocabulary.document_frequencies[vocabulary.lookup(term)] == 2
+        for doc in small_index.documents.values():
+            for weight in doc.weights.values():  # each term is 1 of 2 tokens
+                assert 2 * weight == pytest.approx(IDF_TWO_OF_THREE, rel=1e-12)
 
     def test_term_in_every_document_weighs_nothing(self):
         index, _ = build_index([Case("d1", "a"), Case("d2", "a")])
-        assert index.inverse_document_frequency("a") == 0.0
         for doc in index.documents.values():
             assert all(weight == 0.0 for weight in doc.weights.values())
 
@@ -202,9 +201,6 @@ class TestDeriveOnFirstUse:
     def test_every_view_derives_what_it_reads(self, tmp_path):
         loaded, built = self._loaded_and_built(tmp_path, LAZY_CORPORA["titles"]())
         assert loaded.documents == built.documents
-        for term in built.vocabulary.terms:
-            for doc_id in built.doc_ids:
-                assert loaded.tfidf_weight(term, doc_id) == built.tfidf_weight(term, doc_id)
         assert loaded.postings == [None] * len(built.postings)  # nothing above derived
         for tid, df in enumerate(built.vocabulary.document_frequencies):
             if df < built.corpus_size:
@@ -258,39 +254,35 @@ class TestTermFrequency:
 
 class TestInverseDocumentFrequency:
     def test_two_of_three_documents(self, small_index):
-        assert small_index.inverse_document_frequency("a") == pytest.approx(
+        weight = small_index.documents["d1"].weights[small_index.vocabulary.lookup("a")]
+        assert weight / small_index.term_frequency("a", "d1") == pytest.approx(
             IDF_TWO_OF_THREE, rel=1e-12
         )
 
     def test_term_in_every_document_is_zero(self):
         index, _ = build_index([Case("d1", "a b"), Case("d2", "a c"), Case("d3", "a d")])
-        assert index.inverse_document_frequency("a") == 0.0
-
-    def test_unseen_term_is_signalled_not_numeric(self, small_index):
-        with pytest.raises(TermNotIndexed, match="not indexed"):
-            small_index.inverse_document_frequency("zzz")
+        tid = index.vocabulary.lookup("a")
+        assert [doc.weights[tid] for doc in index.documents.values()] == [0.0] * 3
 
 
 class TestTfidfWeight:
     def test_hand_computed_weight(self, small_index):
-        assert small_index.tfidf_weight("a", "d1") == pytest.approx(WEIGHT_HALF_IDF, rel=1e-12)
+        weight = small_index.documents["d1"].weights[small_index.vocabulary.lookup("a")]
+        assert weight == pytest.approx(WEIGHT_HALF_IDF, rel=1e-12)
 
     def test_equals_the_stored_vector_entry(self, small_index):
-        tid = small_index.vocabulary.term_id("a")
+        tid = small_index.vocabulary.lookup("a")
         stored = small_index.documents["d1"].weights[tid]
-        assert small_index.tfidf_weight("a", "d1") == stored
+        assert small_index.term_frequency("a", "d1") * math.log10(3 / 2) == stored
 
     def test_zero_idf_means_zero_weight_regardless_of_tf(self):
         index, _ = build_index([Case("d1", "a a a b"), Case("d2", "a c")])
         assert index.term_frequency("a", "d1") > 0
-        assert index.tfidf_weight("a", "d1") == 0.0
+        assert index.documents["d1"].weights[index.vocabulary.lookup("a")] == 0.0
 
     def test_term_absent_from_document_is_zero(self, small_index):
-        assert small_index.tfidf_weight("c", "d1") == 0.0
-
-    def test_unseen_term_propagates_the_signal(self, small_index):
-        with pytest.raises(TermNotIndexed):
-            small_index.tfidf_weight("zzz", "d1")
+        assert small_index.term_frequency("c", "d1") == 0.0
+        assert small_index.vocabulary.lookup("c") not in small_index.documents["d1"].weights
 
 
 class TestVectorizeQuery:
@@ -306,7 +298,7 @@ class TestVectorizeQuery:
 
     def test_mixed_query_keeps_the_known_component(self, small_index):
         query = small_index.vectorize_query(["a", "zzz"])
-        tid = small_index.vocabulary.term_id("a")
+        tid = small_index.vocabulary.lookup("a")
         assert set(query.weights) == {tid}
         assert query.weights[tid] == pytest.approx(WEIGHT_HALF_IDF, rel=1e-12)
         assert query.dropped_terms == ("zzz",)
@@ -315,14 +307,14 @@ class TestVectorizeQuery:
         index, _ = build_index([Case("d1", "a b"), Case("d2", "a c")])
         query = index.vectorize_query(["a", "b"])
         assert query.dropped_terms == ("a",)
-        assert set(query.weights) == {index.vocabulary.term_id("b")}
+        assert set(query.weights) == {index.vocabulary.lookup("b")}
 
     def test_term_set_query_keeps_zero_idf_terms(self):
         index, _ = build_index([Case("d1", "a b"), Case("d2", "a c")])
         query = index.vectorize_query(["a", "b", "b", "qq"], "set")
         assert query.weights == {
-            index.vocabulary.term_id("a"): 1.0,
-            index.vocabulary.term_id("b"): 1.0,
+            index.vocabulary.lookup("a"): 1.0,
+            index.vocabulary.lookup("b"): 1.0,
         }
         assert query.dropped_terms == ("qq",)
         assert query.scorer == "set"
@@ -354,9 +346,10 @@ class TestIndexInvariants:
     def test_idf_stays_within_bounds(self):
         for _, index in self._random_indexes():
             upper = math.log10(index.corpus_size)
-            for term in index.vocabulary.terms:
-                idf = index.inverse_document_frequency(term)
-                assert 0.0 <= idf <= upper + 1e-15
+            for doc in index.documents.values():
+                for tid, weight in doc.weights.items():  # weight = tf * idf
+                    tf = doc.raw_counts[tid] / doc.token_total
+                    assert 0.0 <= weight <= tf * upper + 1e-15
 
     def test_postings_match_raw_counts_exactly(self):
         for _, index in self._random_indexes():

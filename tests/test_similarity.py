@@ -329,6 +329,25 @@ class TestRankProperties:
         with pytest.raises(TypeError):
             rank(small_index, {"a": 1.0})
 
+    @pytest.mark.parametrize(
+        ("weights", "scorer", "match"),
+        [
+            ({0: math.nan, 1: 1.0}, "cosine", "finite norm"),
+            ({0: math.inf, 1: 1.0}, "cosine", "finite norm"),
+            ({0: 1e200, 1: 1.0}, "cosine", "finite norm"),  # the square overflows
+            ({0: math.nan, 1: 1.0}, "set", "finite norm"),
+            ({0: 1.0, 1: 1.0}, "bogus", "unknown scorer: 'bogus'"),
+        ],
+        ids=["nan", "inf", "overflow", "nan-set", "unknown-scorer"],
+    )
+    @pytest.mark.parametrize("top_k", [None, 1])
+    def test_a_query_it_cannot_score_raises_value_error(self, weights, scorer, match, top_k):
+        # term ids 0 and 1 are "a" and "b"
+        cases = [Case("1", "a b"), Case("2", "a c"), Case("3", "b c"), Case("4", "d")]
+        index, _ = build_index(cases)
+        with pytest.raises(ValueError, match=match):
+            rank(index, QueryVector(weights, scorer=scorer), top_k=top_k)
+
 
 # a few words in many titles, the rest rare: the pruned path skips the
 # common words' lists when a rare word is in the query
@@ -369,7 +388,7 @@ class TestPruning:
 
     def test_a_hand_built_query_with_a_term_of_idf_0_counts_like_the_exhaustive_path(self):
         index, _ = build_index([Case("1", "a b"), Case("2", "a c"), Case("3", "a d")])
-        a, b = index.vocabulary.term_id("a"), index.vocabulary.term_id("b")
+        a, b = index.vocabulary.lookup("a"), index.vocabulary.lookup("b")
         query = QueryVector({a: 1.0, b: 1.0})
         full = rank(index, query)
         assert full.total_matches == 1
@@ -379,7 +398,7 @@ class TestPruning:
     def test_a_document_of_norm_0_scores_0_and_never_matches(self, top_k):
         # "1" holds only "a", a term in every title: its weight vector is zero
         index, _ = build_index([Case("1", "a"), Case("2", "a b")])
-        a, b = index.vocabulary.term_id("a"), index.vocabulary.term_id("b")
+        a, b = index.vocabulary.lookup("a"), index.vocabulary.lookup("b")
         query = QueryVector({a: 1.0, b: 1.0})
         oracle = DenseOracle({"1": ["a"], "2": ["a", "b"]})
         assert oracle.doc_norms["1"] == 0.0
@@ -413,13 +432,13 @@ class TestPruning:
             query = index.vectorize_query(tokens, scorer)
             return _skippable(index, query, _norm(query.weights), threshold, top_k)[0]
 
-        assert skipped(["umum", "langka"]) == {index.vocabulary.term_id("umum")}
+        assert skipped(["umum", "langka"]) == {index.vocabulary.lookup("umum")}
         assert skipped(["umum", "langka"], scorer="set") == set()
         assert skipped(["umum", "langka"], threshold=0.3) == set()
         assert skipped(["umum", "langka"], top_k=None) == set()
         assert skipped(["langka"]) == set()
         idf_0, _ = build_index([Case("1", "a b"), Case("2", "a c"), Case("3", "a d")])
-        a, b = idf_0.vocabulary.term_id("a"), idf_0.vocabulary.term_id("b")
+        a, b = idf_0.vocabulary.lookup("a"), idf_0.vocabulary.lookup("b")
         query = QueryVector({a: 1.0, b: 1.0})
         assert _skippable(idf_0, query, _norm(query.weights), 0.0, 1)[0] == set()
 
