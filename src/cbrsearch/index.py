@@ -7,7 +7,11 @@ dense ordinal, its position in corpus order, and one count row: its distinct
 term ids, ascending, and their counts. The rows are kept, and saved, as three
 flat columns in compressed-sparse-row layout: ``row_lengths`` (term ids per
 document), then ``term_ids`` and ``counts``, every row's entries in corpus
-order; they are the only per-document record an index keeps. The postings
+order; they are the only per-document record an index keeps. Each column is
+an ``array`` of unsigned ints: 4 bytes wide when built, and as wide as the
+file stores it, 1, 2 or 4 bytes, when loaded. The file stores each column
+at the narrowest of those widths that holds its largest value
+(:func:`_packed`), so a column's width never changes its value. The postings
 of a term are two parallel arrays: the ordinals of the documents containing
 it, ascending, and their weights for the term; ``Index.doc_ids`` maps an
 ordinal back to its case id. A query is one :class:`QueryVector` type for
@@ -48,10 +52,14 @@ SCORERS = ("cosine", "set")
 
 # what an index stores, and its value: config, terms (a term's id is its
 # position), doc ids, titles, and the count rows as row lengths, term ids and
-# counts
-Fields = tuple[PreprocessConfig, list[str], list[str], list[str], list[int], list[int], list[int]]
-# the last three fields, the count rows: row lengths, term ids and counts
+# counts, each an unsigned array (see _packed)
+Fields = tuple[PreprocessConfig, list[str], list[str], list[str], array, array, array]
+# the count rows as _append_row builds them: row lengths, term ids and counts
 Columns = tuple[list[int], list[int], list[int]]
+
+# the unsigned array typecode of each width a count column is kept at, in
+# bytes; C's unsigned int is 4 bytes wide on every platform CPython supports
+_TYPECODES = {1: "B", 2: "H", 4: "I"}
 
 
 class Case(namedtuple("Case", "id title solution meta")):
@@ -176,8 +184,10 @@ class Index:
         row_offsets: ordinal -> where the document's count row starts in
             ``term_ids`` and ``counts``; one entry more than documents, so
             a row ends where the next starts.
-        term_ids: every count row's term ids, ascending within a row.
-        counts: every count row's counts, parallel to ``term_ids``.
+        term_ids: every count row's term ids, ascending within a row, an
+            unsigned ``array`` (the stored column, not a copy).
+        counts: every count row's counts, parallel to ``term_ids``, an
+            unsigned ``array`` (the stored column).
         postings: term_id -> ``array('i')`` of document ordinals, ascending;
             None until :meth:`_derive` posts the term.
         posting_weights: term_id -> ``array('d')`` of the documents' weights
@@ -355,7 +365,7 @@ class Index:
             total += weights[tid] * weight
         return total
 
-    def _row(self, ordinal: int) -> tuple[list[int], list[int]]:
+    def _row(self, ordinal: int) -> tuple[array, array]:
         """The term ids and the counts of document *ordinal*'s count row."""
         start, end = self.row_offsets[ordinal : ordinal + 2]
         return self.term_ids[start:end], self.counts[start:end]
@@ -380,15 +390,17 @@ class Index:
         """In-document frequency: count of *term* over the doc's token total.
 
         Returns 0.0 for a term absent from the document; raises KeyError for
-        an unknown document.
+        an unknown document. Reads the document's count row alone.
         """
-        doc = self.documents.get(doc_id)
-        if doc is None:
-            raise KeyError(f"document not indexed: {doc_id!r}")
+        try:
+            ordinal = self.doc_ids.index(doc_id)
+        except ValueError:
+            raise KeyError(f"document not indexed: {doc_id!r}") from None
+        tids, counts = self._row(ordinal)
         tid = self.vocabulary.lookup(term)
-        if tid is None:
+        if tid is None or tid not in tids:
             return 0.0
-        return doc.raw_counts.get(tid, 0) / doc.token_total
+        return counts[tids.index(tid)] / sum(counts)
 
     def vectorize_query(self, tokens: Sequence[str], scorer: str = "cosine") -> QueryVector:
         """Convert query tokens into the weight space of *scorer*.
@@ -477,7 +489,10 @@ def _build_fields(cases: Iterable[Case], config: PreprocessConfig) -> tuple[Fiel
         skipped=tuple(skipped),
         vocabulary_size=len(id_to_term),
     )
-    return (config, id_to_term, doc_ids, titles, *columns), report
+    # 4 bytes wide: C fills an array("I") from ints two to three times as fast
+    # as a narrower one, and the writer packs each column at its own width
+    packed = (array(_TYPECODES[4], column) for column in columns)
+    return (config, id_to_term, doc_ids, titles, *packed), report
 
 
 def extend_index(fields: Fields, new_case: Case) -> Index:
@@ -502,9 +517,27 @@ def _extend_fields(fields: Fields, new_case: Case) -> Fields:
         raise DataError(f"title of case {new_case.id!r} tokenizes to empty")
     id_to_term = list(terms)
     tid_by_term = {term: tid for tid, term in enumerate(id_to_term)}
-    columns = tuple(map(list, columns))  # copies, so the stored fields stay as they are
-    _append_row(tokens, id_to_term, tid_by_term, columns)
-    return (config, id_to_term, [*doc_ids, new_case.id], [*titles, new_case.title], *columns)
+    row: Columns = ([], [], [])
+    _append_row(tokens, id_to_term, tid_by_term, row)
+    grown = map(_grown, columns, row)  # copies, so the stored fields stay as they are
+    return (config, id_to_term, [*doc_ids, new_case.id], [*titles, new_case.title], *grown)
+
+
+def _packed(values: Iterable[int], largest: int) -> array:
+    """*values*, none above *largest*, as unsigned ints of the narrowest width that holds *largest*.
+
+    The width is 1, 2 or 4 bytes (:data:`_TYPECODES`). From an array of the
+    same typecode the copy is one ``memcpy``.
+    """
+    width = 1 if largest < 1 << 8 else 2 if largest < 1 << 16 else 4
+    return array(_TYPECODES[width], values)
+
+
+def _grown(column: array, values: list[int]) -> array:
+    """A copy of the unsigned *column* with *values* appended, widened if one does not fit it."""
+    grown = _packed(column, max(*values, (1 << 8 * column.itemsize) - 1))
+    grown.extend(values)
+    return grown
 
 
 def _refuse_duplicate_ids(cases: Iterable[Case]) -> None:

@@ -1,15 +1,19 @@
 """On-disk formats: the index snapshot and the corpus files.
 
-Index file (format version 4)
+Index file (format version 5)
     A single-line JSON document. It stores the preprocessing configuration
     and its fingerprint (its ``casefold`` is always ``true``, as tokens are
     always lowercased; a file holding ``false`` must be rebuilt), the
     vocabulary as a plain ``terms`` list (a term's id is its position), the
     documents as parallel ``ids`` and ``titles`` lists, and the documents'
-    count rows as three flat int lists:
+    count rows as three flat columns of unsigned ints:
     ``row_lengths`` (distinct terms per document), then ``term_ids`` and
     ``counts``, which hold every row's term ids, ascending within a row,
-    and their counts, rows in document order. Weights, token totals and document
+    and their counts, rows in document order. Each column is packed as a
+    two-item list ``[width, "<base64>"]``: the base64 text of the column's
+    values as little-endian unsigned integers of *width* bytes, 1, 2 or 4,
+    the narrowest that holds the column's largest value (so
+    ``[1,"AgI="]`` is the row lengths 2 and 2). Weights, token totals and document
     frequencies are never written: a loaded index recomputes them through
     the same code path ``build_index`` uses, the weights of a term when a
     query first ranks it, so an index is defined by its stored counts.
@@ -19,9 +23,9 @@ Index file (format version 4)
     the canonical document without it, so any edit to a stored value, or
     to the file's layout, is rejected. The file is read with no newline
     translation, so a final ``\\r\\n`` or ``\\r`` in place of the ``\\n`` fails
-    the checksum too. Files of any other format version, versions 1 to 3
+    the checksum too. Files of any other format version, versions 1 to 4
     included, are rejected with a hint to rebuild them with
-    ``cbrsearch index``.
+    ``cbrsearch index``; there is one reader, for one format.
 
     The file holds an index's stored fields (``index.Fields``, its value)
     and nothing else. One serializer writes them, :func:`_write_index`, and
@@ -29,11 +33,12 @@ Index file (format version 4)
     ``index.fields``, and :func:`load_index` constructs an ``Index`` from what
     the reader returns, which derives no postings until a query ranks; the
     command line's ``index`` and ``add`` write fields they never construct
-    an index from. Each holds one copy of the file's text at a time: the
-    writer encodes every list (the count columns, ids, terms and titles) one
-    chunk of items per ``json.dumps`` and hashes and writes the encoded
-    pieces as they are, and the reader hashes the one UTF-8 encoding of
-    the text it parsed.
+    an index from. Each holds about one copy of the file's text at a time:
+    the writer encodes every string list (ids, terms and titles) one chunk
+    of items per ``json.dumps``, packs each count column in one
+    ``base64`` encoding of its array, and hashes and writes the encoded
+    pieces as they are, and the reader decodes each column into an array
+    and hashes the one UTF-8 encoding of the text it parsed.
 
 Corpus files
     ``record`` mode: JSON Lines, one JSON object per ``\\n``-separated line
@@ -49,27 +54,32 @@ Corpus files
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import os
+import sys
+from array import array
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, repeat
 from operator import countOf, ge, sub
 from pathlib import Path
 from types import NoneType
 
 from .errors import ConfigError, DataError, IndexFormatError
-from .index import Case, Fields, Index
+from .index import _TYPECODES, Case, Fields, Index, _packed
 from .preprocess import PreprocessConfig
 
-INDEX_FORMAT_VERSION = 4
+INDEX_FORMAT_VERSION = 5
 
 _FORMAT_NAME = "cbrsearch-index"
 _CHECKSUM_KEY = ',"weights_sha256":'
 _SEAL_LENGTH = len(_CHECKSUM_KEY) + 68  # the key, the quoted 64-digit digest, "}\n"
 
-# the document keys of the fields after the config (see :data:`Fields`), in order
+# the document keys of the fields after the config (see :data:`Fields`), in
+# order: three string lists, then the three count columns
 _LIST_KEYS = ("terms", "ids", "titles", "row_lengths", "term_ids", "counts")
+_COLUMN_KEYS = _LIST_KEYS[3:]
 
 CORPUS_FORMATS = ("record", "plain")
 
@@ -108,7 +118,9 @@ def save_index(index: Index, path: str | Path) -> None:
 def _write_index(path: str | Path, config: PreprocessConfig, *lists: Sequence) -> None:
     """Write an index's stored fields (see :data:`Fields`) to *path*.
 
-    *lists* are the fields after *config*, stored under :data:`_LIST_KEYS`.
+    *lists* are the fields after *config*, stored under :data:`_LIST_KEYS`:
+    the string lists as they are, the count columns, arrays or lists of
+    ints, packed by :func:`_column_pieces`.
 
     The one serializer: :func:`save_index` and the command line's writers
     all go through it. The document goes to a temporary file in the same
@@ -117,9 +129,9 @@ def _write_index(path: str | Path, config: PreprocessConfig, *lists: Sequence) -
     a partial one.
 
     The bytes are those of one canonical ``json.dumps`` of the document,
-    sealed, but each list is encoded a chunk of :data:`_CHUNK_LINES` items
-    at a time (:func:`_json_pieces`), so the encoders never hold the whole
-    text. The encoded pieces, about one copy of the file, are hashed and
+    sealed, but each string list is encoded a chunk of :data:`_CHUNK_LINES`
+    items at a time (:func:`_json_pieces`), so the encoders never hold the
+    whole text. The encoded pieces, about one copy of the file, are hashed and
     written in binary mode as they are; the body's closing ``}`` is swapped
     for :func:`_seal_tail`. Every piece is encoded before the temporary file
     is opened, so text UTF-8 cannot encode (a lone surrogate) raises
@@ -138,7 +150,9 @@ def _write_index(path: str | Path, config: PreprocessConfig, *lists: Sequence) -
     }
     pieces = [b"{"]
     for key in sorted(document):
-        pieces += f"{_canonical_json(key)}:".encode("utf-8"), *_json_pieces(document[key]), b","
+        value = document[key]
+        encoded = _column_pieces(value) if key in _COLUMN_KEYS else _json_pieces(value)
+        pieces += f"{_canonical_json(key)}:".encode("utf-8"), *encoded, b","
     pieces[-1] = b"}"
     digest = hashlib.sha256()
     for piece in pieces:
@@ -181,6 +195,47 @@ def _json_pieces(value) -> Iterator[bytes | memoryview]:
     yield b"]"
 
 
+def _column_pieces(column: Sequence[int]) -> tuple[bytes, bytes, bytes]:
+    """The UTF-8 of the canonical JSON of the packed *column*: ``[width,"<base64>"]``.
+
+    The values are packed as unsigned little-endian integers at the
+    narrowest width that holds the largest (:func:`index._packed`), so a
+    column of equal values is packed alike whatever its type; base64 text
+    needs no JSON escape.
+    """
+    packed = _packed(column, max(column, default=0))
+    if sys.byteorder == "big":
+        packed.byteswap()
+    return f'[{packed.itemsize},"'.encode("ascii"), base64.b64encode(packed), b'"]'
+
+
+def _unpacked(column) -> array:
+    """The values of a packed column, the parsed ``[width, "<base64>"]`` pair.
+
+    Raises ValueError, its message naming what is wrong, for anything else:
+    a width that is not the int 1, 2 or 4, text that is not strict base64,
+    or a decoded length that is not a multiple of the width.
+    """
+    if len(column) != 2:
+        raise ValueError("is not a [width, base64] pair")
+    width, text = column
+    if type(width) is not int:  # a JSON true is the Python int 1, but not its type
+        raise ValueError(f"has width {width!r}, not an integer")
+    if width not in _TYPECODES:
+        raise ValueError(f"has width {width}, not 1, 2 or 4")
+    try:
+        data = base64.b64decode(text, validate=True)
+    except (TypeError, ValueError):  # binascii.Error is a ValueError
+        raise ValueError("has text that is not base64") from None
+    if len(data) % width:
+        raise ValueError(f"holds {len(data)} bytes, not a multiple of its width {width}")
+    values = array(_TYPECODES[width])
+    values.frombytes(data)
+    if sys.byteorder == "big":
+        values.byteswap()
+    return values
+
+
 def _corrupt(path, detail: str) -> IndexFormatError:
     return IndexFormatError(f"corrupt index file {path}: {detail}")
 
@@ -190,25 +245,26 @@ def _only(kind: type, values) -> bool:
     return set(map(type, values)) <= {kind}
 
 
-def _term_ids(row_lengths: list, term_ids: list, counts: list, term_count: int) -> set[int] | None:
-    """The distinct term ids of the count rows the three lists hold, or None if they are bad.
+def _term_ids(
+    row_lengths: array, term_ids: array, counts: array, term_count: int
+) -> set[int] | None:
+    """The distinct term ids of the count rows the three columns hold, or None if they are bad.
 
-    The lists are the stored columns of at least one row. They are good when
-    every entry is an int, every row length at least 1, the lengths sum to
-    the number of term ids and counts, every term id is in range and
-    strictly ascends within its row, and every count is at least 1. The
-    checks run over whole columns; no row is sliced out.
+    The columns are the unpacked columns of at least one row, unsigned
+    arrays, so every entry is an int of at least 0. They are good when every
+    row length is at least 1, the lengths sum to the number of term ids and
+    counts, every term id is in range and strictly ascends within its row,
+    and every count is at least 1. The checks run over whole columns; no row
+    is sliced out.
     """
-    if not _only(int, chain(row_lengths, term_ids, counts)):
-        return None
     if min(row_lengths) < 1 or not sum(row_lengths) == len(term_ids) == len(counts):
         return None
     distinct = set(term_ids)
-    if min(counts) < 1 or min(distinct) < 0 or max(distinct) >= term_count:
+    if min(counts) < 1 or max(distinct) >= term_count:
         return None
     # in the term ids of all rows in sequence, a step may fail to ascend only
     # where one row ends and the next begins
-    descents = countOf(map(ge, term_ids, islice(term_ids, 1, None)), True)
+    descents = countOf(map(ge, term_ids, term_ids[1:]), True)
     row_starts = list(accumulate(row_lengths[:-1]))
     row_lasts = map(term_ids.__getitem__, map(sub, row_starts, repeat(1)))
     row_firsts = map(term_ids.__getitem__, row_starts)
@@ -288,7 +344,7 @@ def _read_index(path: str | Path) -> Fields:
         )
         fingerprint = document["preprocess_fingerprint"]
         lists = list(map(document.__getitem__, _LIST_KEYS))
-        terms, doc_ids, titles, row_lengths, term_ids, counts = lists
+        terms, doc_ids, titles = lists[:3]
         if "weights_sha256" not in document:
             raise KeyError("weights_sha256")
     except (KeyError, TypeError, ValueError, OverflowError, ConfigError) as exc:
@@ -302,13 +358,20 @@ def _read_index(path: str | Path) -> Fields:
         raise _corrupt(path, "preprocess fingerprint does not match stored configuration")
     if not _only(list, lists):
         raise _corrupt(path, "terms, ids, titles, row_lengths, term_ids and counts must be lists")
+    columns = []
+    for key, column in zip(_COLUMN_KEYS, lists[3:]):
+        try:
+            columns.append(_unpacked(column))
+        except ValueError as exc:
+            raise _corrupt(path, f"{key} {exc}") from exc
+    del document, lists  # and with them the base64 text, before the checksum's copy
     if not _only(str, terms):
         raise _corrupt(path, "a vocabulary term is not a string")
     if len(set(terms)) != len(terms):
         raise _corrupt(path, "vocabulary repeats a term")
     if not doc_ids:
         raise _corrupt(path, "no documents")
-    if not len(doc_ids) == len(titles) == len(row_lengths):
+    if not len(doc_ids) == len(titles) == len(columns[0]):
         raise _corrupt(path, "ids, titles and row_lengths differ in length")
     if not _only(str, doc_ids) or not all(doc_ids):
         bad = next(d for d in doc_ids if type(d) is not str or not d)
@@ -320,7 +383,7 @@ def _read_index(path: str | Path) -> Fields:
     if not _only(str, titles):
         bad = next(d for d, title in zip(doc_ids, titles) if type(title) is not str)
         raise _corrupt(path, f"title of document {bad!r} is not a string")
-    distinct_term_ids = _term_ids(row_lengths, term_ids, counts, len(terms))
+    distinct_term_ids = _term_ids(*columns, len(terms))
     if distinct_term_ids is None:
         raise _corrupt(
             path,
@@ -339,7 +402,7 @@ def _read_index(path: str | Path) -> Fields:
             f"index checksum mismatch in {path}: the file was edited or "
             "reformatted after it was saved"
         )
-    return (config, *lists)
+    return (config, terms, doc_ids, titles, *columns)
 
 
 def read_corpus(path: str | Path, corpus_format: str) -> list[Case]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import importlib.util
 import json
@@ -95,6 +96,26 @@ def sealed_index_text(document: dict) -> str:
     )
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
     return f'{body[:-1]},"weights_sha256":"{digest}"}}\n'
+
+
+def packed_column(values: list[int]) -> list:
+    """*values* as an index file stores a count column: ``[width, "<base64>"]``.
+
+    The reference packing, one ``int.to_bytes`` per value: unsigned
+    little-endian integers of the narrowest width of 1, 2 and 4 bytes that
+    holds the largest value.
+    """
+    largest = max(values, default=0)
+    width = next(width for width in (1, 2, 4) if largest < 1 << 8 * width)
+    data = b"".join(value.to_bytes(width, "little") for value in values)
+    return [width, base64.b64encode(data).decode("ascii")]
+
+
+def unpacked_column(column: list) -> list[int]:
+    """The values of the stored count column ``[width, "<base64>"]``."""
+    width, text = column
+    data = base64.b64decode(text, validate=True)
+    return [int.from_bytes(data[at : at + width], "little") for at in range(0, len(data), width)]
 
 
 def zipf_titles(seed: int, size: int, per_kind: int):

@@ -295,8 +295,16 @@ class TestCmdQuery:
              '"57e8a2f347fabab1d98b0b5b9aaf7030e26684ce14872f64e523cebc1930c4a0",'
              '"terms":["a","b","c"],"titles":["a b","a c"],"weights_sha256":'
              '"50e99a24b60b5e6eb2cf2f893e6ad8fe573144f1e52c1cbe93811d6bb0c82649"}\n'),
+            (4,
+             '{"counts":[1,1,1,1],"format":"cbrsearch-index","format_version":4,'
+             '"ids":["d1","d2"],"preprocess":{"casefold":true,"min_token_length":1,'
+             '"stopwords":[]},"preprocess_fingerprint":'
+             '"57e8a2f347fabab1d98b0b5b9aaf7030e26684ce14872f64e523cebc1930c4a0",'
+             '"row_lengths":[2,2],"term_ids":[0,1,0,2],"terms":["a","b","c"],'
+             '"titles":["a b","a c"],"weights_sha256":'
+             '"9df278f5eb4537395178df7b453ac61e15a0c467ea7bdc83c77740dcb746a083"}\n'),
         ],
-        ids=["v1", "v2", "v3"],
+        ids=["v1", "v2", "v3", "v4"],
     )
     def test_format_version_1_index_exits_2_with_a_rebuild_hint(
         self, tmp_path, capsys, version, text
@@ -906,7 +914,7 @@ class TestGoldenOutput:
         )
         assert code == EXIT_OK
         assert hashlib.sha256(index_path.read_bytes()).hexdigest() == (
-            "c7943e44eeaf0ca20b3b3ac1ddfbaecd992f6e63ddc29c79cace4bf9b65acccd"
+            "39c7470dbbc13a2dfe9b2d980544b8d44142dd33ebf175f7177be93b23b576e0"
         )
         code, _, _ = run_cli(
             ["add", "--index", str(index_path), "--corpus", str(corpus), "--id", "r7",
@@ -915,7 +923,7 @@ class TestGoldenOutput:
         )
         assert code == EXIT_OK
         assert hashlib.sha256(index_path.read_bytes()).hexdigest() == (
-            "67ee7654be3d81c5e743b5f25713f5918612aed3dde5c8fa0df7e5d51858ff18"
+            "acda19d26227b1997d37d089e0819c78c2c040ad47ab1929b85499217b49a189"
         )
 
 

@@ -93,7 +93,7 @@ class TestExtendIndex:
             cases.insert(len(cases) // 2, Case("skipped", "?!"))
             new_case = Case("new", f"kata00 baru{trial} kata01 baru{trial} lain")
             index, _ = build_index(cases)
-            columns = [list(column) for column in index.fields[4:]]
+            columns = [array(column.typecode, column) for column in index.fields[4:]]
             extended = extend_index(index.fields, new_case)
             assert extended == build_index([*cases, new_case])[0]
             assert extended.vocabulary.terms[-2:] == (f"baru{trial}", "lain")
@@ -110,16 +110,25 @@ class TestExtendIndex:
             extend_index(small_index.fields, Case("d4", "?!"))
 
 
+def _edited(column: array, values: list[int]) -> array:
+    return array(column.typecode, values)
+
+
 # each changes one stored field of (config, terms, ids, titles, row lengths,
-# term ids, counts) and leaves the others as they are
+# term ids, counts) and leaves the others as they are; an edited column keeps
+# its typecode, so only its values differ
 ONE_FIELD_EDITS = {
     "config": lambda c, t, i, ti, *r: (PreprocessConfig(min_token_length=2), t, i, ti, *r),
     "term": lambda c, t, i, ti, *r: (c, [t[0] + "x", *t[1:]], i, ti, *r),
     "id": lambda c, t, i, ti, *r: (c, t, ["other", *i[1:]], ti, *r),
     "title": lambda c, t, i, ti, *r: (c, t, i, [ti[0] + " lagi", *ti[1:]], *r),
-    "row-length": lambda c, t, i, ti, n, r, k: (c, t, i, ti, [n[0] - 1, n[1] + 1, *n[2:]], r, k),
-    "term-id": lambda c, t, i, ti, n, r, k: (c, t, i, ti, n, [*r[:-2], r[-1], r[-2]], k),
-    "count": lambda c, t, i, ti, n, r, k: (c, t, i, ti, n, r, [k[0] + 1, *k[1:]]),
+    "row-length": lambda c, t, i, ti, n, r, k: (
+        c, t, i, ti, _edited(n, [n[0] - 1, n[1] + 1, *n[2:]]), r, k
+    ),
+    "term-id": lambda c, t, i, ti, n, r, k: (
+        c, t, i, ti, n, _edited(r, [*r[:-2], r[-1], r[-2]]), k
+    ),
+    "count": lambda c, t, i, ti, n, r, k: (c, t, i, ti, n, r, _edited(k, [k[0] + 1, *k[1:]])),
 }
 
 
@@ -250,6 +259,25 @@ class TestTermFrequency:
     def test_unknown_document_is_a_lookup_error(self, small_index):
         with pytest.raises(KeyError, match="d99"):
             small_index.term_frequency("a", "d99")
+
+    def test_reads_one_row_and_equals_the_document_vectors(self):
+        # the reference: a document's raw count over its token total, read
+        # through the DocumentVector view term_frequency no longer builds
+        cases = [Case(str(n), title) for n, title in enumerate(SAMPLE_TITLES)]
+        index, _ = build_index(cases)
+        terms = [*index.vocabulary.terms, "tidakada"]
+        answers = {(t, d): index.term_frequency(t, d) for t in terms for d in index.doc_ids}
+        assert index._documents is None
+        with pytest.raises(KeyError) as caught:
+            index.term_frequency("sistem", "99")
+        assert caught.value.args == ("document not indexed: '99'",)
+        assert index._documents is None
+        for (term, doc_id), answer in answers.items():
+            doc = index.documents[doc_id]
+            tid = index.vocabulary.lookup(term)
+            assert answer == doc.raw_counts.get(tid, 0) / doc.token_total, (term, doc_id)
+        # one nonzero answer for each entry of the count rows
+        assert sum(answer > 0 for answer in answers.values()) == len(index.term_ids)
 
 
 class TestInverseDocumentFrequency:

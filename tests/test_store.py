@@ -7,6 +7,7 @@ import hashlib
 import json
 import random
 import tracemalloc
+from array import array
 from itertools import chain
 from unittest import mock
 
@@ -22,14 +23,22 @@ from cbrsearch import (
     append_case,
     build_index,
     load_index,
+    rank,
     read_corpus,
     save_index,
     store,
 )
 from cbrsearch.index import _build_fields, _extend_fields, extend_index
-from cbrsearch.cli import EXIT_DATA, main
+from cbrsearch.cli import EXIT_DATA, EXIT_OK, main
 from cbrsearch.store import _read_index, _read_records, _sealed, _term_ids, _write_index
-from conftest import corpus_cases, generate_token_corpus, sealed_index_text, zipf_titles
+from conftest import (
+    corpus_cases,
+    generate_token_corpus,
+    packed_column,
+    sealed_index_text,
+    unpacked_column,
+    zipf_titles,
+)
 
 
 @pytest.fixture
@@ -101,16 +110,21 @@ class TestRoundTrip:
         assert (tmp_path / "loaded.fields").read_bytes() == saved.read_bytes()
 
 
-def _bump_first_count(text: str) -> str:
+def _set_first_count(text: str, count) -> str:
+    """*text* with the first stored count set to *count(first count)*, left unsealed."""
     document = json.loads(text)
-    document["counts"][0] += 1
+    counts = unpacked_column(document["counts"])
+    counts[0] = count(counts[0])
+    document["counts"] = packed_column(counts)
     return _canonical(document)
+
+
+def _bump_first_count(text: str) -> str:
+    return _set_first_count(text, lambda count: count + 1)
 
 
 def _scale_first_row(text: str) -> str:
-    document = json.loads(text)
-    document["counts"][0] = 3
-    return _canonical(document)
+    return _set_first_count(text, lambda count: 3)
 
 
 def _add_stopword(text: str) -> str:
@@ -122,7 +136,7 @@ def _add_stopword(text: str) -> str:
 
 
 def _append_scaled_row_after_checksum(text: str) -> str:
-    return text.removesuffix("}\n") + ',"counts":[3,1,1,1,1]}\n'
+    return text.removesuffix("}\n") + ',"counts":[1,"AwEBAQE="]}\n'  # the counts 3, 1, 1, 1, 1
 
 
 class TestRejection:
@@ -240,8 +254,9 @@ class TestRejection:
         assert main(["query", "--index", str(path), "--query", "sistem"]) == EXIT_DATA
         assert capsys.readouterr() == ("", f"error: {caught.value}\n")
 
-    # the saved columns of the rows below: row_lengths [2, 2, 2, 1],
-    # term_ids [0, 1, 0, 2, 1, 2, 2] and counts [1, 1, 1, 1, 1, 1, 1]
+    # the saved columns of the rows below, each packed at width 1:
+    # row_lengths [2, 2, 2, 1], term_ids [0, 1, 0, 2, 1, 2, 2] and counts
+    # [1, 1, 1, 1, 1, 1, 1]
     FOUR_ROWS = ["a b", "a c", "b c", "c"]
 
     @pytest.mark.parametrize(
@@ -252,19 +267,22 @@ class TestRejection:
             (["ids", 0], ["d1"]),
             (["titles", 0], 7),
             (["terms", 1], "a"),  # term 0 is "a" already
-            (["counts", 1], [2]),
-            (["term_ids"], [1, 0, 0, 2, 1, 2, 2]),  # the same ids, the first row not ascending
+            (["counts", 1], [2]),  # the packed text a list
+            # the same ids, the first row not ascending
+            (["term_ids"], packed_column([1, 0, 0, 2, 1, 2, 2])),
             (["terms"], ["a", "b", "c", "d"]),
             (["preprocess", "stopwords"], [1]),
             (["preprocess", "min_token_length"], 0),
             # each below breaks one check of the count columns and passes the others
-            (["row_lengths"], [0, 4, 2, 1]),
-            (["row_lengths", 3], True),
-            (["row_lengths", 0], 2.0),
-            (["row_lengths", 3], 2),
-            (["counts"], [1, 1, 1, 1, 1, 1]),
-            (["term_ids", 0], False),
-            (["term_ids", 1], 1.0),
+            (["row_lengths"], packed_column([0, 4, 2, 1])),
+            # a packed column's one int is its width: a JSON true or 1.0 equals
+            # the saved width 1 in Python but is not an int
+            (["row_lengths", 0], True),
+            (["row_lengths", 0], 1.0),
+            (["row_lengths"], packed_column([2, 2, 2, 2])),
+            (["counts"], packed_column([1, 1, 1, 1, 1, 1])),
+            (["term_ids", 0], True),
+            (["term_ids", 0], 1.0),
             (["counts", 0], True),
             (["counts", 0], 1.0),
         ],
@@ -303,6 +321,65 @@ class TestRejection:
         path.write_text(json.dumps(document), encoding="utf-8")
         with pytest.raises(IndexFormatError, match="corrupt"):
             load_index(path)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            # the width: the int 1, 2 or 4, and no bool or float equal to one
+            ("counts", [True, "AQEBAQEBAQ=="], "has width True, not an integer"),
+            ("row_lengths", [False, "AgICAQ=="], "has width False, not an integer"),
+            ("term_ids", [1.0, "AAEAAgECAg=="], "has width 1.0, not an integer"),
+            ("counts", ["1", "AQEBAQEBAQ=="], "has width '1', not an integer"),
+            ("counts", [None, "AQEBAQEBAQ=="], "has width None, not an integer"),
+            ("row_lengths", [-1, "AgICAQ=="], "has width -1, not 1, 2 or 4"),
+            ("row_lengths", [0, "AgICAQ=="], "has width 0, not 1, 2 or 4"),
+            ("row_lengths", [3, "AgICAQAA"], "has width 3, not 1, 2 or 4"),
+            ("row_lengths", [8, "AgAAAAAAAAACAAAAAAAAAAIAAAAAAAAAAQAAAAAAAAA="],
+             "has width 8, not 1, 2 or 4"),
+            # the text: strict base64 in a JSON string
+            ("counts", [1, "AQEBAQEBAQ"], "has text that is not base64"),  # unpadded
+            ("counts", [1, "AQEBAQEB AQ=="], "has text that is not base64"),
+            ("counts", [1, "AQEBAQEBAQ==\n"], "has text that is not base64"),
+            ("counts", [1, "AQEBAQEBAQ=!"], "has text that is not base64"),
+            ("counts", [1, "AQEBAQEBAQé="], "has text that is not base64"),
+            ("counts", [1, 7], "has text that is not base64"),
+            ("counts", [1, None], "has text that is not base64"),
+            ("counts", [1, ["AQEBAQEBAQ=="]], "has text that is not base64"),
+            # the decoded length: whole values of the width
+            ("row_lengths", [2, "AgACAAIAAQ"], "has text that is not base64"),
+            ("row_lengths", [2, "AgACAAIA"], "ids, titles and row_lengths differ in length"),
+            ("row_lengths", [2, "AgACAAIAAQAA"], "holds 9 bytes, not a multiple of its width 2"),
+            ("term_ids", [4, "AAECAQIC"], "holds 6 bytes, not a multiple of its width 4"),
+            # the shape: a v4 column, or a list of other than two items
+            ("row_lengths", [2, 2, 2, 1], "is not a [width, base64] pair"),
+            ("counts", [1, 1, 1, 1, 1, 1, 1], "is not a [width, base64] pair"),
+            ("counts", [1], "is not a [width, base64] pair"),
+            ("counts", [], "is not a [width, base64] pair"),
+            ("counts", [1, "AQEBAQEBAQ==", 1], "is not a [width, base64] pair"),
+            ("counts", {"1": "AQEBAQEBAQ=="}, "row_lengths, term_ids and counts must be lists"),
+        ],
+        ids=[
+            "width-true", "width-false", "width-1.0", "width-a-string", "width-null",
+            "width-negative", "width-0", "width-3", "width-8",
+            "text-unpadded", "text-with-a-space", "text-with-a-newline", "text-with-a-stray-sign",
+            "text-not-ascii", "text-a-number", "text-null", "text-a-list",
+            "text-unpadded-at-width-2", "too-few-values", "9-bytes-at-width-2", "6-bytes-at-width-4",
+            "v4-row-lengths", "v4-counts", "one-item", "no-items", "three-items", "an-object",
+        ],
+    )
+    def test_a_malformed_packed_column_exits_2(self, tmp_path, capsys, key, value, message):
+        # the checksum is forged to match, so the one check named is what refuses it
+        index, _ = build_index([Case(f"d{n}", title) for n, title in enumerate(self.FOUR_ROWS)])
+        path = tmp_path / "packed.idx"
+        save_index(index, path)
+        document = json.loads(path.read_text(encoding="utf-8"))
+        document[key] = value
+        path.write_text(sealed_index_text(document), encoding="utf-8")
+        assert main(["query", "--index", str(path), "--query", "a"]) == EXIT_DATA
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: corrupt index file {path}: ")
+        assert message in err
 
 
 def _paths(node, prefix=()):
@@ -407,11 +484,11 @@ def _sealed_once(text: str) -> bool:
 
 
 def _written_once(fields) -> bytes:
-    """The bytes of one json.dumps of the whole document, sealed."""
+    """The bytes of one json.dumps of the whole document, sealed, its columns packed by reference."""
     config, terms, doc_ids, titles, row_lengths, term_ids, counts = fields
     document = {
         "format": "cbrsearch-index",
-        "format_version": 4,
+        "format_version": 5,
         "preprocess": {
             "casefold": True,
             "min_token_length": config.min_token_length,
@@ -421,9 +498,9 @@ def _written_once(fields) -> bytes:
         "terms": terms,
         "ids": doc_ids,
         "titles": titles,
-        "row_lengths": row_lengths,
-        "term_ids": term_ids,
-        "counts": counts,
+        "row_lengths": packed_column(row_lengths),
+        "term_ids": packed_column(term_ids),
+        "counts": packed_column(counts),
     }
     return _seal_once(_canonical(document)[:-1]).encode("utf-8")
 
@@ -443,6 +520,32 @@ def _term_ids_once(row_lengths: list, term_ids: list, counts: list, term_count: 
             return None
         start += length
     return set(term_ids) if min(counts) >= 1 else None
+
+
+def _count_rows_text(columns: tuple[list, list, list], term_count: int) -> str:
+    """Sealed index text of the count *columns* over *term_count* terms.
+
+    A column whose values are all ints from 0 to 2**32 - 1 is packed; any
+    other, one holding a bool, a float, a negative int or a string, is
+    stored as the plain list a version 4 file held.
+    """
+    config = PreprocessConfig()
+    document = {
+        "format": "cbrsearch-index",
+        "format_version": 5,
+        "preprocess": {"casefold": True, "min_token_length": 1, "stopwords": []},
+        "preprocess_fingerprint": config.fingerprint(),
+        "terms": [f"t{n}" for n in range(term_count)],
+        "ids": [f"d{n}" for n in range(len(columns[0]))],
+        "titles": ["x"] * len(columns[0]),
+    }
+    for key, column in zip(("row_lengths", "term_ids", "counts"), columns):
+        document[key] = packed_column(column) if _packable(column) else column
+    return sealed_index_text(document)
+
+
+def _packable(column: list) -> bool:
+    return all(type(value) is int and 0 <= value < 1 << 32 for value in column)
 
 
 def _columns(rows: list) -> tuple[list, list, list]:
@@ -605,8 +708,17 @@ class TestReaderChecks:
             "row-lengths-sum-long", "bool-term-id", "float-term-id", "ascent-at-a-row-end",
         ],
     )
-    def test_the_count_row_check(self, columns):
-        assert _term_ids(*columns, 3) == _term_ids_once(*columns, 3)
+    def test_the_count_row_check(self, tmp_path, capsys, columns):
+        # columns of bools, floats, negative ids or strings cannot be packed:
+        # stored as the lists v4 held, they must exit 2 as v4 refused them
+        expected = _term_ids_once(*columns, 3)
+        if all(map(_packable, columns)):
+            assert _term_ids(*(array("I", column) for column in columns), 3) == expected
+        path = tmp_path / "rows.idx"
+        path.write_text(_count_rows_text(columns, 3), encoding="utf-8")
+        code = main(["query", "--index", str(path), "--query", "t0"])
+        assert code == (EXIT_OK if expected == {0, 1, 2} else EXIT_DATA)
+        assert ("corrupt index file" in capsys.readouterr().err) == (code == EXIT_DATA)
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(
@@ -619,16 +731,28 @@ class TestReaderChecks:
             st.integers(-1, 4) | st.sampled_from([True, 1.0]), min_size=1, max_size=5
         ),
     )
-    def test_the_count_row_check_on_random_rows(self, rows, row_lengths):
-        # the columns of *rows*, or of their items under other row lengths
+    def test_the_count_row_check_on_random_rows(self, index_file, rows, row_lengths):
+        # the columns of *rows*, or of their items under other row lengths,
+        # checked as arrays where they can be packed and read from a file
         columns = _columns(rows)
         if row_lengths is not None:
             columns = (row_lengths, *columns[1:])
-        assert _term_ids(*columns, 4) == _term_ids_once(*columns, 4)
+        expected = _term_ids_once(*columns, 4)
+        if all(map(_packable, columns)):
+            assert _term_ids(*(array("I", column) for column in columns), 4) == expected
+        index_file.write_text(_count_rows_text(columns, 4), encoding="utf-8")
+        try:
+            _read_index(index_file)
+        except IndexFormatError:
+            assert expected is None or len(expected) < 4
+        else:
+            assert expected == {0, 1, 2, 3}
 
     def test_an_ascending_step_across_a_row_boundary_loads(self, tmp_path):
         index, _ = build_index([Case("d1", "a b"), Case("d2", "c d"), Case("d3", "d e")])
-        assert index.fields[4:] == ([2, 2, 2], [0, 1, 2, 3, 3, 4], [1, 1, 1, 1, 1, 1])
+        assert [column.tolist() for column in index.fields[4:]] == [
+            [2, 2, 2], [0, 1, 2, 3, 3, 4], [1, 1, 1, 1, 1, 1]
+        ]
         path = tmp_path / "ascending.idx"
         save_index(index, path)
         assert load_index(path) == index
@@ -675,6 +799,84 @@ class TestReaderChecks:
         assert load_index(path) == index
 
 
+def _corpus_with_largest(column: str, largest: int) -> list[Case]:
+    """Cases whose stored *column* holds *largest* as its largest value."""
+    if column == "counts":  # one title repeats one word *largest* times
+        return [Case("rep", " ".join(["kata"] * largest)), Case("other", "kata lain")]
+    if column == "row_lengths":  # one title of *largest* distinct words
+        return [Case("long", " ".join(f"w{n}" for n in range(largest))), Case("other", "w0 lain")]
+    # term ids 0 to *largest*, 200 distinct words to a title
+    words = [f"w{n}" for n in range(largest + 1)]
+    return [Case(f"d{at}", " ".join(words[at : at + 200])) for at in range(0, len(words), 200)]
+
+
+_WIDTH_EDGES = [(255, 1), (256, 2), (65535, 2), (65536, 4)]  # largest value, width
+
+
+class TestPackedColumns:
+    """A count column is saved as little-endian unsigned ints of the narrowest width that fits."""
+
+    def test_a_known_column_encodes_to_pinned_little_endian_base64(self, tmp_path):
+        # 1, 258 and 65535 at width 2 are the bytes 01 00, 02 01 and ff ff
+        assert b"".join(store._column_pieces(array("H", [1, 258, 65535]))) == b'[2,"AQACAf//"]'
+        assert b"".join(store._column_pieces([1, 258, 65535])) == b'[2,"AQACAf//"]'
+        assert b"".join(store._column_pieces(array("I", [2, 2]))) == b'[1,"AgI="]'
+        assert b"".join(store._column_pieces([65536, 1])) == b'[4,"AAABAAEAAAA="]'
+        assert store._unpacked([2, "AQACAf//"]) == array("H", [1, 258, 65535])
+        assert store._unpacked([4, "AAABAAEAAAA="]) == array("I", [65536, 1])
+        index, _ = build_index([Case("d1", "a b"), Case("d2", "a c")])
+        path = tmp_path / "pinned.idx"
+        save_index(index, path)
+        document = json.loads(path.read_text(encoding="utf-8"))
+        stored = [document[key] for key in ("row_lengths", "term_ids", "counts")]
+        assert stored == [[1, "AgI="], [1, "AAEAAg=="], [1, "AQEBAQ=="]]
+
+    @pytest.mark.parametrize("largest, width", _WIDTH_EDGES, ids=[str(n) for n, _ in _WIDTH_EDGES])
+    @pytest.mark.parametrize("column", ["row_lengths", "term_ids", "counts"])
+    def test_a_width_edge_is_byte_stable_and_ranks_as_the_build(
+        self, tmp_path, column, largest, width
+    ):
+        built, _ = build_index(_corpus_with_largest(column, largest))
+        first, second = tmp_path / "first.idx", tmp_path / "second.idx"
+        save_index(built, first)
+        document = json.loads(first.read_text(encoding="utf-8"))
+        assert document[column][0] == width
+        assert max(unpacked_column(document[column])) == largest
+        loaded = load_index(first)
+        assert loaded.fields[store._LIST_KEYS.index(column) + 1].itemsize == width
+        save_index(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
+        assert loaded == built
+        for tokens in (["kata"], ["w0", "lain"], ["w1", f"w{largest - 1}"], ["w200", "kata"]):
+            for scorer in ("cosine", "set"):
+                for top_k in (1, None):
+                    assert rank(
+                        loaded, loaded.vectorize_query(tokens, scorer), top_k=top_k
+                    ) == rank(built, built.vectorize_query(tokens, scorer), top_k=top_k)
+
+    @pytest.mark.parametrize("column", ["row_lengths", "term_ids", "counts"])
+    def test_an_add_that_widens_a_column_writes_the_bytes_of_a_rebuild(self, tmp_path, column):
+        cases = _corpus_with_largest(column, 255)
+        new_case = {
+            "row_lengths": Case("new", " ".join(f"w{n}" for n in range(256))),
+            "term_ids": Case("new", "baru"),
+            "counts": Case("new", " ".join(["kata"] * 256)),
+        }[column]
+        corpus, added, rebuilt = tmp_path / "c.jsonl", tmp_path / "added.idx", tmp_path / "re.idx"
+        corpus.write_text(
+            "".join(json.dumps({"id": case.id, "title": case.title}) + "\n" for case in cases),
+            encoding="utf-8",
+        )
+        index_argv = ["index", "--input", str(corpus), "--format", "record", "--output"]
+        assert main([*index_argv, str(added)]) == EXIT_OK
+        assert json.loads(added.read_text(encoding="utf-8"))[column][0] == 1
+        add_argv = ["add", "--index", str(added), "--corpus", str(corpus), "--id", new_case.id]
+        assert main([*add_argv, "--title", new_case.title]) == EXIT_OK
+        assert main([*index_argv, str(rebuilt)]) == EXIT_OK
+        assert added.read_bytes() == rebuilt.read_bytes()
+        assert json.loads(added.read_text(encoding="utf-8"))[column][0] == 2
+
+
 @pytest.fixture(scope="module")
 def zipf_fields():
     """The stored fields of a 5k-title index from the benchmark's generator."""
@@ -697,10 +899,13 @@ def _traced_peak(action) -> int:
 class TestMemory:
     """Reading and writing an index holds about one copy of the file's text.
 
-    Measured on Python 3.11 at 5k titles (a 0.57 MB file): the reader peaks
-    1.43 file sizes above a bare parse that holds its text (the one-shot
-    reader, 3.43), and the writer 1.12 file sizes above its start (the
-    one-shot writer, 5.74).
+    Measured on Python 3.11 at 5k titles (a 0.52 MB file, its count columns
+    packed): the reader peaks 1.50 file sizes above a bare parse that holds
+    its text, and the writer 1.13 file sizes above its start (the one-shot
+    writer, ``_written_once``, 7.42). The parse holds no int lists now, so
+    the reader's own copies, the checksum's encoding of the text and the
+    unpacked arrays, weigh more against it than the 1.43 of the unpacked
+    format did.
     """
 
     def test_reading_peaks_below_1_75_file_sizes_above_the_parse(self, zipf_fields, tmp_path):
