@@ -30,7 +30,6 @@ from .errors import (
 )
 from .index import (
     Case,
-    DocumentVector,
     Index,
     IngestReport,
     QueryVector,
@@ -38,13 +37,7 @@ from .index import (
     build_index,
 )
 from .preprocess import PreprocessConfig, load_stopwords, tokenize
-from .similarity import (
-    RankedMatch,
-    RankedResults,
-    cosine_similarity,
-    rank,
-    set_similarity,
-)
+from .similarity import RankedMatch, RankedResults, rank
 from .store import INDEX_FORMAT_VERSION, append_case, load_index, read_corpus, save_index
 
 __version__ = "0.1.0"
@@ -54,7 +47,6 @@ __all__ = [
     "CaseBase",
     "ConfigError",
     "DataError",
-    "DocumentVector",
     "INDEX_FORMAT_VERSION",
     "Index",
     "IndexFormatError",
@@ -70,7 +62,6 @@ __all__ = [
     "Vocabulary",
     "append_case",
     "build_index",
-    "cosine_similarity",
     "load_index",
     "load_stopwords",
     "rank",
@@ -78,6 +69,5 @@ __all__ = [
     "reuse",
     "save_index",
     "search",
-    "set_similarity",
     "tokenize",
 ]

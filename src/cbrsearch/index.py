@@ -14,7 +14,9 @@ at the narrowest of those widths that holds its largest value
 (:func:`_packed`), so a column's width never changes its value. The postings
 of a term are two parallel arrays: the ordinals of the documents containing
 it, ascending, and their weights for the term; ``Index.doc_ids`` maps an
-ordinal back to its case id. A query is one :class:`QueryVector` type for
+ordinal back to its case id. No table is keyed by case id: a document's
+weights and norm are read by its ordinal, through the postings, the norms
+and :meth:`Index.dot`. A query is one :class:`QueryVector` type for
 both scorers (see :meth:`Index.vectorize_query`).
 
 The :class:`Index` is an immutable snapshot: build it once, query it from any
@@ -30,9 +32,9 @@ a loaded index derives only what its queries rank. A writer that only saves
 an index, as the command line's ``index`` and ``add`` do, computes the
 fields alone.
 
-The records, :class:`Case`, :class:`IngestReport`, :class:`DocumentVector`
-and :class:`QueryVector`, are immutable named tuples. A :class:`Case` checks
-its id when it is constructed and when ``_replace`` copies it.
+The records, :class:`Case`, :class:`IngestReport` and :class:`QueryVector`,
+are immutable named tuples. A :class:`Case` checks its id when it is
+constructed and when ``_replace`` copies it.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from collections import namedtuple
 from collections.abc import Container, Iterable, Mapping, Sequence
 from itertools import accumulate, pairwise
 from operator import truediv
-from types import MappingProxyType
 
 from .errors import DataError
 from .preprocess import PreprocessConfig, tokenize
@@ -140,21 +141,6 @@ class Vocabulary:
         return self._terms[term_id]
 
 
-class DocumentVector(namedtuple("DocumentVector", "doc_id weights raw_counts token_total")):
-    """Sparse weight vector for one document, as seen through ``Index.documents``.
-
-    ``weights`` and ``raw_counts`` are keyed by term id in ascending order;
-    ``token_total`` is the document's full token count, the denominator of
-    every in-document frequency.
-    """
-
-    __slots__ = ()
-    doc_id: str
-    weights: dict[int, float]
-    raw_counts: dict[int, int]
-    token_total: int
-
-
 class QueryVector(
     namedtuple("QueryVector", "weights dropped_terms scorer", defaults=((), "cosine"))
 ):
@@ -197,11 +183,9 @@ class Index:
         ordinal_set_norms: ordinal -> L2 norm of the document's 0/1 incidence
             vector, ``sqrt(distinct terms)``.
 
-    ``documents`` and ``norms`` are read-only, id-keyed views derived on
-    first access; nothing on the query, load or save path reads them.
-    ``norms``, :meth:`term_ratios` (which caches one array per term) and
-    :func:`rank` derive the terms they read first, so no underived entry is
-    ever read; ``documents`` reads only the count rows.
+    :meth:`term_ratios` (which caches one array per term) and :func:`rank`
+    derive the terms they read first, so no underived entry is ever read;
+    :meth:`dot` reads only the count rows.
     """
 
     __slots__ = (
@@ -218,8 +202,6 @@ class Index:
         "ordinal_norms",
         "ordinal_set_norms",
         "_idf",
-        "_documents",
-        "_norms",
         "_ratios",
     )
 
@@ -252,8 +234,6 @@ class Index:
         # allocations they made set-scorer ranking about 15% slower
         self.ordinal_set_norms = list(map(math.sqrt, row_lengths))
         self._idf = [math.log10(corpus_size / count) for count in df]
-        self._documents: Mapping[str, DocumentVector] | None = None
-        self._norms: Mapping[str, float] | None = None
         self._ratios: dict[int, array] = {}
 
     def _derive(self, term_ids: Iterable[int]) -> None:
@@ -310,30 +290,6 @@ class Index:
     def corpus_size(self) -> int:
         return len(self.doc_ids)
 
-    @property
-    def documents(self) -> Mapping[str, DocumentVector]:
-        """doc_id -> DocumentVector, in corpus order (a read-only view).
-
-        Weights are recomputed from the count rows by :meth:`_row_weights`,
-        so they equal the posted weights bit for bit.
-        """
-        if self._documents is None:
-            documents = {}
-            for ordinal, doc_id in enumerate(self.doc_ids):
-                raw = dict(zip(*self._row(ordinal)))
-                weights = self._row_weights(ordinal)
-                documents[doc_id] = DocumentVector(doc_id, weights, raw, sum(raw.values()))
-            self._documents = MappingProxyType(documents)
-        return self._documents
-
-    @property
-    def norms(self) -> Mapping[str, float]:
-        """doc_id -> ``ordinal_norms`` entry (a read-only view)."""
-        if self._norms is None:
-            self._derive(range(len(self.postings)))
-            self._norms = MappingProxyType(dict(zip(self.doc_ids, self.ordinal_norms)))
-        return self._norms
-
     def term_ratios(self, term_id: int) -> array:
         """Every ``weight / norm`` over the postings of *term_id*, descending.
 
@@ -370,12 +326,12 @@ class Index:
         start, end = self.row_offsets[ordinal : ordinal + 2]
         return self.term_ids[start:end], self.counts[start:end]
 
-    def _row_weights(self, ordinal: int, only: Container[int] | None = None) -> dict[int, float]:
+    def _row_weights(self, ordinal: int, only: Container[int]) -> dict[int, float]:
         """Term id -> weight over row *ordinal*, by the expression :meth:`_derive` posts.
 
-        With *only*, a container of term ids, the row's other terms are left
-        out; the token total, and so every weight, still counts the whole row.
-        :attr:`documents` and :meth:`dot` read their weights here.
+        The row's terms outside *only*, a container of term ids, are left
+        out; the token total, and so every weight, still counts the whole
+        row. :meth:`dot` reads its weights here.
         """
         tids, counts = self._row(ordinal)
         token_total = sum(counts)
@@ -383,24 +339,8 @@ class Index:
         return {
             tid: (count / token_total) * idf[tid]
             for tid, count in zip(tids, counts)
-            if only is None or tid in only
+            if tid in only
         }
-
-    def term_frequency(self, term: str, doc_id: str) -> float:
-        """In-document frequency: count of *term* over the doc's token total.
-
-        Returns 0.0 for a term absent from the document; raises KeyError for
-        an unknown document. Reads the document's count row alone.
-        """
-        try:
-            ordinal = self.doc_ids.index(doc_id)
-        except ValueError:
-            raise KeyError(f"document not indexed: {doc_id!r}") from None
-        tids, counts = self._row(ordinal)
-        tid = self.vocabulary.lookup(term)
-        if tid is None or tid not in tids:
-            return 0.0
-        return counts[tids.index(tid)] / sum(counts)
 
     def vectorize_query(self, tokens: Sequence[str], scorer: str = "cosine") -> QueryVector:
         """Convert query tokens into the weight space of *scorer*.

@@ -1,10 +1,11 @@
-"""Query-document scorers and the ranking pipeline.
+"""The ranking pipeline, :func:`rank`: the one scoring path of both scorers.
 
-Two scorers are provided. The default weighted cosine works over TF-IDF
-vectors; the set-overlap scorer compares the bare term sets,
-``|X ∩ Y| / (sqrt(|X|) * sqrt(|Y|))``, which is exactly the cosine of the
-corresponding 0/1 incidence vectors. Both return values in [0, 1], both are
-symmetric, and both are invariant to positive per-vector scaling of weights.
+The default weighted cosine works over TF-IDF vectors; the set-overlap
+scorer compares the bare term sets, ``|X ∩ Y| / (sqrt(|X|) * sqrt(|Y|))``,
+which is exactly the cosine of the corresponding 0/1 incidence vectors. Both
+score in [0, 1], both are symmetric between two titles, and both are
+invariant to positive per-vector scaling of weights. The dense oracle of the
+test suite, ``tests/brute.py``, is their reference.
 
 Ranking runs both scorers through one cosine accumulator: a set query is a
 :class:`QueryVector` of 1.0 weights, and its documents read 1.0 for every
@@ -83,44 +84,13 @@ def _norm(vector: Mapping) -> float:
     return math.sqrt(total)
 
 
-def cosine_similarity(x: Mapping, y: Mapping) -> float:
-    """Cosine of the angle between two nonnegative sparse vectors.
-
-    Returns 0.0 when either vector is zero or empty. The result is clamped
-    to 1.0 to absorb last-bit rounding on identical-direction vectors.
-    """
-    if not x or not y:
-        return 0.0
-    if len(x) > len(y):
-        x, y = y, x
-    dot = 0.0
-    for key in sorted(x):  # fixed order keeps sums reproducible
-        if key in y:
-            dot += x[key] * y[key]
-    if dot == 0.0:
-        return 0.0
-    norm_x = _norm(x)
-    norm_y = _norm(y)
-    if norm_x == 0.0 or norm_y == 0.0:
-        return 0.0
-    return min(dot / (norm_x * norm_y), 1.0)
-
-
-def set_similarity(x, y) -> float:
-    """Overlap of two term sets: ``|X ∩ Y| / (sqrt(|X|) * sqrt(|Y|))``.
-
-    Returns 0.0 when either set is empty.
-    """
-    if not x or not y:
-        return 0.0
-    shared = len(x & y)
-    if shared == 0:
-        return 0.0
-    return min(shared / (math.sqrt(len(x)) * math.sqrt(len(y))), 1.0)
-
-
 def _skippable(
-    index: Index, query: QueryVector, query_norm: float, threshold: float, top_k: int | None
+    index: Index,
+    query: QueryVector,
+    query_norm: float,
+    nonzero: bool,
+    threshold: float,
+    top_k: int | None,
 ) -> tuple[set[int], float, float]:
     """Which query terms' posting lists to skip: MaxScore (Turtle & Flood).
 
@@ -135,13 +105,12 @@ def _skippable(
     The queries the module docstring names skip nothing (a lone term's bound
     is never below theta), and so does a hand-built query with a term whose
     bound is not positive: a term that adds nothing still widens the union.
-    A term of idf 0 is one such, and it is caught before its ratios, whose
-    documents may have zero norms, are computed.
+    A term of idf 0 is one such, and a query holding one comes with
+    *nonzero* false (see :func:`_score`), so it is caught before its ratios,
+    whose documents may have zero norms, are computed.
     """
     weights = query.weights
-    if query.scorer == "set" or threshold > 0.0 or top_k is None or len(weights) < 2:
-        return set(), 0.0, 0.0
-    if not query_norm or _has_idf_0(index, weights):
+    if query.scorer == "set" or not nonzero or threshold > 0.0 or top_k is None or len(weights) < 2:
         return set(), 0.0, 0.0
     tids = sorted(weights)
     ratios = {tid: index.term_ratios(tid) for tid in tids}
@@ -160,7 +129,7 @@ def _skippable(
 
 
 def _score(
-    index: Index, query: QueryVector, threshold: float, top_k: int | None
+    index: Index, query: QueryVector, query_norm: float, threshold: float, top_k: int | None
 ) -> tuple[list[int], list[float], int]:
     """Ordinals and scores of the documents that can match, and the match count.
 
@@ -175,7 +144,9 @@ def _score(
     already holds its exact score; any other is scored again by
     :meth:`Index.dot`, so every score is bit-identical, and the match count
     is the size of the union of all the query's lists. A document or a
-    hand-built query of norm 0 scores 0.0, as in :func:`cosine_similarity`.
+    hand-built query of norm 0 scores 0.0, as the dense oracle of the test
+    suite (``tests/brute.py``) scores it. *query_norm* is
+    ``_norm(query.weights)``, which :func:`rank` has checked.
 
     Each per-candidate step (the scores, then the threshold filter or the
     theta cut) is one comprehension that indexes ``dots`` and ``norms`` by
@@ -186,8 +157,10 @@ def _score(
     weights = query.weights
     binary = query.scorer == "set"
     norms = index.ordinal_set_norms if binary else index.ordinal_norms
-    query_norm = _norm(weights)
-    skipped, reach, theta = _skippable(index, query, query_norm, threshold, top_k)
+    # every denominator query_norm * norm is nonzero, unless a cosine query
+    # has norm 0 or holds a term of idf 0, which a document may hold alone
+    nonzero = binary or (query_norm > 0.0 and not _has_idf_0(index, weights))
+    skipped, reach, theta = _skippable(index, query, query_norm, nonzero, threshold, top_k)
     dots = [0.0] * index.corpus_size
     union: set[int] = set()
     for tid in sorted(weights.keys() - skipped):
@@ -199,9 +172,9 @@ def _score(
         union.update(ordinals)
     candidates = list(union)
     # dot / (query_norm * norm), clamped to 1.0 as min(score, 1.0) would
-    if binary or query_norm and not _has_idf_0(index, weights):
+    if nonzero:
         scores = [dots[o] / (query_norm * norms[o]) for o in candidates]
-    else:  # a zero norm scores 0.0, as in cosine_similarity
+    else:  # a zero norm scores 0.0, as in the dense oracle
         scores = [dots[o] / den if (den := query_norm * norms[o]) else 0.0 for o in candidates]
     if not skipped:
         scores = _clamp(scores)
@@ -282,10 +255,11 @@ def rank(
     for tid in query.weights:
         if not 0 <= tid < term_count:
             raise ValueError(f"term id {tid} is not in the vocabulary of {term_count} terms")
-    if not math.isfinite(_norm(query.weights)):
+    query_norm = _norm(query.weights)
+    if not math.isfinite(query_norm):
         raise ValueError("query weights must have a finite norm")
     index._derive(query.weights)
-    ordinals, scores, total = _score(index, query, threshold, top_k)
+    ordinals, scores, total = _score(index, query, query_norm, threshold, top_k)
     doc_ids = index.doc_ids
     if top_k is not None and top_k < len(scores):
         # only scores at or above the k-th best can rank in the top k

@@ -83,6 +83,11 @@ def random_query_tokens(
     return tokens
 
 
+def row_weights(index, ordinal: int) -> dict[int, float]:
+    """Term id -> weight over every term of document *ordinal*'s count row."""
+    return index._row_weights(ordinal, range(len(index.vocabulary)))
+
+
 def sealed_index_text(document: dict) -> str:
     """Index file text for *document* with a checksum that matches it.
 

@@ -10,10 +10,11 @@ PASS line (visible with ``pytest -s`` or ``-rP``) once it holds:
    scorer exactly on random corpora;
 4. scale invariance: raw-count term frequencies and natural-log idf change
    no ranking and no score;
-5. binary bridge: set overlap equals cosine over 0/1 incidence vectors;
+5. binary bridge: the set scorer ranks and scores as cosine over 0/1
+   incidence vectors does, on random corpora;
 6. rebuild equivalence: interleaved retain/revise ends byte-identical to a
    scratch build;
-7. per-document term frequencies always sum to 1;
+7. the term frequencies behind every document's weights sum to 1;
 8. index files round-trip byte-identically and bad files are rejected.
 """
 
@@ -32,11 +33,10 @@ from cbrsearch import (
     CaseBase,
     IndexFormatError,
     build_index,
-    cosine_similarity,
     load_index,
     rank,
     save_index,
-    set_similarity,
+    tokenize,
 )
 from cbrsearch.cli import EXIT_OK, main
 from conftest import (
@@ -79,11 +79,11 @@ def test_self_retrieval(capsys):
     cases = [Case(id=f"t{i:03d}", title=title) for i, title in enumerate(titles)]
     base = CaseBase(cases)
     assert base.index.corpus_size >= 100
+    oracle = DenseOracle({case.id: tokenize(case.title, base.config) for case in cases})
 
     def direction(doc_id):
-        doc = base.index.documents[doc_id]
-        norm = base.index.norms[doc_id]
-        return {tid: weight / norm for tid, weight in doc.weights.items()}
+        norm = oracle.doc_norms[doc_id]
+        return [weight / norm for weight in oracle.doc_vectors[doc_id]]
 
     for case in cases:
         outcome = base.retrieve(case.title)
@@ -93,9 +93,9 @@ def test_self_retrieval(capsys):
         assert case.id in {m.case_id for m in tied}, case.id
         own = direction(case.id)
         for match in tied:  # ties are only allowed between identical directions
+            assert oracle.doc_sets[match.case_id] == oracle.doc_sets[case.id]
             other = direction(match.case_id)
-            assert set(other) == set(own)
-            assert all(abs(other[tid] - own[tid]) <= SCORE_ABS for tid in own)
+            assert all(abs(a - b) <= SCORE_ABS for a, b in zip(other, own))
 
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0
@@ -188,15 +188,31 @@ def test_scale_invariance(random_suite, suite_indexes, capsys):
     print(f"PASS: raw-count tf and natural-log idf leave {checked} rankings unchanged")
 
 
-def test_binary_bridge(capsys):
-    rng = random.Random(1000003)
-    for _ in range(1000):
-        x = set(rng.sample(range(50), rng.randint(0, 20)))
-        y = set(rng.sample(range(50), rng.randint(0, 20)))
-        from_sets = set_similarity(x, y)
-        from_vectors = cosine_similarity({k: 1.0 for k in x}, {k: 1.0 for k in y})
-        assert abs(from_sets - from_vectors) <= REL
-    print("PASS: set overlap equals cosine of 0/1 vectors on 1000 random pairs")
+def test_binary_bridge(random_suite, suite_indexes, capsys):
+    compared = 0
+    for (doc_tokens, queries), index in zip(random_suite, suite_indexes):
+        oracle = DenseOracle(doc_tokens)
+        incidence = {
+            doc_id: [1.0 if term in terms else 0.0 for term in oracle.vocab]
+            for doc_id, terms in oracle.doc_sets.items()
+        }
+        for tokens in queries:
+            query = [1.0 if term in tokens else 0.0 for term in oracle.vocab]
+            query_norm = math.sqrt(sum(q * q for q in query))
+            expected = []
+            for doc_id, vector in incidence.items():
+                dot = sum(q * d for q, d in zip(query, vector))
+                if dot:  # a cosine over 0/1 vectors
+                    norm = math.sqrt(sum(d * d for d in vector))
+                    expected.append((doc_id, dot / (query_norm * norm)))
+            expected.sort(key=lambda item: (-item[1], item[0]))
+            mine = rank(index, index.vectorize_query(tokens, "set"))
+            assert [m.case_id for m in mine.matches] == [doc_id for doc_id, _ in expected]
+            assert mine.total_matches == len(expected)
+            for match, (_, score) in zip(mine.matches, expected):
+                assert _close(match.score, score)
+            compared += 1
+    print(f"PASS: the set scorer equals cosine of 0/1 vectors on {compared} queries")
 
 
 def test_rebuild_equivalence(tmp_path, capsys):
@@ -238,14 +254,22 @@ def test_rebuild_equivalence(tmp_path, capsys):
 
 
 def test_term_frequency_normalization(suite_indexes, capsys):
+    checked = documents = 0
     for index in suite_indexes:
-        for doc_id, doc in index.documents.items():
-            total = sum(
-                index.term_frequency(index.vocabulary.term(tid), doc_id)
-                for tid in doc.raw_counts
-            )
-            assert abs(total - 1.0) <= REL
-    print("PASS: per-document term frequencies sum to 1 across the random suite")
+        # a posted weight over its term's idf is the term's in-document
+        # frequency; a term of idf 0 hides it, so its documents are left out
+        totals = [0.0] * index.corpus_size
+        for tid, df in enumerate(index.vocabulary.document_frequencies):
+            idf = math.log10(index.corpus_size / df)
+            for ordinal, weight in zip(index.postings[tid], index.posting_weights[tid]):
+                totals[ordinal] += weight / idf if idf else math.nan
+        for total in totals:
+            if not math.isnan(total):
+                assert abs(total - 1.0) <= REL
+                checked += 1
+        documents += index.corpus_size
+    assert checked >= 0.9 * documents
+    print(f"PASS: the term frequencies of {checked} documents' weights each sum to 1")
 
 
 def test_round_trip_persistence(tmp_path, capsys):

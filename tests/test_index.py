@@ -19,7 +19,6 @@ from cbrsearch import (
     PreprocessConfig,
     QueryVector,
     build_index,
-    cosine_similarity,
     load_index,
     save_index,
     search,
@@ -31,6 +30,7 @@ from conftest import (
     generate_titles,
     generate_token_corpus,
     random_query_tokens,
+    row_weights,
     zipf_titles,
 )
 
@@ -52,18 +52,18 @@ class TestBuildIndex:
         vocabulary = small_index.vocabulary
         for term in ("a", "b", "c"):
             assert vocabulary.document_frequencies[vocabulary.lookup(term)] == 2
-        for doc in small_index.documents.values():
-            for weight in doc.weights.values():  # each term is 1 of 2 tokens
+        for ordinal in range(small_index.corpus_size):
+            for weight in row_weights(small_index, ordinal).values():  # 1 of 2 tokens
                 assert 2 * weight == pytest.approx(IDF_TWO_OF_THREE, rel=1e-12)
 
     def test_term_in_every_document_weighs_nothing(self):
         index, _ = build_index([Case("d1", "a"), Case("d2", "a")])
-        for doc in index.documents.values():
-            assert all(weight == 0.0 for weight in doc.weights.values())
+        for ordinal in range(index.corpus_size):
+            assert all(weight == 0.0 for weight in row_weights(index, ordinal).values())
 
     def test_empty_title_is_skipped_and_reported(self):
         index, report = build_index([Case("d1", ""), Case("d2", "x")])
-        assert list(index.documents) == ["d2"]
+        assert index.doc_ids == ("d2",)
         assert report.indexed == 1
         assert report.skipped == (("d1", "title tokenizes to empty"),)
         assert report.vocabulary_size == 1
@@ -207,15 +207,13 @@ class TestDeriveOnFirstUse:
             assert norms == _bits(map(built.ordinal_norms.__getitem__, ordinals))
         assert _bits(loaded.ordinal_norms) == _bits(built.ordinal_norms)
 
-    def test_every_view_derives_what_it_reads(self, tmp_path):
+    def test_term_ratios_derive_what_they_read(self, tmp_path):
         loaded, built = self._loaded_and_built(tmp_path, LAZY_CORPORA["titles"]())
-        assert loaded.documents == built.documents
-        assert loaded.postings == [None] * len(built.postings)  # nothing above derived
+        assert loaded.postings == [None] * len(built.postings)
         for tid, df in enumerate(built.vocabulary.document_frequencies):
-            if df < built.corpus_size:
-                assert _bits(loaded.term_ratios(tid)) == _bits(built.term_ratios(tid))
-        fresh = load_index(tmp_path / "saved.idx")
-        assert fresh.norms == built.norms
+            assert df < built.corpus_size  # no term of idf 0, so every term is read
+            assert _bits(loaded.term_ratios(tid)) == _bits(built.term_ratios(tid))
+        assert _bits(loaded.ordinal_norms) == _bits(built.ordinal_norms)
 
     def test_concurrent_readers_of_a_fresh_load_rank_as_a_build(self, tmp_path):
         cases, pool = zipf_titles(11, 2000, 16)
@@ -243,81 +241,45 @@ class TestDeriveOnFirstUse:
         assert [results[n] for n in range(len(pool))] == expected
 
 
-class TestTermFrequency:
-    def test_repeated_term(self):
-        index, _ = build_index([Case("d1", "a b a"), Case("d2", "c")])
-        assert index.term_frequency("a", "d1") == 2 / 3
-
-    def test_absent_term_is_zero(self):
-        index, _ = build_index([Case("d1", "a b a"), Case("d2", "z")])
-        assert index.term_frequency("z", "d1") == 0.0
-
-    def test_single_token_document(self):
-        index, _ = build_index([Case("d1", "a"), Case("d2", "b")])
-        assert index.term_frequency("a", "d1") == 1.0
-
-    def test_unknown_document_is_a_lookup_error(self, small_index):
-        with pytest.raises(KeyError, match="d99"):
-            small_index.term_frequency("a", "d99")
-
-    def test_reads_one_row_and_equals_the_document_vectors(self):
-        # the reference: a document's raw count over its token total, read
-        # through the DocumentVector view term_frequency no longer builds
-        cases = [Case(str(n), title) for n, title in enumerate(SAMPLE_TITLES)]
-        index, _ = build_index(cases)
-        terms = [*index.vocabulary.terms, "tidakada"]
-        answers = {(t, d): index.term_frequency(t, d) for t in terms for d in index.doc_ids}
-        assert index._documents is None
-        with pytest.raises(KeyError) as caught:
-            index.term_frequency("sistem", "99")
-        assert caught.value.args == ("document not indexed: '99'",)
-        assert index._documents is None
-        for (term, doc_id), answer in answers.items():
-            doc = index.documents[doc_id]
-            tid = index.vocabulary.lookup(term)
-            assert answer == doc.raw_counts.get(tid, 0) / doc.token_total, (term, doc_id)
-        # one nonzero answer for each entry of the count rows
-        assert sum(answer > 0 for answer in answers.values()) == len(index.term_ids)
-
-
 class TestInverseDocumentFrequency:
     def test_two_of_three_documents(self, small_index):
-        weight = small_index.documents["d1"].weights[small_index.vocabulary.lookup("a")]
-        assert weight / small_index.term_frequency("a", "d1") == pytest.approx(
-            IDF_TWO_OF_THREE, rel=1e-12
-        )
+        # "a" is 1 of the 2 tokens of "d1", ordinal 0
+        weight = row_weights(small_index, 0)[small_index.vocabulary.lookup("a")]
+        assert weight / (1 / 2) == pytest.approx(IDF_TWO_OF_THREE, rel=1e-12)
 
     def test_term_in_every_document_is_zero(self):
         index, _ = build_index([Case("d1", "a b"), Case("d2", "a c"), Case("d3", "a d")])
         tid = index.vocabulary.lookup("a")
-        assert [doc.weights[tid] for doc in index.documents.values()] == [0.0] * 3
+        assert [row_weights(index, ordinal)[tid] for ordinal in range(3)] == [0.0] * 3
+        assert list(index.posting_weights[tid]) == [0.0] * 3
 
 
 class TestTfidfWeight:
     def test_hand_computed_weight(self, small_index):
-        weight = small_index.documents["d1"].weights[small_index.vocabulary.lookup("a")]
+        weight = row_weights(small_index, 0)[small_index.vocabulary.lookup("a")]
         assert weight == pytest.approx(WEIGHT_HALF_IDF, rel=1e-12)
 
     def test_equals_the_stored_vector_entry(self, small_index):
         tid = small_index.vocabulary.lookup("a")
-        stored = small_index.documents["d1"].weights[tid]
-        assert small_index.term_frequency("a", "d1") * math.log10(3 / 2) == stored
+        stored = row_weights(small_index, 0)[tid]
+        assert (1 / 2) * math.log10(3 / 2) == stored == small_index.posting_weights[tid][0]
 
     def test_zero_idf_means_zero_weight_regardless_of_tf(self):
         index, _ = build_index([Case("d1", "a a a b"), Case("d2", "a c")])
-        assert index.term_frequency("a", "d1") > 0
-        assert index.documents["d1"].weights[index.vocabulary.lookup("a")] == 0.0
+        tid = index.vocabulary.lookup("a")
+        assert dict(zip(*index._row(0)))[tid] == 3
+        assert row_weights(index, 0)[tid] == 0.0
 
     def test_term_absent_from_document_is_zero(self, small_index):
-        assert small_index.term_frequency("c", "d1") == 0.0
-        assert small_index.vocabulary.lookup("c") not in small_index.documents["d1"].weights
+        tid = small_index.vocabulary.lookup("c")
+        assert tid not in row_weights(small_index, 0)
+        assert 0 not in small_index.postings[tid]
 
 
 class TestVectorizeQuery:
     def test_own_title_tokens_point_along_the_document_vector(self, small_index):
         query = small_index.vectorize_query(["a", "b"])
-        doc = small_index.documents["d1"]
-        assert cosine_similarity(query.weights, doc.weights) == pytest.approx(1.0, abs=1e-12)
+        assert query.weights == row_weights(small_index, 0)
 
     def test_unseen_tokens_drop_to_the_report(self, small_index):
         query = small_index.vectorize_query(["zzz"])
@@ -363,40 +325,40 @@ class TestIndexInvariants:
             yield doc_tokens, index
 
     def test_in_document_frequencies_sum_to_one(self):
+        checked = 0
         for _, index in self._random_indexes():
-            for doc_id, doc in index.documents.items():
-                total = sum(
-                    index.term_frequency(index.vocabulary.term(tid), doc_id)
-                    for tid in doc.raw_counts
-                )
-                assert abs(total - 1.0) <= 1e-12
+            frequencies = index.vocabulary.document_frequencies
+            idf = [math.log10(index.corpus_size / df) for df in frequencies]
+            for ordinal in range(index.corpus_size):
+                weights = row_weights(index, ordinal)  # weight = tf * idf
+                if all(idf[tid] for tid in weights):  # idf 0 hides a term's tf
+                    total = sum(weight / idf[tid] for tid, weight in weights.items())
+                    assert abs(total - 1.0) <= 1e-12
+                    checked += 1
+        assert checked > 300
 
     def test_idf_stays_within_bounds(self):
         for _, index in self._random_indexes():
             upper = math.log10(index.corpus_size)
-            for doc in index.documents.values():
-                for tid, weight in doc.weights.items():  # weight = tf * idf
-                    tf = doc.raw_counts[tid] / doc.token_total
-                    assert 0.0 <= weight <= tf * upper + 1e-15
+            for ordinal in range(index.corpus_size):
+                tids, counts = index._row(ordinal)
+                weights = row_weights(index, ordinal)  # weight = tf * idf
+                for tid, count in zip(tids, counts):
+                    tf = count / sum(counts)
+                    assert 0.0 <= weights[tid] <= tf * upper + 1e-15
 
     def test_postings_match_raw_counts_exactly(self):
         for _, index in self._random_indexes():
-            assert list(index.doc_ids) == list(index.documents)
+            rows = [dict(zip(*index._row(ordinal))) for ordinal in range(index.corpus_size)]
             assert len(index.posting_weights) == len(index.postings)
             for tid, ordinals in enumerate(index.postings):
                 ordinals = list(ordinals)
                 weights = list(index.posting_weights[tid])
                 assert len(weights) == len(ordinals)
-                posted = {index.doc_ids[ordinal] for ordinal in ordinals}
                 for ordinal, weight in zip(ordinals, weights):
-                    assert index.documents[index.doc_ids[ordinal]].weights[tid] == weight
-                counted = {
-                    doc_id
-                    for doc_id, doc in index.documents.items()
-                    if doc.raw_counts.get(tid, 0) > 0
-                }
-                assert posted == counted
-                assert ordinals == sorted(set(ordinals))
+                    assert row_weights(index, ordinal)[tid] == weight
+                counted = [ordinal for ordinal, row in enumerate(rows) if row.get(tid, 0) > 0]
+                assert ordinals == counted  # ascending, and every holder once
 
     def test_dot_is_the_ascending_sum_of_query_times_posted_weights(self):
         rng = random.Random(6174)
@@ -426,13 +388,17 @@ class TestIndexInvariants:
                     assert index.dot(ordinal, query.weights).hex() == expected.hex()
         assert checked > 1000
 
-    def test_row_weights_are_the_document_weights_and_filter_to_only(self):
+    def test_row_weights_are_the_posted_weights_and_filter_to_only(self):
         rng = random.Random(1089)
         for _, index in self._random_indexes():
-            for ordinal, doc_id in enumerate(index.doc_ids):
-                weights = index._row_weights(ordinal)
-                assert _bits(weights.values()) == _bits(index.documents[doc_id].weights.values())
-                assert list(weights) == list(index.documents[doc_id].weights)
+            posted: dict[int, dict[int, float]] = {}
+            for tid, ordinals in enumerate(index.postings):
+                for ordinal, weight in zip(ordinals, index.posting_weights[tid]):
+                    posted.setdefault(ordinal, {})[tid] = weight
+            for ordinal in range(index.corpus_size):
+                weights = row_weights(index, ordinal)
+                assert list(weights) == sorted(posted[ordinal])
+                assert _bits(weights.values()) == _bits(map(posted[ordinal].get, weights))
                 only = set(rng.sample(range(len(index.vocabulary)), 5))
                 assert index._row_weights(ordinal, only) == {
                     tid: weight for tid, weight in weights.items() if tid in only
@@ -440,21 +406,19 @@ class TestIndexInvariants:
 
     def test_stored_norms_match_recomputation(self):
         for _, index in self._random_indexes():
-            for doc_id, doc in index.documents.items():
-                recomputed = math.sqrt(sum(w * w for w in doc.weights.values()))
-                stored = index.norms[doc_id]
+            for ordinal in range(index.corpus_size):
+                weights = row_weights(index, ordinal)
+                recomputed = math.sqrt(sum(w * w for w in weights.values()))
+                stored = index.ordinal_norms[ordinal]
                 assert abs(stored - recomputed) <= 1e-12 * max(stored, recomputed, 1e-300)
-            for ordinal, doc_id in enumerate(index.doc_ids):
-                assert index.ordinal_norms[ordinal] == index.norms[doc_id]
-                distinct = len(index.documents[doc_id].raw_counts)
-                assert index.ordinal_set_norms[ordinal] == math.sqrt(distinct)
+                assert index.ordinal_set_norms[ordinal] == math.sqrt(len(weights))
 
     def test_weights_match_a_dense_recomputation(self):
         for doc_tokens, index in self._random_indexes():
             oracle = DenseOracle(doc_tokens)
-            for doc_id, doc in index.documents.items():
+            for ordinal, doc_id in enumerate(index.doc_ids):
                 dense = dict(zip(oracle.vocab, oracle.doc_vectors[doc_id]))
-                for tid, weight in doc.weights.items():
+                for tid, weight in row_weights(index, ordinal).items():
                     expected = dense[index.vocabulary.term(tid)]
                     assert abs(weight - expected) <= 1e-12 * max(abs(weight), abs(expected), 1e-300)
 

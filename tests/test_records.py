@@ -13,27 +13,66 @@ from cbrsearch import (
     Case,
     ConfigError,
     DataError,
-    DocumentVector,
-    IngestReport,
     PreprocessConfig,
-    QueryVector,
     RankedMatch,
     RankedResults,
-    RetrievalOutcome,
-    ReuseResult,
 )
 
-RECORDS = [
-    Case,
-    IngestReport,
-    DocumentVector,
-    QueryVector,
-    PreprocessConfig,
-    RankedMatch,
-    RankedResults,
-    RetrievalOutcome,
-    ReuseResult,
+# the public surface, pinned: adding or removing a name is a change made here too
+PUBLIC = [
+    "Case",
+    "CaseBase",
+    "ConfigError",
+    "DataError",
+    "INDEX_FORMAT_VERSION",
+    "Index",
+    "IndexFormatError",
+    "IngestReport",
+    "PreprocessConfig",
+    "QueryVector",
+    "RankedMatch",
+    "RankedResults",
+    "RetrievalOutcome",
+    "ReuseResult",
+    "SearchError",
+    "StateError",
+    "Vocabulary",
+    "append_case",
+    "build_index",
+    "load_index",
+    "load_stopwords",
+    "rank",
+    "read_corpus",
+    "reuse",
+    "save_index",
+    "search",
+    "tokenize",
 ]
+
+# the records: every named tuple among the public names
+RECORDS = [
+    value
+    for value in map(vars(cbrsearch).get, cbrsearch.__all__)
+    if isinstance(value, type) and issubclass(value, tuple) and hasattr(value, "_fields")
+]
+
+
+def test_the_public_names_are_pinned_and_each_resolves():
+    assert cbrsearch.__all__ == PUBLIC == sorted(PUBLIC)
+    assert [name for name in PUBLIC if not hasattr(cbrsearch, name)] == []
+
+
+def test_the_records_are_pinned():
+    assert [record.__name__ for record in RECORDS] == [
+        "Case",
+        "IngestReport",
+        "PreprocessConfig",
+        "QueryVector",
+        "RankedMatch",
+        "RankedResults",
+        "RetrievalOutcome",
+        "ReuseResult",
+    ]
 
 
 def test_the_command_line_imports_no_dataclasses_inspect_or_typing():

@@ -1,4 +1,4 @@
-"""Scorer behavior: cosine, set overlap, ranking, and their invariants."""
+"""Scorer behavior: cosine and set overlap through ranking, and their invariants."""
 
 from __future__ import annotations
 
@@ -10,17 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brute import DenseOracle
-from cbrsearch import (
-    Case,
-    QueryVector,
-    build_index,
-    cosine_similarity,
-    rank,
-    search,
-    set_similarity,
-)
+from cbrsearch import Case, QueryVector, build_index, rank, search
 from cbrsearch.similarity import _norm, _skippable
-from conftest import corpus_cases, generate_token_corpus, random_query_tokens
+from conftest import corpus_cases, generate_token_corpus, random_query_tokens, row_weights
 
 
 @pytest.fixture
@@ -29,68 +21,58 @@ def small_index():
     return index
 
 
-class TestCosineSimilarity:
-    def test_identical_nonzero_vectors_score_one(self):
-        x = {"a": 0.3, "b": 1.7}
-        assert cosine_similarity(x, dict(x)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_disjoint_supports_score_zero(self):
-        assert cosine_similarity({"a": 1.0}, {"b": 1.0}) == 0.0
-
-    def test_half_overlap(self):
-        x = {"a": 1.0, "b": 1.0}
-        y = {"a": 1.0, "c": 1.0}
-        assert cosine_similarity(x, y) == pytest.approx(0.5, rel=1e-12)
-
-    def test_zero_or_empty_vectors_score_zero(self):
-        assert cosine_similarity({}, {"a": 1.0}) == 0.0
-        assert cosine_similarity({"a": 0.0}, {"a": 1.0}) == 0.0
-
-    def test_symmetric_and_bounded(self):
-        rng = random.Random(5150)
-        for _ in range(300):
-            x = {k: rng.uniform(0.0, 5.0) for k in rng.sample(range(12), rng.randint(0, 6))}
-            y = {k: rng.uniform(0.0, 5.0) for k in rng.sample(range(12), rng.randint(0, 6))}
-            forward = cosine_similarity(x, y)
-            assert forward == cosine_similarity(y, x)
-            assert 0.0 <= forward <= 1.0
-
-    def test_invariant_to_positive_scaling(self):
-        rng = random.Random(1984)
-        for _ in range(300):
-            x = {k: rng.uniform(0.1, 5.0) for k in rng.sample(range(10), rng.randint(1, 6))}
-            y = {k: rng.uniform(0.1, 5.0) for k in rng.sample(range(10), rng.randint(1, 6))}
-            a = rng.uniform(1e-3, 1e3)
-            b = rng.uniform(1e-3, 1e3)
-            scaled = cosine_similarity({k: a * v for k, v in x.items()},
-                                       {k: b * v for k, v in y.items()})
-            plain = cosine_similarity(x, y)
-            assert abs(scaled - plain) <= 1e-12
+def _title_scores(index, doc_tokens, scorer):
+    """(query title, matched title) -> score, for every stored title as a query."""
+    scores = {}
+    for doc_id, tokens in doc_tokens.items():
+        for match in search(index, " ".join(tokens), scorer=scorer).matches:
+            scores[doc_id, match.case_id] = match.score
+    return scores
 
 
-class TestSetSimilarity:
-    def test_identical_sets_score_one(self):
-        x = {"sistem", "navigasi", "gedung"}
-        assert set_similarity(x, set(x)) == pytest.approx(1.0, abs=1e-12)
+class TestScorerProperties:
+    """What the module docstring claims for both scorers, stated through ranking."""
 
-    def test_half_overlap(self):
-        assert set_similarity({"sistem", "navigasi"}, {"sistem", "gedung"}) == pytest.approx(
-            0.5, rel=1e-12
-        )
+    @staticmethod
+    def _random_corpora(count=12, seed=5150):
+        rng = random.Random(seed)
+        for _ in range(count):
+            doc_tokens = generate_token_corpus(rng, max_docs=30, max_tokens=12, max_vocab=20)
+            yield rng, doc_tokens, build_index(corpus_cases(doc_tokens))[0]
 
-    def test_disjoint_sets_score_zero(self):
-        assert set_similarity({"a"}, {"b"}) == 0.0
+    @pytest.mark.parametrize("scorer", ["cosine", "set"])
+    def test_every_score_lies_in_0_1(self, scorer):
+        for rng, doc_tokens, index in self._random_corpora():
+            scores = list(_title_scores(index, doc_tokens, scorer).values())
+            for _ in range(10):
+                text = " ".join(random_query_tokens(rng, doc_tokens))
+                scores += [m.score for m in search(index, text, scorer=scorer).matches]
+            assert scores and all(0.0 <= score <= 1.0 for score in scores)
 
-    def test_empty_set_scores_zero(self):
-        assert set_similarity(set(), {"a"}) == 0.0
+    @pytest.mark.parametrize("scorer", ["cosine", "set"])
+    def test_title_to_title_scores_are_symmetric(self, scorer):
+        pairs = 0
+        for _, doc_tokens, index in self._random_corpora():
+            scores = _title_scores(index, doc_tokens, scorer)
+            for (query_id, doc_id), score in scores.items():
+                assert math.isclose(scores[doc_id, query_id], score, rel_tol=1e-12)
+                pairs += 1
+        assert pairs > 1000
 
-    def test_equals_cosine_of_incidence_vectors(self):
-        rng = random.Random(2600)
-        for _ in range(200):
-            x = set(rng.sample(range(40), rng.randint(0, 15)))
-            y = set(rng.sample(range(40), rng.randint(0, 15)))
-            incidence = cosine_similarity({k: 1.0 for k in x}, {k: 1.0 for k in y})
-            assert abs(set_similarity(x, y) - incidence) <= 1e-12
+    @pytest.mark.parametrize("scorer", ["cosine", "set"])
+    def test_scores_are_invariant_to_positive_scaling_of_the_query(self, scorer):
+        for rng, doc_tokens, index in self._random_corpora():
+            for _ in range(10):
+                query = index.vectorize_query(random_query_tokens(rng, doc_tokens), scorer)
+                factor = rng.uniform(1e-3, 1e3)
+                scaled = {tid: factor * weight for tid, weight in query.weights.items()}
+                plain = rank(index, query)
+                moved = rank(index, query._replace(weights=scaled))
+                assert moved.total_matches == plain.total_matches
+                expected = {m.case_id: m.score for m in plain.matches}
+                assert {m.case_id for m in moved.matches} == expected.keys()
+                for match in moved.matches:
+                    assert math.isclose(match.score, expected[match.case_id], rel_tol=1e-12)
 
 
 class TestRank:
@@ -199,7 +181,7 @@ class TestRank:
 
 
 def _reference_rank(index, query, threshold):
-    """Rank by plain dict accumulation keyed by case id, over document vectors.
+    """Rank by plain dict accumulation keyed by case id, over each document's row weights.
 
     Follows the cosine floating-point path term by term, and scores a set
     query by counting shared terms, so the scores of the single accumulator
@@ -211,19 +193,22 @@ def _reference_rank(index, query, threshold):
         for tid in sorted(query.weights):
             query_norm += query.weights[tid] * query.weights[tid]
         query_norm = math.sqrt(query_norm)
-        for doc_id, doc in index.documents.items():
-            shared = [tid for tid in sorted(query.weights) if tid in doc.weights]
+        for ordinal, doc_id in enumerate(index.doc_ids):
+            weights = row_weights(index, ordinal)
+            shared = [tid for tid in sorted(query.weights) if tid in weights]
             if shared:
                 dot = 0.0
                 for tid in shared:
-                    dot += query.weights[tid] * doc.weights[tid]
-                scores[doc_id] = min(dot / (query_norm * index.norms[doc_id]), 1.0)
+                    dot += query.weights[tid] * weights[tid]
+                norm = index.ordinal_norms[ordinal]
+                scores[doc_id] = min(dot / (query_norm * norm), 1.0)
     else:
         query_norm = math.sqrt(len(query.weights))
-        for doc_id, doc in index.documents.items():
-            shared = len(query.weights.keys() & doc.weights.keys())
+        for ordinal, doc_id in enumerate(index.doc_ids):
+            weights = row_weights(index, ordinal)
+            shared = len(query.weights.keys() & weights.keys())
             if shared:
-                score = shared / (query_norm * math.sqrt(len(doc.weights)))
+                score = shared / (query_norm * math.sqrt(len(weights)))
                 scores[doc_id] = min(score, 1.0)
     kept = [(doc_id, score) for doc_id, score in scores.items() if score > threshold]
     kept.sort(key=lambda item: (-item[1], item[0]))
@@ -402,19 +387,18 @@ class TestPruning:
         query = QueryVector({a: 1.0, b: 1.0})
         oracle = DenseOracle({"1": ["a"], "2": ["a", "b"]})
         assert oracle.doc_norms["1"] == 0.0
-        by_term = {"a": 1.0, "b": 1.0}
-        expected = [
-            (doc_id, score)
-            for doc_id, vector in sorted(oracle.doc_vectors.items())
-            if (score := cosine_similarity(by_term, dict(zip(oracle.vocab, vector)))) > 0.0
-        ]
+        assert oracle.vocab == ["a", "b"]
+        expected = []  # the cosine of (1, 1) with each dense document vector
+        for doc_id, vector in sorted(oracle.doc_vectors.items()):
+            dot, norm = sum(vector), math.sqrt(sum(d * d for d in vector))
+            if dot and norm:
+                expected.append((doc_id, dot / (math.sqrt(2.0) * norm)))
         assert [doc_id for doc_id, _ in expected] == [doc for doc, _ in oracle.rank(["a", "b"])]
         results = rank(index, query, top_k=top_k)
         assert [m.case_id for m in results.matches] == [doc_id for doc_id, _ in expected]
         for match, (_, score) in zip(results.matches, expected):
             assert math.isclose(match.score, score, rel_tol=1e-12)
         assert results.total_matches == 1
-        assert _skippable(index, query, _norm(query.weights), 0.0, 1)[0] == set()
         assert index._ratios == {}  # no ratios of a zero-norm document were computed
 
     @pytest.mark.parametrize("top_k", [None, 1])
@@ -430,7 +414,7 @@ class TestPruning:
 
         def skipped(tokens, scorer="cosine", threshold=0.0, top_k=1):
             query = index.vectorize_query(tokens, scorer)
-            return _skippable(index, query, _norm(query.weights), threshold, top_k)[0]
+            return _skippable(index, query, _norm(query.weights), True, threshold, top_k)[0]
 
         assert skipped(["umum", "langka"]) == {index.vocabulary.lookup("umum")}
         assert skipped(["umum", "langka"], scorer="set") == set()
@@ -439,8 +423,8 @@ class TestPruning:
         assert skipped(["langka"]) == set()
         idf_0, _ = build_index([Case("1", "a b"), Case("2", "a c"), Case("3", "a d")])
         a, b = idf_0.vocabulary.lookup("a"), idf_0.vocabulary.lookup("b")
-        query = QueryVector({a: 1.0, b: 1.0})
-        assert _skippable(idf_0, query, _norm(query.weights), 0.0, 1)[0] == set()
+        rank(idf_0, QueryVector({a: 1.0, b: 1.0}), top_k=1)
+        assert idf_0._ratios == {}  # skips nothing: no bound of the query was computed
 
     def test_term_ratios_bound_every_posting_and_are_reached(self):
         rng = random.Random(8128)

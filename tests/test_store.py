@@ -57,9 +57,13 @@ class TestRoundTrip:
         save_index(small_index, path)
         loaded = load_index(path)
         assert loaded.vocabulary == small_index.vocabulary
-        assert loaded.documents == small_index.documents
         loaded._derive(range(len(loaded.postings)))  # a loaded index derives on first use
         assert loaded.postings == small_index.postings
+        for table in ("postings", "posting_weights"):
+            bits = [(a.typecode, a.tobytes()) for a in getattr(loaded, table)]
+            assert bits == [(a.typecode, a.tobytes()) for a in getattr(small_index, table)]
+        norms = array("d", loaded.ordinal_norms).tobytes()
+        assert norms == array("d", small_index.ordinal_norms).tobytes()
         assert loaded == small_index
 
     def test_save_load_save_is_byte_identical(self, tmp_path):
