@@ -241,6 +241,26 @@ class TestDeriveOnFirstUse:
         assert [results[n] for n in range(len(pool))] == expected
 
 
+class TestTermFrequency:
+    """The in-document frequency, a raw count over the token total, in the weights."""
+
+    def test_repeated_term(self):
+        index, _ = build_index([Case("d1", "a b a"), Case("d2", "c")])
+        tid = index.vocabulary.lookup("a")
+        assert row_weights(index, 0)[tid] == (2 / 3) * math.log10(2)
+
+    def test_absent_term_is_zero(self):
+        index, _ = build_index([Case("d1", "a b a"), Case("d2", "z")])
+        tid = index.vocabulary.lookup("z")
+        assert tid not in row_weights(index, 0)
+        assert index.dot(0, {tid: 1.0}) == 0.0
+
+    def test_single_token_document(self):
+        index, _ = build_index([Case("d1", "a"), Case("d2", "b")])
+        tid = index.vocabulary.lookup("a")
+        assert row_weights(index, 0)[tid] == 1.0 * math.log10(2)
+
+
 class TestInverseDocumentFrequency:
     def test_two_of_three_documents(self, small_index):
         # "a" is 1 of the 2 tokens of "d1", ordinal 0

@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 from brute import DenseOracle
 from cbrsearch import Case, QueryVector, build_index, rank, search
 from cbrsearch.similarity import _norm, _skippable
-from conftest import corpus_cases, generate_token_corpus, random_query_tokens, row_weights
+from conftest import (
+    SAMPLE_TITLES,
+    corpus_cases,
+    generate_token_corpus,
+    random_query_tokens,
+    row_weights,
+)
 
 
 @pytest.fixture
@@ -28,6 +34,125 @@ def _title_scores(index, doc_tokens, scorer):
         for match in search(index, " ".join(tokens), scorer=scorer).matches:
             scores[doc_id, match.case_id] = match.score
     return scores
+
+
+def _scores(results):
+    return {m.case_id: m.score for m in results.matches}
+
+
+class TestCosineSimilarity:
+    """The weighted cosine, stated through :func:`rank` with hand-built queries."""
+
+    def test_identical_nonzero_vectors_score_one(self):
+        index, _ = build_index([Case(str(n), title) for n, title in enumerate(SAMPLE_TITLES)])
+        for ordinal, doc_id in enumerate(index.doc_ids):
+            weights = row_weights(index, ordinal)
+            assert any(weights.values())
+            score = _scores(rank(index, QueryVector(weights)))[doc_id]
+            assert score == pytest.approx(1.0, abs=1e-12)
+
+    def test_disjoint_supports_score_zero(self):
+        index, _ = build_index([Case("d1", "a"), Case("d2", "b"), Case("d3", "c")])
+        a = index.vocabulary.lookup("a")
+        results = rank(index, QueryVector({a: 1.0}))
+        assert [m.case_id for m in results.matches] == ["d1"]
+        assert results.total_matches == 1
+        assert [index.dot(ordinal, {a: 1.0}) for ordinal in (1, 2)] == [0.0, 0.0]
+
+    def test_half_overlap(self, small_index):
+        # every weight of the small index is the same: cos({a, b}, {a, c}) = 1/2
+        a, b = small_index.vocabulary.lookup("a"), small_index.vocabulary.lookup("b")
+        scores = _scores(rank(small_index, QueryVector({a: 1.0, b: 1.0})))
+        assert scores["d1"] == pytest.approx(1.0, abs=1e-12)
+        assert scores["d2"] == pytest.approx(0.5, rel=1e-12)
+        assert scores["d3"] == pytest.approx(0.5, rel=1e-12)
+
+    def test_zero_or_empty_vectors_score_zero(self, small_index):
+        a = small_index.vocabulary.lookup("a")
+        for weights in ({}, {a: 0.0}):
+            results = rank(small_index, QueryVector(weights))
+            assert (results.matches, results.total_matches) == ((), 0)
+
+    def test_symmetric_and_bounded(self):
+        # a document's own row as the query: its score against another
+        # document is the cosine of the two weight vectors, either way round
+        rng = random.Random(5150)
+        pairs = 0
+        for _ in range(10):
+            doc_tokens = generate_token_corpus(rng, max_docs=25, max_tokens=10, max_vocab=15)
+            index, _ = build_index(corpus_cases(doc_tokens))
+            scores = {}
+            for ordinal, doc_id in enumerate(index.doc_ids):
+                results = rank(index, QueryVector(row_weights(index, ordinal)))
+                for other, score in _scores(results).items():
+                    assert 0.0 <= score <= 1.0
+                    scores[doc_id, other] = score
+            for (doc_id, other), score in scores.items():
+                assert math.isclose(scores[other, doc_id], score, rel_tol=1e-12)
+                pairs += 1
+        assert pairs > 500
+
+    def test_invariant_to_positive_scaling(self):
+        rng = random.Random(1984)
+        doc_tokens = generate_token_corpus(rng, max_docs=40, max_tokens=12, max_vocab=20)
+        index, _ = build_index(corpus_cases(doc_tokens))
+        # every title written twice: each document's raw counts scaled by 2
+        doubled, _ = build_index(corpus_cases({d: t + t for d, t in doc_tokens.items()}))
+        vocabulary_size = len(index.vocabulary)
+        for _ in range(100):
+            tids = rng.sample(range(vocabulary_size), rng.randint(1, min(6, vocabulary_size)))
+            weights = {tid: rng.uniform(0.1, 5.0) for tid in tids}
+            factor = rng.uniform(1e-3, 1e3)
+            plain = _scores(rank(index, QueryVector(weights)))
+            scaled = _scores(rank(index, QueryVector({t: factor * w for t, w in weights.items()})))
+            assert scaled.keys() == plain.keys()
+            for doc_id, score in scaled.items():
+                assert math.isclose(score, plain[doc_id], rel_tol=1e-12)
+            assert _scores(rank(doubled, QueryVector(weights))) == plain
+
+
+class TestSetSimilarity:
+    """The set-overlap scorer, stated through :func:`rank` with set queries."""
+
+    def test_identical_sets_score_one(self):
+        titles = ["sistem navigasi gedung", "sistem informasi", "navigasi kapal"]
+        index, _ = build_index([Case(str(n), title) for n, title in enumerate(titles)])
+        results = rank(index, index.vectorize_query(titles[0].split(), "set"))
+        assert results.top.case_id == "0"
+        assert results.top.score == pytest.approx(1.0, abs=1e-12)
+
+    def test_half_overlap(self):
+        index, _ = build_index([Case("1", "sistem navigasi"), Case("2", "sistem gedung")])
+        scores = _scores(rank(index, index.vectorize_query(["sistem", "navigasi"], "set")))
+        assert scores["2"] == pytest.approx(0.5, rel=1e-12)
+
+    def test_disjoint_sets_score_zero(self):
+        index, _ = build_index([Case("1", "a"), Case("2", "b")])
+        results = rank(index, index.vectorize_query(["a"], "set"))
+        assert [m.case_id for m in results.matches] == ["1"]
+        assert results.total_matches == 1
+
+    def test_empty_set_scores_zero(self, small_index):
+        results = rank(small_index, QueryVector({}, scorer="set"))
+        assert (results.matches, results.total_matches) == ((), 0)
+
+    def test_equals_cosine_of_incidence_vectors(self):
+        rng = random.Random(2600)
+        doc_tokens = generate_token_corpus(rng, max_docs=40, max_tokens=15, max_vocab=40)
+        index, _ = build_index(corpus_cases(doc_tokens))
+        doc_sets = {doc_id: set(tokens) for doc_id, tokens in doc_tokens.items()}
+        terms = index.vocabulary.terms
+        for _ in range(100):
+            query = set(rng.sample(terms, rng.randint(0, min(15, len(terms)))))
+            expected = {}
+            for doc_id, doc_set in doc_sets.items():
+                shared = len(query & doc_set)  # the dot of two 0/1 incidence vectors
+                if shared:
+                    expected[doc_id] = shared / (math.sqrt(len(query)) * math.sqrt(len(doc_set)))
+            scores = _scores(rank(index, index.vectorize_query(sorted(query), "set")))
+            assert scores.keys() == expected.keys()
+            for doc_id, score in scores.items():
+                assert abs(score - expected[doc_id]) <= 1e-12
 
 
 class TestScorerProperties:
