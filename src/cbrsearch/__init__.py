@@ -33,7 +33,6 @@ from .index import (
     Index,
     IngestReport,
     QueryVector,
-    Vocabulary,
     build_index,
 )
 from .preprocess import PreprocessConfig, load_stopwords, tokenize
@@ -59,7 +58,6 @@ __all__ = [
     "ReuseResult",
     "SearchError",
     "StateError",
-    "Vocabulary",
     "append_case",
     "build_index",
     "load_index",

@@ -172,7 +172,7 @@ class CaseBase:
         report = IngestReport(
             indexed=grown.corpus_size,
             skipped=self.report.skipped,
-            vocabulary_size=len(grown.vocabulary),
+            vocabulary_size=len(grown.terms),
         )
         return self._with(self.cases + (new_case,), grown, report)
 

@@ -125,9 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_index(args) -> int:
     stopwords = load_stopwords(args.stopwords) if args.stopwords else frozenset()
-    config = PreprocessConfig(
-        stopwords=frozenset(stopwords), min_token_length=args.min_token_len
-    )
+    config = PreprocessConfig(stopwords=stopwords, min_token_length=args.min_token_len)
     # under the corpus lock that `add` holds: a rebuild and an add of the
     # same corpus run one after the other, so neither loses the other's work
     with _locked(args.input):
@@ -148,13 +146,15 @@ def cmd_query(args) -> int:
     results = search(
         index, args.query, scorer=args.scorer, threshold=args.threshold, top_k=args.top_k
     )
+    # case id -> title, for the matches' rows; a query that matches nothing builds none
+    titles = dict(zip(index.doc_ids, index.titles)) if results.matches else {}
 
     if args.format == "records":
         for match in results.matches:
             record = {
                 "rank": match.rank,
                 "id": match.case_id,
-                "title": index.titles[match.case_id],
+                "title": titles[match.case_id],
                 "score": round(match.score, 6),
                 "count": results.total_matches,
             }
@@ -166,7 +166,7 @@ def cmd_query(args) -> int:
         return EXIT_OK
 
     for match in results.matches:
-        print(f"{match.rank:>4}  {match.score:.6f}  {match.case_id}  {index.titles[match.case_id]}")
+        print(f"{match.rank:>4}  {match.score:.6f}  {match.case_id}  {titles[match.case_id]}")
     print(f"matches: {results.total_matches}")
     dropped = ", ".join(results.dropped_terms) if results.dropped_terms else "(none)"
     print(f"dropped terms: {dropped}")
@@ -278,10 +278,10 @@ def cmd_eval(args) -> int:
     if not titles:
         raise DataError(f"titles file {args.titles} contains no titles")
 
-    stored_titles = set(index.titles.values())
+    stored_titles = set(index.titles)
     # a shuffled title has its title's tokens: one row scan derives every query's terms
     tokens = {token for title in titles for token in tokenize(title, index.config)}
-    index._derive({tid for tid in map(index.vocabulary.lookup, tokens) if tid is not None})
+    index._derive({tid for tid in map(index.lookup, tokens) if tid is not None})
     lines = [f"seed: {args.seed}", f"scorer: {args.scorer}"]
     top_scores: list[float] = []
     violations: list[str] = []

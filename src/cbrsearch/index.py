@@ -13,18 +13,20 @@ file stores it, 1, 2 or 4 bytes, when loaded. The file stores each column
 at the narrowest of those widths that holds its largest value
 (:func:`_packed`), so a column's width never changes its value. The postings
 of a term are two parallel arrays: the ordinals of the documents containing
-it, ascending, and their weights for the term; ``Index.doc_ids`` maps an
-ordinal back to its case id. No table is keyed by case id: a document's
-weights and norm are read by its ordinal, through the postings, the norms
-and :meth:`Index.dot`. A query is one :class:`QueryVector` type for
-both scorers (see :meth:`Index.vectorize_query`).
+it, ascending, and their weights for the term; ``Index.doc_ids`` and
+``Index.titles``, the stored lists, map an ordinal back to its case id and
+its title. No table is keyed by case id: a document's weights and norm are
+read by its ordinal, through the postings, the norms and :meth:`Index.dot`.
+A query is one :class:`QueryVector` type for both scorers (see
+:meth:`Index.vectorize_query`).
 
 The :class:`Index` is an immutable snapshot: build it once, query it from any
 number of readers, and construct a new one to change the corpus. An index is
 its stored fields (:data:`Fields`, exactly what an index file holds), and
-two indexes are equal when their fields are. ``Index(fields)`` derives df
-and idf from them; the postings, weights and norms of a batch of terms come
-from one scan of the count rows, on the first query that ranks them.
+two indexes are equal when their fields are. ``Index(fields)`` keeps the
+stored fields themselves, copying none, and derives idf from them; the
+postings, weights and norms of a batch of terms come from one scan of the
+count rows, on the first query that ranks them.
 :func:`build_index` and :func:`extend_index`, which appends a case to the
 stored count rows and tokenizes only the new title, each compute the fields
 and then derive every term, so a long-lived reader never pays on first use;
@@ -52,8 +54,9 @@ from .preprocess import PreprocessConfig, tokenize
 SCORERS = ("cosine", "set")
 
 # what an index stores, and its value: config, terms (a term's id is its
-# position), doc ids, titles, and the count rows as row lengths, term ids and
-# counts, each an unsigned array (see _packed)
+# position), doc ids and titles (both by ordinal), and the count rows as row
+# lengths, term ids and counts, each an unsigned array (see _packed); an Index
+# keeps these objects as its attributes, not copies
 Fields = tuple[PreprocessConfig, list[str], list[str], list[str], array, array, array]
 # the count rows as _append_row builds them: row lengths, term ids and counts
 Columns = tuple[list[int], list[int], list[int]]
@@ -98,49 +101,6 @@ class IngestReport(namedtuple("IngestReport", "indexed skipped vocabulary_size")
     vocabulary_size: int
 
 
-class Vocabulary:
-    """Bidirectional term <-> dense-id table with per-term document frequency.
-
-    Ids run 0..len-1 in first-occurrence order over the corpus, so rebuilding
-    from the same case sequence always reproduces the same ids.
-    """
-
-    __slots__ = ("_terms", "_df", "_ids")
-
-    def __init__(self, terms: Sequence[str], document_frequencies: Sequence[int]):
-        if len(terms) != len(document_frequencies):
-            raise ValueError("terms and document_frequencies must align")
-        self._terms = tuple(terms)
-        self._df = tuple(document_frequencies)
-        self._ids = {term: tid for tid, term in enumerate(self._terms)}
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Vocabulary):
-            return NotImplemented
-        return self._terms == other._terms  # df is derived from the count rows
-
-    def __repr__(self) -> str:
-        return f"Vocabulary({len(self._terms)} terms)"
-
-    @property
-    def terms(self) -> tuple[str, ...]:
-        return self._terms
-
-    @property
-    def document_frequencies(self) -> tuple[int, ...]:
-        return self._df
-
-    def lookup(self, term: str) -> int | None:
-        """Term id, or None when the term was never indexed."""
-        return self._ids.get(term)
-
-    def term(self, term_id: int) -> str:
-        return self._terms[term_id]
-
-
 class QueryVector(
     namedtuple("QueryVector", "weights dropped_terms scorer", defaults=((), "cosine"))
 ):
@@ -164,9 +124,13 @@ class Index:
         fields: the stored fields (:data:`Fields`) the index was constructed
             from; its value, and what equality compares.
         config: preprocessing settings the corpus was tokenized with.
-        vocabulary: term table with document frequencies.
-        doc_ids: ordinal -> doc_id; ordinals number documents in corpus order.
-        titles: doc_id -> original title, for display, in corpus order.
+        terms: term_id -> term; term ids run in first-occurrence order over
+            the corpus (the stored list, ``fields[1]``). :meth:`lookup`
+            maps a term back to its id.
+        doc_ids: ordinal -> doc_id; ordinals number documents in corpus order
+            (the stored list, ``fields[2]``).
+        titles: ordinal -> original title, for display, parallel to
+            ``doc_ids`` (the stored list, ``fields[3]``).
         row_offsets: ordinal -> where the document's count row starts in
             ``term_ids`` and ``counts``; one entry more than documents, so
             a row ends where the next starts.
@@ -191,7 +155,7 @@ class Index:
     __slots__ = (
         "fields",
         "config",
-        "vocabulary",
+        "terms",
         "doc_ids",
         "titles",
         "row_offsets",
@@ -201,38 +165,37 @@ class Index:
         "posting_weights",
         "ordinal_norms",
         "ordinal_set_norms",
+        "_ids",
         "_idf",
         "_ratios",
     )
 
     def __init__(self, fields: Fields):
-        """Derive the cheap tables from *fields*: df, idf and the set norms.
+        """Derive the cheap tables from *fields*: the term ids, idf and the set norms.
 
         The document ``doc_ids[ordinal]`` holds the next
         ``row_lengths[ordinal]`` entries of ``term_ids``, ascending, and of
         ``counts``; every term id must occur in some row. Postings, their
         weights and the norms are left to :meth:`_derive`.
         """
-        config, id_to_term, doc_ids, titles, row_lengths, term_ids, counts = fields
-        df = [0] * len(id_to_term)
+        config, terms, doc_ids, titles, row_lengths, term_ids, counts = fields
+        df = [0] * len(terms)
         for tid in term_ids:
             df[tid] += 1
         corpus_size = len(row_lengths)
         self.fields = fields
-        self.config = config
-        self.vocabulary = Vocabulary(id_to_term, df)
-        self.doc_ids: tuple[str, ...] = tuple(doc_ids)
-        self.titles: dict[str, str] = dict(zip(self.doc_ids, titles))
+        self.config, self.terms, self.doc_ids, self.titles = config, terms, doc_ids, titles
         self.row_offsets = [0, *accumulate(row_lengths)]
         self.term_ids = term_ids
         self.counts = counts
-        self.postings: list[array | None] = [None] * len(id_to_term)
-        self.posting_weights: list[array | None] = [None] * len(id_to_term)
+        self.postings: list[array | None] = [None] * len(terms)
+        self.posting_weights: list[array | None] = [None] * len(terms)
         self.ordinal_norms: list[float | None] = [None] * corpus_size
         # roots taken in one pass keep these floats together in memory: a set
         # query reads one per candidate, and scattered among per-document
         # allocations they made set-scorer ranking about 15% slower
         self.ordinal_set_norms = list(map(math.sqrt, row_lengths))
+        self._ids = {term: tid for tid, term in enumerate(terms)}
         self._idf = [math.log10(corpus_size / count) for count in df]
         self._ratios: dict[int, array] = {}
 
@@ -279,7 +242,7 @@ class Index:
             postings[tid] = ordinal_slots[tid]  # last: a posted term is complete
 
     def __repr__(self) -> str:
-        return f"Index({self.corpus_size} documents, {len(self.vocabulary)} terms)"
+        return f"Index({self.corpus_size} documents, {len(self.terms)} terms)"
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Index):
@@ -289,6 +252,10 @@ class Index:
     @property
     def corpus_size(self) -> int:
         return len(self.doc_ids)
+
+    def lookup(self, term: str) -> int | None:
+        """Term id, or None when the term was never indexed."""
+        return self._ids.get(term)
 
     def term_ratios(self, term_id: int) -> array:
         """Every ``weight / norm`` over the postings of *term_id*, descending.
@@ -357,7 +324,7 @@ class Index:
         counts: dict[int, int] = {}
         dropped: set[str] = set()
         for token in tokens:
-            tid = self.vocabulary.lookup(token)
+            tid = self.lookup(token)
             if tid is None:
                 dropped.add(token)
             else:
@@ -368,7 +335,7 @@ class Index:
             if scorer == "set":
                 weights[tid] = 1.0
             elif self._idf[tid] == 0.0:
-                dropped.add(self.vocabulary.term(tid))
+                dropped.add(self.terms[tid])
             else:
                 weights[tid] = (counts[tid] / token_total) * self._idf[tid]
         return QueryVector(weights, tuple(sorted(dropped)), scorer)

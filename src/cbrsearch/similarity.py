@@ -200,12 +200,13 @@ def _score(
 def _has_idf_0(index: Index, weights: Mapping[int, float]) -> bool:
     """Whether a query holds a term found in every document, one of idf 0.
 
-    Only a hand-built query can: :meth:`Index.vectorize_query` drops such
-    terms from cosine queries. A document holding only such terms has a
-    norm of 0.
+    A term's idf, ``log10(corpus_size / df)``, is exactly 0.0 when df is the
+    corpus size and positive otherwise. Only a hand-built query can hold
+    such a term: :meth:`Index.vectorize_query` drops them from cosine
+    queries by the same test. A document holding only such terms has a norm
+    of 0.
     """
-    frequencies, corpus_size = index.vocabulary.document_frequencies, index.corpus_size
-    return any(frequencies[tid] == corpus_size for tid in weights)
+    return any(index._idf[tid] == 0.0 for tid in weights)
 
 
 def _clamp(scores: list[float]) -> list[float]:
@@ -236,7 +237,7 @@ def rank(
     TypeError; one below 1 raises ValueError. Scores lie in [0, 1], so a
     *threshold* below 0, or NaN, raises ValueError too. So does a query it
     cannot score: one whose scorer is not in ``SCORERS``, one with a term id
-    outside ``range(len(index.vocabulary))``, or one whose weights have no
+    outside ``range(len(index.terms))``, or one whose weights have no
     finite norm (a NaN or infinite weight, or one whose square overflows).
     A query of norm 0 matches nothing.
     """
@@ -251,7 +252,7 @@ def rank(
         raise TypeError(f"query must be a QueryVector, got {type(query).__name__}")
     if query.scorer not in SCORERS:
         raise ValueError(f"unknown scorer: {query.scorer!r}")
-    term_count = len(index.vocabulary)
+    term_count = len(index.terms)
     for tid in query.weights:
         if not 0 <= tid < term_count:
             raise ValueError(f"term id {tid} is not in the vocabulary of {term_count} terms")

@@ -85,7 +85,7 @@ def random_query_tokens(
 
 def row_weights(index, ordinal: int) -> dict[int, float]:
     """Term id -> weight over every term of document *ordinal*'s count row."""
-    return index._row_weights(ordinal, range(len(index.vocabulary)))
+    return index._row_weights(ordinal, range(len(index.terms)))
 
 
 def sealed_index_text(document: dict) -> str:

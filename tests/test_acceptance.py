@@ -259,8 +259,8 @@ def test_term_frequency_normalization(suite_indexes, capsys):
         # a posted weight over its term's idf is the term's in-document
         # frequency; a term of idf 0 hides it, so its documents are left out
         totals = [0.0] * index.corpus_size
-        for tid, df in enumerate(index.vocabulary.document_frequencies):
-            idf = math.log10(index.corpus_size / df)
+        for tid, ordinals in enumerate(index.postings):
+            idf = math.log10(index.corpus_size / len(ordinals))
             for ordinal, weight in zip(index.postings[tid], index.posting_weights[tid]):
                 totals[ordinal] += weight / idf if idf else math.nan
         for total in totals:

@@ -235,6 +235,32 @@ class TestCmdQuery:
         assert json.loads(lines[0])["rank"] == 1
         assert "matches: 1" in err
 
+    @pytest.mark.parametrize("output", ["table", "records"])
+    def test_every_match_prints_its_own_stored_title(self, tmp_path, capsys, output):
+        titles = {f"r{n}": title for n, title in enumerate(SAMPLE_TITLES, start=1)}
+        # a title that tokenizes to empty is skipped: every later document's
+        # ordinal is one less than its corpus position
+        records = [("r1", titles["r1"]), ("kosong", "?!"), *list(titles.items())[1:]]
+        corpus, index_path = tmp_path / "corpus.jsonl", tmp_path / "corpus.idx"
+        corpus.write_text(
+            "".join(json.dumps({"id": i, "title": t}) + "\n" for i, t in records), encoding="utf-8"
+        )
+        assert main(["index", "--input", str(corpus), "--format", "record",
+                     "--output", str(index_path)]) == EXIT_OK
+        capsys.readouterr()
+        code, out, _ = run_cli(
+            ["query", "--index", str(index_path), "--query", "sistem apliasi",
+             "--format", output],
+            capsys,
+        )
+        assert code == EXIT_OK
+        if output == "records":
+            printed = [(r["id"], r["title"]) for r in map(json.loads, out.splitlines())]
+        else:
+            rows = out.splitlines()[: -2]  # the matches and dropped-terms lines close it
+            printed = [tuple(row.split(None, 3)[2:]) for row in rows]
+        assert sorted(printed) == sorted(titles.items())  # every match, each with its title
+
     def test_set_scorer_flag(self, indexed, capsys):
         code, out, _ = run_cli(
             ["query", "--index", str(indexed), "--query", SAMPLE_TITLES[3],

@@ -47,11 +47,10 @@ def small_index():
 
 
 class TestBuildIndex:
-    def test_document_frequencies_and_idf(self, small_index):
+    def test_document_frequency_and_idf(self, small_index):
         assert small_index.corpus_size == 3
-        vocabulary = small_index.vocabulary
         for term in ("a", "b", "c"):
-            assert vocabulary.document_frequencies[vocabulary.lookup(term)] == 2
+            assert len(small_index.postings[small_index.lookup(term)]) == 2
         for ordinal in range(small_index.corpus_size):
             for weight in row_weights(small_index, ordinal).values():  # 1 of 2 tokens
                 assert 2 * weight == pytest.approx(IDF_TWO_OF_THREE, rel=1e-12)
@@ -63,7 +62,7 @@ class TestBuildIndex:
 
     def test_empty_title_is_skipped_and_reported(self):
         index, report = build_index([Case("d1", ""), Case("d2", "x")])
-        assert index.doc_ids == ("d2",)
+        assert index.doc_ids == ["d2"]
         assert report.indexed == 1
         assert report.skipped == (("d1", "title tokenizes to empty"),)
         assert report.vocabulary_size == 1
@@ -78,7 +77,7 @@ class TestBuildIndex:
 
     def test_term_ids_follow_first_occurrence_order(self):
         index, _ = build_index([Case("d1", "b a"), Case("d2", "c a")])
-        assert index.vocabulary.terms == ("b", "a", "c")
+        assert index.terms == ["b", "a", "c"]
 
     def test_empty_case_id_is_rejected(self):
         with pytest.raises(DataError, match="non-empty"):
@@ -96,7 +95,7 @@ class TestExtendIndex:
             columns = [array(column.typecode, column) for column in index.fields[4:]]
             extended = extend_index(index.fields, new_case)
             assert extended == build_index([*cases, new_case])[0]
-            assert extended.vocabulary.terms[-2:] == (f"baru{trial}", "lain")
+            assert extended.terms[-2:] == [f"baru{trial}", "lain"]
             # the stored fields are not modified
             assert list(index.fields[4:]) == columns
             save_index(extended, tmp_path / "extended.idx")
@@ -132,6 +131,10 @@ ONE_FIELD_EDITS = {
 }
 
 
+# the ways an index comes to be: each must hold, and derive from, the same fields
+SOURCES = ["built", "loaded", "extended", "retained"]
+
+
 class TestIndexIsItsFields:
     """Equality compares the stored fields, since every other table is derived from them."""
 
@@ -139,19 +142,32 @@ class TestIndexIsItsFields:
     def test_an_index_with_one_field_edited_is_unequal(self, small_index, edit):
         assert Index(edit(*small_index.fields)) != small_index
 
-    @pytest.mark.parametrize("source", ["built", "loaded", "extended", "retained"])
-    def test_its_fields_derive_every_table_bit_for_bit(self, tmp_path, source):
+    @staticmethod
+    def _index(source: str, tmp_path) -> Index:
+        """An index over a corpus with a skipped case, built, loaded, extended or retained."""
         cases = corpus_cases(generate_token_corpus(random.Random(6071), max_docs=40, max_vocab=30))
         cases.insert(5, Case("skipped", "?!"))
         new_case = Case("new", "kata00 baru kata01 lain")
         saved = tmp_path / "saved.idx"
         save_index(build_index(cases)[0], saved)
-        index = {
+        return {
             "built": lambda: build_index(cases)[0],
             "loaded": lambda: load_index(saved),
             "extended": lambda: extend_index(load_index(saved).fields, new_case),
             "retained": lambda: CaseBase(cases).retain(new_case).index,
         }[source]()
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_it_holds_its_stored_fields_not_copies(self, tmp_path, source):
+        index = self._index(source, tmp_path)
+        assert index.terms is index.fields[1]
+        assert index.doc_ids is index.fields[2]
+        assert index.titles is index.fields[3]
+        assert not hasattr(index, "vocabulary")
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_its_fields_derive_every_table_bit_for_bit(self, tmp_path, source):
+        index = self._index(source, tmp_path)
         again = Index(index.fields)
         again._derive(range(len(again.postings)))
         if source == "loaded":  # a loaded index derives a term on first use
@@ -163,7 +179,7 @@ class TestIndexIsItsFields:
         for table in ("ordinal_norms", "ordinal_set_norms"):
             bits = array("d", getattr(again, table)).tobytes()
             assert bits == array("d", getattr(index, table)).tobytes(), table
-        assert again.vocabulary.document_frequencies == index.vocabulary.document_frequencies
+        assert _bits(again._idf) == _bits(index._idf)
 
 
 # corpora a loaded index is checked against a build on
@@ -210,8 +226,8 @@ class TestDeriveOnFirstUse:
     def test_term_ratios_derive_what_they_read(self, tmp_path):
         loaded, built = self._loaded_and_built(tmp_path, LAZY_CORPORA["titles"]())
         assert loaded.postings == [None] * len(built.postings)
-        for tid, df in enumerate(built.vocabulary.document_frequencies):
-            assert df < built.corpus_size  # no term of idf 0, so every term is read
+        for tid, ordinals in enumerate(built.postings):
+            assert len(ordinals) < built.corpus_size  # no term of idf 0, so every term is read
             assert _bits(loaded.term_ratios(tid)) == _bits(built.term_ratios(tid))
         assert _bits(loaded.ordinal_norms) == _bits(built.ordinal_norms)
 
@@ -246,52 +262,52 @@ class TestTermFrequency:
 
     def test_repeated_term(self):
         index, _ = build_index([Case("d1", "a b a"), Case("d2", "c")])
-        tid = index.vocabulary.lookup("a")
+        tid = index.lookup("a")
         assert row_weights(index, 0)[tid] == (2 / 3) * math.log10(2)
 
     def test_absent_term_is_zero(self):
         index, _ = build_index([Case("d1", "a b a"), Case("d2", "z")])
-        tid = index.vocabulary.lookup("z")
+        tid = index.lookup("z")
         assert tid not in row_weights(index, 0)
         assert index.dot(0, {tid: 1.0}) == 0.0
 
     def test_single_token_document(self):
         index, _ = build_index([Case("d1", "a"), Case("d2", "b")])
-        tid = index.vocabulary.lookup("a")
+        tid = index.lookup("a")
         assert row_weights(index, 0)[tid] == 1.0 * math.log10(2)
 
 
 class TestInverseDocumentFrequency:
     def test_two_of_three_documents(self, small_index):
         # "a" is 1 of the 2 tokens of "d1", ordinal 0
-        weight = row_weights(small_index, 0)[small_index.vocabulary.lookup("a")]
+        weight = row_weights(small_index, 0)[small_index.lookup("a")]
         assert weight / (1 / 2) == pytest.approx(IDF_TWO_OF_THREE, rel=1e-12)
 
     def test_term_in_every_document_is_zero(self):
         index, _ = build_index([Case("d1", "a b"), Case("d2", "a c"), Case("d3", "a d")])
-        tid = index.vocabulary.lookup("a")
+        tid = index.lookup("a")
         assert [row_weights(index, ordinal)[tid] for ordinal in range(3)] == [0.0] * 3
         assert list(index.posting_weights[tid]) == [0.0] * 3
 
 
 class TestTfidfWeight:
     def test_hand_computed_weight(self, small_index):
-        weight = row_weights(small_index, 0)[small_index.vocabulary.lookup("a")]
+        weight = row_weights(small_index, 0)[small_index.lookup("a")]
         assert weight == pytest.approx(WEIGHT_HALF_IDF, rel=1e-12)
 
     def test_equals_the_stored_vector_entry(self, small_index):
-        tid = small_index.vocabulary.lookup("a")
+        tid = small_index.lookup("a")
         stored = row_weights(small_index, 0)[tid]
         assert (1 / 2) * math.log10(3 / 2) == stored == small_index.posting_weights[tid][0]
 
     def test_zero_idf_means_zero_weight_regardless_of_tf(self):
         index, _ = build_index([Case("d1", "a a a b"), Case("d2", "a c")])
-        tid = index.vocabulary.lookup("a")
+        tid = index.lookup("a")
         assert dict(zip(*index._row(0)))[tid] == 3
         assert row_weights(index, 0)[tid] == 0.0
 
     def test_term_absent_from_document_is_zero(self, small_index):
-        tid = small_index.vocabulary.lookup("c")
+        tid = small_index.lookup("c")
         assert tid not in row_weights(small_index, 0)
         assert 0 not in small_index.postings[tid]
 
@@ -308,7 +324,7 @@ class TestVectorizeQuery:
 
     def test_mixed_query_keeps_the_known_component(self, small_index):
         query = small_index.vectorize_query(["a", "zzz"])
-        tid = small_index.vocabulary.lookup("a")
+        tid = small_index.lookup("a")
         assert set(query.weights) == {tid}
         assert query.weights[tid] == pytest.approx(WEIGHT_HALF_IDF, rel=1e-12)
         assert query.dropped_terms == ("zzz",)
@@ -317,14 +333,14 @@ class TestVectorizeQuery:
         index, _ = build_index([Case("d1", "a b"), Case("d2", "a c")])
         query = index.vectorize_query(["a", "b"])
         assert query.dropped_terms == ("a",)
-        assert set(query.weights) == {index.vocabulary.lookup("b")}
+        assert set(query.weights) == {index.lookup("b")}
 
     def test_term_set_query_keeps_zero_idf_terms(self):
         index, _ = build_index([Case("d1", "a b"), Case("d2", "a c")])
         query = index.vectorize_query(["a", "b", "b", "qq"], "set")
         assert query.weights == {
-            index.vocabulary.lookup("a"): 1.0,
-            index.vocabulary.lookup("b"): 1.0,
+            index.lookup("a"): 1.0,
+            index.lookup("b"): 1.0,
         }
         assert query.dropped_terms == ("qq",)
         assert query.scorer == "set"
@@ -344,11 +360,10 @@ class TestIndexInvariants:
             index, _ = build_index(corpus_cases(doc_tokens))
             yield doc_tokens, index
 
-    def test_in_document_frequencies_sum_to_one(self):
+    def test_term_frequencies_of_a_document_sum_to_one(self):
         checked = 0
         for _, index in self._random_indexes():
-            frequencies = index.vocabulary.document_frequencies
-            idf = [math.log10(index.corpus_size / df) for df in frequencies]
+            idf = [math.log10(index.corpus_size / len(ordinals)) for ordinals in index.postings]
             for ordinal in range(index.corpus_size):
                 weights = row_weights(index, ordinal)  # weight = tf * idf
                 if all(idf[tid] for tid in weights):  # idf 0 hides a term's tf
@@ -384,7 +399,7 @@ class TestIndexInvariants:
         rng = random.Random(6174)
         checked = 0
         for doc_tokens, index in self._random_indexes(seed=1729):
-            index._derive(range(len(index.vocabulary)))
+            index._derive(range(len(index.terms)))
             posted = {
                 (ordinal, tid): weight
                 for tid, ordinals in enumerate(index.postings)
@@ -396,7 +411,7 @@ class TestIndexInvariants:
                 for _ in range(4)
             ]
             for _ in range(4):  # hand-built, and not keyed in ascending order
-                tids = rng.sample(range(len(index.vocabulary)), rng.randint(1, 6))
+                tids = rng.sample(range(len(index.terms)), rng.randint(1, 6))
                 queries.append(QueryVector({tid: rng.uniform(0.0, 3.0) for tid in tids}))
             for query in queries:
                 for ordinal in range(index.corpus_size):
@@ -419,7 +434,7 @@ class TestIndexInvariants:
                 weights = row_weights(index, ordinal)
                 assert list(weights) == sorted(posted[ordinal])
                 assert _bits(weights.values()) == _bits(map(posted[ordinal].get, weights))
-                only = set(rng.sample(range(len(index.vocabulary)), 5))
+                only = set(rng.sample(range(len(index.terms)), 5))
                 assert index._row_weights(ordinal, only) == {
                     tid: weight for tid, weight in weights.items() if tid in only
                 }
@@ -439,7 +454,7 @@ class TestIndexInvariants:
             for ordinal, doc_id in enumerate(index.doc_ids):
                 dense = dict(zip(oracle.vocab, oracle.doc_vectors[doc_id]))
                 for tid, weight in row_weights(index, ordinal).items():
-                    expected = dense[index.vocabulary.term(tid)]
+                    expected = dense[index.terms[tid]]
                     assert abs(weight - expected) <= 1e-12 * max(abs(weight), abs(expected), 1e-300)
 
     def test_rebuilding_from_the_same_cases_is_identical(self, tmp_path):

@@ -36,7 +36,6 @@ PUBLIC = [
     "ReuseResult",
     "SearchError",
     "StateError",
-    "Vocabulary",
     "append_case",
     "build_index",
     "load_index",

@@ -53,7 +53,7 @@ class TestCosineSimilarity:
 
     def test_disjoint_supports_score_zero(self):
         index, _ = build_index([Case("d1", "a"), Case("d2", "b"), Case("d3", "c")])
-        a = index.vocabulary.lookup("a")
+        a = index.lookup("a")
         results = rank(index, QueryVector({a: 1.0}))
         assert [m.case_id for m in results.matches] == ["d1"]
         assert results.total_matches == 1
@@ -61,14 +61,14 @@ class TestCosineSimilarity:
 
     def test_half_overlap(self, small_index):
         # every weight of the small index is the same: cos({a, b}, {a, c}) = 1/2
-        a, b = small_index.vocabulary.lookup("a"), small_index.vocabulary.lookup("b")
+        a, b = small_index.lookup("a"), small_index.lookup("b")
         scores = _scores(rank(small_index, QueryVector({a: 1.0, b: 1.0})))
         assert scores["d1"] == pytest.approx(1.0, abs=1e-12)
         assert scores["d2"] == pytest.approx(0.5, rel=1e-12)
         assert scores["d3"] == pytest.approx(0.5, rel=1e-12)
 
     def test_zero_or_empty_vectors_score_zero(self, small_index):
-        a = small_index.vocabulary.lookup("a")
+        a = small_index.lookup("a")
         for weights in ({}, {a: 0.0}):
             results = rank(small_index, QueryVector(weights))
             assert (results.matches, results.total_matches) == ((), 0)
@@ -98,7 +98,7 @@ class TestCosineSimilarity:
         index, _ = build_index(corpus_cases(doc_tokens))
         # every title written twice: each document's raw counts scaled by 2
         doubled, _ = build_index(corpus_cases({d: t + t for d, t in doc_tokens.items()}))
-        vocabulary_size = len(index.vocabulary)
+        vocabulary_size = len(index.terms)
         for _ in range(100):
             tids = rng.sample(range(vocabulary_size), rng.randint(1, min(6, vocabulary_size)))
             weights = {tid: rng.uniform(0.1, 5.0) for tid in tids}
@@ -141,7 +141,7 @@ class TestSetSimilarity:
         doc_tokens = generate_token_corpus(rng, max_docs=40, max_tokens=15, max_vocab=40)
         index, _ = build_index(corpus_cases(doc_tokens))
         doc_sets = {doc_id: set(tokens) for doc_id, tokens in doc_tokens.items()}
-        terms = index.vocabulary.terms
+        terms = index.terms
         for _ in range(100):
             query = set(rng.sample(terms, rng.randint(0, min(15, len(terms)))))
             expected = {}
@@ -498,7 +498,7 @@ class TestPruning:
 
     def test_a_hand_built_query_with_a_term_of_idf_0_counts_like_the_exhaustive_path(self):
         index, _ = build_index([Case("1", "a b"), Case("2", "a c"), Case("3", "a d")])
-        a, b = index.vocabulary.lookup("a"), index.vocabulary.lookup("b")
+        a, b = index.lookup("a"), index.lookup("b")
         query = QueryVector({a: 1.0, b: 1.0})
         full = rank(index, query)
         assert full.total_matches == 1
@@ -508,7 +508,7 @@ class TestPruning:
     def test_a_document_of_norm_0_scores_0_and_never_matches(self, top_k):
         # "1" holds only "a", a term in every title: its weight vector is zero
         index, _ = build_index([Case("1", "a"), Case("2", "a b")])
-        a, b = index.vocabulary.lookup("a"), index.vocabulary.lookup("b")
+        a, b = index.lookup("a"), index.lookup("b")
         query = QueryVector({a: 1.0, b: 1.0})
         oracle = DenseOracle({"1": ["a"], "2": ["a", "b"]})
         assert oracle.doc_norms["1"] == 0.0
@@ -528,7 +528,7 @@ class TestPruning:
 
     @pytest.mark.parametrize("top_k", [None, 1])
     def test_a_query_of_norm_0_matches_nothing(self, small_index, top_k):
-        query = QueryVector(dict.fromkeys(range(len(small_index.vocabulary)), 0.0))
+        query = QueryVector(dict.fromkeys(range(len(small_index.terms)), 0.0))
         results = rank(small_index, query, top_k=top_k)
         assert (results.matches, results.total_matches) == ((), 0)
 
@@ -541,13 +541,13 @@ class TestPruning:
             query = index.vectorize_query(tokens, scorer)
             return _skippable(index, query, _norm(query.weights), True, threshold, top_k)[0]
 
-        assert skipped(["umum", "langka"]) == {index.vocabulary.lookup("umum")}
+        assert skipped(["umum", "langka"]) == {index.lookup("umum")}
         assert skipped(["umum", "langka"], scorer="set") == set()
         assert skipped(["umum", "langka"], threshold=0.3) == set()
         assert skipped(["umum", "langka"], top_k=None) == set()
         assert skipped(["langka"]) == set()
         idf_0, _ = build_index([Case("1", "a b"), Case("2", "a c"), Case("3", "a d")])
-        a, b = idf_0.vocabulary.lookup("a"), idf_0.vocabulary.lookup("b")
+        a, b = idf_0.lookup("a"), idf_0.lookup("b")
         rank(idf_0, QueryVector({a: 1.0, b: 1.0}), top_k=1)
         assert idf_0._ratios == {}  # skips nothing: no bound of the query was computed
 
@@ -557,8 +557,8 @@ class TestPruning:
         index, _ = build_index(corpus_cases(doc_tokens))
         twin, _ = build_index(corpus_cases(doc_tokens))
         checked = 0
-        for tid, df in enumerate(index.vocabulary.document_frequencies):
-            if df == index.corpus_size:  # idf 0: no cosine query holds the term
+        for tid, ordinals in enumerate(index.postings):
+            if len(ordinals) == index.corpus_size:  # idf 0: no cosine query holds the term
                 continue
             pairs = zip(index.postings[tid], index.posting_weights[tid])
             ratios = [weight / index.ordinal_norms[ordinal] for ordinal, weight in pairs]

@@ -56,7 +56,7 @@ class TestRoundTrip:
         path = tmp_path / "small.idx"
         save_index(small_index, path)
         loaded = load_index(path)
-        assert loaded.vocabulary == small_index.vocabulary
+        assert loaded.terms == small_index.terms
         loaded._derive(range(len(loaded.postings)))  # a loaded index derives on first use
         assert loaded.postings == small_index.postings
         for table in ("postings", "posting_weights"):
