@@ -36,7 +36,7 @@ from .index import (
     build_index,
 )
 from .preprocess import PreprocessConfig, load_stopwords, tokenize
-from .similarity import RankedMatch, RankedResults, rank
+from .similarity import RankedMatch, RankedResults
 from .store import INDEX_FORMAT_VERSION, append_case, load_index, read_corpus, save_index
 
 __version__ = "0.1.0"
@@ -62,7 +62,6 @@ __all__ = [
     "build_index",
     "load_index",
     "load_stopwords",
-    "rank",
     "read_corpus",
     "reuse",
     "save_index",

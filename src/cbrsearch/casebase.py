@@ -35,12 +35,14 @@ def search(
     threshold: float = 0.0,
     top_k: int | None = None,
 ) -> RankedResults:
-    """Rank *index*'s documents against the query *text*.
+    """Rank *index*'s documents against the query *text*: the one query entry point.
 
     *text* is tokenized with ``index.config``, vectorized for *scorer* by
     :meth:`Index.vectorize_query` (an unknown scorer raises ValueError) and
-    ranked by :func:`rank` with *threshold* and *top_k*, which raises
-    ValueError for a negative or NaN *threshold*.
+    ranked by the internal :func:`~cbrsearch.similarity.rank` with
+    *threshold* and *top_k*. A *top_k* that is not an ``int`` raises
+    TypeError and one below 1 ValueError; a negative or NaN *threshold*
+    raises ValueError. A query whose every token is dropped matches nothing.
     """
     query = index.vectorize_query(tokenize(text, index.config), scorer)
     return rank(index, query, threshold=threshold, top_k=top_k)

@@ -271,7 +271,7 @@ def cmd_eval(args) -> int:
     """
     index = load_index(args.index)
     try:
-        raw = Path(args.titles).read_text(encoding="utf-8")
+        raw = Path(args.titles).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read titles file {args.titles}: {exc}") from exc
     titles = [line for line in raw.splitlines() if line.strip()]

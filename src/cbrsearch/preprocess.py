@@ -75,13 +75,13 @@ def tokenize(text: str, config: PreprocessConfig | None = None) -> list[str]:
 
 
 def load_stopwords(path: str | Path) -> set[str]:
-    """Read a stopword file: one word per line, UTF-8.
+    """Read a stopword file: one word per line, UTF-8, a leading byte-order mark skipped.
 
     Blank lines and lines starting with ``#`` are ignored; entries are
     lowercased and deduplicated.
     """
     try:
-        raw = Path(path).read_text(encoding="utf-8")
+        raw = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read stopword file {path}: {exc}") from exc
     words: set[str] = set()

@@ -1,5 +1,12 @@
 """The ranking pipeline, :func:`rank`: the one scoring path of both scorers.
 
+:func:`rank` is internal: :func:`cbrsearch.search`, the one query entry
+point, passes it a query from :meth:`Index.vectorize_query` on the same
+index, and only such a query is ranked. Its term ids are in range, its
+weights are finite and above 0 (1.0 for the set scorer), and a cosine
+query holds no term of idf 0. So every document in one of its posting
+lists has a norm above 0, and every MaxScore bound is above 0.
+
 The default weighted cosine works over TF-IDF vectors; the set-overlap
 scorer compares the bare term sets, ``|X ∩ Y| / (sqrt(|X|) * sqrt(|Y|))``,
 which is exactly the cosine of the corresponding 0/1 incidence vectors. Both
@@ -37,7 +44,7 @@ from collections import namedtuple
 from collections.abc import Mapping
 from itertools import chain, repeat
 
-from .index import SCORERS, Index, QueryVector
+from .index import Index, QueryVector
 
 SLACK = 1e-9  # room left in every bound check for rounding
 
@@ -85,12 +92,7 @@ def _norm(vector: Mapping) -> float:
 
 
 def _skippable(
-    index: Index,
-    query: QueryVector,
-    query_norm: float,
-    nonzero: bool,
-    threshold: float,
-    top_k: int | None,
+    index: Index, query: QueryVector, query_norm: float, threshold: float, top_k: int | None
 ) -> tuple[set[int], float, float]:
     """Which query terms' posting lists to skip: MaxScore (Turtle & Flood).
 
@@ -103,20 +105,15 @@ def _skippable(
     Returns the skipped term ids, the sum of their bounds and theta.
 
     The queries the module docstring names skip nothing (a lone term's bound
-    is never below theta), and so does a hand-built query with a term whose
-    bound is not positive: a term that adds nothing still widens the union.
-    A term of idf 0 is one such, and a query holding one comes with
-    *nonzero* false (see :func:`_score`), so it is caught before its ratios,
-    whose documents may have zero norms, are computed.
+    is never below theta). Every bound is above 0, as the query's terms have
+    idf above 0 (see the module docstring).
     """
     weights = query.weights
-    if query.scorer == "set" or not nonzero or threshold > 0.0 or top_k is None or len(weights) < 2:
+    if query.scorer == "set" or threshold > 0.0 or top_k is None or len(weights) < 2:
         return set(), 0.0, 0.0
     tids = sorted(weights)
     ratios = {tid: index.term_ratios(tid) for tid in tids}
     bounds = {tid: weights[tid] * ratios[tid][0] / query_norm for tid in tids}
-    if min(bounds.values()) <= 0.0:
-        return set(), 0.0, 0.0
     deep = [tid for tid in tids if len(ratios[tid]) >= top_k]
     theta = max((weights[tid] * ratios[tid][top_k - 1] / query_norm for tid in deep), default=0.0)
     skipped, reach = set(), 0.0
@@ -143,10 +140,9 @@ def _score(
     bound check keeps :data:`SLACK` to spare. A survivor in no skipped list
     already holds its exact score; any other is scored again by
     :meth:`Index.dot`, so every score is bit-identical, and the match count
-    is the size of the union of all the query's lists. A document or a
-    hand-built query of norm 0 scores 0.0, as the dense oracle of the test
-    suite (``tests/brute.py``) scores it. *query_norm* is
-    ``_norm(query.weights)``, which :func:`rank` has checked.
+    is the size of the union of all the query's lists. Every candidate's
+    norm is above 0 (see the module docstring), and so is *query_norm*,
+    ``_norm(query.weights)``, when there is a candidate at all.
 
     Each per-candidate step (the scores, then the threshold filter or the
     theta cut) is one comprehension that indexes ``dots`` and ``norms`` by
@@ -157,10 +153,7 @@ def _score(
     weights = query.weights
     binary = query.scorer == "set"
     norms = index.ordinal_set_norms if binary else index.ordinal_norms
-    # every denominator query_norm * norm is nonzero, unless a cosine query
-    # has norm 0 or holds a term of idf 0, which a document may hold alone
-    nonzero = binary or (query_norm > 0.0 and not _has_idf_0(index, weights))
-    skipped, reach, theta = _skippable(index, query, query_norm, nonzero, threshold, top_k)
+    skipped, reach, theta = _skippable(index, query, query_norm, threshold, top_k)
     dots = [0.0] * index.corpus_size
     union: set[int] = set()
     for tid in sorted(weights.keys() - skipped):
@@ -172,10 +165,7 @@ def _score(
         union.update(ordinals)
     candidates = list(union)
     # dot / (query_norm * norm), clamped to 1.0 as min(score, 1.0) would
-    if nonzero:
-        scores = [dots[o] / (query_norm * norms[o]) for o in candidates]
-    else:  # a zero norm scores 0.0, as in the dense oracle
-        scores = [dots[o] / den if (den := query_norm * norms[o]) else 0.0 for o in candidates]
+    scores = [dots[o] / (query_norm * norms[o]) for o in candidates]
     if not skipped:
         scores = _clamp(scores)
         if scores and min(scores) <= threshold:
@@ -195,18 +185,6 @@ def _score(
         if ordinal in stale:
             scores[position] = index.dot(ordinal, weights) / (query_norm * norms[ordinal])
     return candidates, _clamp(scores), total
-
-
-def _has_idf_0(index: Index, weights: Mapping[int, float]) -> bool:
-    """Whether a query holds a term found in every document, one of idf 0.
-
-    A term's idf, ``log10(corpus_size / df)``, is exactly 0.0 when df is the
-    corpus size and positive otherwise. Only a hand-built query can hold
-    such a term: :meth:`Index.vectorize_query` drops them from cosine
-    queries by the same test. A document holding only such terms has a norm
-    of 0.
-    """
-    return any(index._idf[tid] == 0.0 for tid in weights)
 
 
 def _clamp(scores: list[float]) -> list[float]:
@@ -233,13 +211,11 @@ def rank(
     above the ``top_k``-th best score are paired with their case ids and
     sorted, so ties at the cut still break by case id.
 
-    A ``top_k`` that is not an ``int`` (a ``bool`` included) raises
-    TypeError; one below 1 raises ValueError. Scores lie in [0, 1], so a
-    *threshold* below 0, or NaN, raises ValueError too. So does a query it
-    cannot score: one whose scorer is not in ``SCORERS``, one with a term id
-    outside ``range(len(index.terms))``, or one whose weights have no
-    finite norm (a NaN or infinite weight, or one whose square overflows).
-    A query of norm 0 matches nothing.
+    *query* is ``index.vectorize_query(...)`` on this same *index* (see the
+    module docstring); nothing else is checked of it, and a query with no
+    terms matches nothing. A ``top_k`` that is not an ``int`` (a ``bool``
+    included) raises TypeError; one below 1 raises ValueError. Scores lie in
+    [0, 1], so a *threshold* below 0, or NaN, raises ValueError too.
     """
     if top_k is not None:
         if isinstance(top_k, bool) or not isinstance(top_k, int):
@@ -248,19 +224,8 @@ def rank(
             raise ValueError(f"top_k must be positive, got {top_k}")
     if not threshold >= 0.0:  # also true for NaN
         raise ValueError(f"threshold must be a number of at least 0, got {threshold!r}")
-    if not isinstance(query, QueryVector):
-        raise TypeError(f"query must be a QueryVector, got {type(query).__name__}")
-    if query.scorer not in SCORERS:
-        raise ValueError(f"unknown scorer: {query.scorer!r}")
-    term_count = len(index.terms)
-    for tid in query.weights:
-        if not 0 <= tid < term_count:
-            raise ValueError(f"term id {tid} is not in the vocabulary of {term_count} terms")
-    query_norm = _norm(query.weights)
-    if not math.isfinite(query_norm):
-        raise ValueError("query weights must have a finite norm")
     index._derive(query.weights)
-    ordinals, scores, total = _score(index, query, query_norm, threshold, top_k)
+    ordinals, scores, total = _score(index, query, _norm(query.weights), threshold, top_k)
     doc_ids = index.doc_ids
     if top_k is not None and top_k < len(scores):
         # only scores at or above the k-th best can rank in the top k

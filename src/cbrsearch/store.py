@@ -411,7 +411,8 @@ def read_corpus(path: str | Path, corpus_format: str) -> list[Case]:
     ``record`` mode parses one JSON object per ``\\n``-separated line (blank
     lines skipped); ``plain`` mode takes every line as a title, ids numbered
     from 1 so line numbers stay stable even when a blank line is later
-    skipped by indexing.
+    skipped by indexing. The file is UTF-8, and a leading byte-order mark is
+    skipped, not read as part of the first line.
 
     A record file whose text holds no ``]`` is parsed by
     :func:`_parse_records`, a chunk of lines at a time; any other file, and
@@ -421,7 +422,7 @@ def read_corpus(path: str | Path, corpus_format: str) -> list[Case]:
     if corpus_format not in CORPUS_FORMATS:
         raise ValueError(f"corpus format must be one of {CORPUS_FORMATS}, got {corpus_format!r}")
     try:
-        raw = Path(path).read_text(encoding="utf-8")
+        raw = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read corpus file {path}: {exc}") from exc
 

@@ -34,11 +34,11 @@ from cbrsearch import (
     IndexFormatError,
     build_index,
     load_index,
-    rank,
     save_index,
     tokenize,
 )
 from cbrsearch.cli import EXIT_OK, main
+from cbrsearch.similarity import rank
 from conftest import (
     SAMPLE_TITLES,
     corpus_cases,

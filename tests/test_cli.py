@@ -827,6 +827,43 @@ class TestCmdEval:
         assert "expected 1.0" in err
 
 
+class TestByteOrderMark:
+    """A user file that starts with a UTF-8 byte-order mark reads as it would without one."""
+
+    def test_a_record_corpus_indexes(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"id":"r1","title":"Sistem Parkir"}\n', encoding="utf-8-sig")
+        output = tmp_path / "corpus.idx"
+        code, out, err = run_cli(
+            ["index", "--input", str(corpus), "--format", "record", "--output", str(output)],
+            capsys,
+        )
+        assert (code, err) == (EXIT_OK, "")
+        assert "cases indexed: 1" in out
+        assert load_index(output).doc_ids == ["r1"]
+
+    def test_a_plain_corpus_stores_its_first_title_as_written(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("\n".join(SAMPLE_TITLES) + "\n", encoding="utf-8-sig")
+        output = tmp_path / "corpus.idx"
+        code, _, _ = run_cli(
+            ["index", "--input", str(corpus), "--format", "plain", "--output", str(output)],
+            capsys,
+        )
+        assert code == EXIT_OK
+        assert load_index(output).titles == SAMPLE_TITLES
+
+    def test_an_eval_titles_file_reports_as_without_one(self, indexed, tmp_path, capsys):
+        reports = []
+        for encoding in ("utf-8", "utf-8-sig"):
+            titles = tmp_path / f"{encoding}.txt"
+            titles.write_text("\n".join(SAMPLE_TITLES) + "\n", encoding=encoding)
+            argv = ["eval", "--index", str(indexed), "--titles", str(titles), "--seed", "5"]
+            reports.append(run_cli(argv, capsys))
+        assert reports[0][0] == EXIT_OK
+        assert reports[1] == reports[0]
+
+
 def _double_first_word(title, seed, row):
     # keeps the term set (and so the found count) but tilts the query away
     # from the stored title's direction
@@ -1089,3 +1126,76 @@ class TestUnencodableText:
         assert out == ""
         assert err.startswith("error: ")
         assert "surrogate.idx" in err
+
+
+# run by a `python -I -S` child with the source directory and a scratch
+# directory as its arguments: index -> add (a title holding U+2028) -> add ->
+# query (plain, set scorer with a top-k cut, and a threshold that filters) ->
+# eval with each scorer (over the corpus's two stored titles, so the loaded
+# index derives every query's terms in one row scan) on a tiny record corpus;
+# an index with a stopword file and a minimum token length, and an index of
+# the plain titles file queried with records output; then index -> add ->
+# query on a generated corpus of 300 distinct words, whose term ids the index
+# file packs at 2 bytes each
+_STANDALONE_SCRIPT = r'''
+import json, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from cbrsearch.cli import main
+work = Path(sys.argv[2])
+corpus, index = str(work / "c.jsonl"), str(work / "c.idx")
+titles, stop = str(work / "titles.txt"), str(work / "stop.txt")
+Path(corpus).write_text(
+    "{\"id\":\"r1\",\"title\":\"Sistem Informasi Akademik\"}\n"
+    "{\"id\":\"r2\",\"title\":\"Aplikasi Kasir Toko\"}\n",
+    encoding="utf-8",
+)
+Path(titles).write_text("Sistem Informasi Akademik\nAplikasi Kasir Toko\n", encoding="utf-8")
+Path(stop).write_text("toko\n", encoding="utf-8")
+for argv in (
+    ["index", "--input", corpus, "--format", "record", "--output", index],
+    ["add", "--index", index, "--corpus", corpus, "--id", "r3", "--title", "Sistem\u2028Pakar"],
+    ["add", "--index", index, "--corpus", corpus, "--id", "r4", "--title", "Aplikasi Pakar"],
+    ["query", "--index", index, "--query", "sistem pakar"],
+    ["query", "--index", index, "--query", "sistem pakar", "--scorer", "set", "--top-k", "1"],
+    ["query", "--index", index, "--query", "sistem pakar", "--threshold", "0.5"],
+    ["eval", "--index", index, "--titles", titles, "--seed", "1"],
+    ["eval", "--index", index, "--titles", titles, "--seed", "1", "--scorer", "set"],
+    ["index", "--input", corpus, "--format", "record", "--output", str(work / "s.idx"),
+     "--stopwords", stop, "--min-token-len", "2"],
+    ["index", "--input", titles, "--format", "plain", "--output", str(work / "p.idx")],
+    ["query", "--index", str(work / "p.idx"), "--query", "sistem kasir", "--format", "records"],
+):
+    if main(argv) != 0:
+        sys.exit(f"cbrsearch {argv[0]} failed")
+wide, wide_index = str(work / "wide.jsonl"), str(work / "wide.idx")
+rows = [" ".join("kata%d" % (5 * n + k) for k in range(5)) for n in range(60)]
+Path(wide).write_text(
+    "".join(json.dumps({"id": "w%d" % n, "title": t}) + "\n" for n, t in enumerate(rows)),
+    encoding="utf-8",
+)
+for argv in (
+    ["index", "--input", wide, "--format", "record", "--output", wide_index],
+    ["add", "--index", wide_index, "--corpus", wide, "--id", "w60", "--title", "kata0 kata299 baru"],
+    ["query", "--index", wide_index, "--query", "kata299 baru"],
+):
+    if main(argv) != 0:
+        sys.exit(f"cbrsearch {argv[0]} failed on the wide corpus")
+if json.loads(Path(wide_index).read_text(encoding="utf-8"))["term_ids"][0] != 2:
+    sys.exit("the wide corpus did not pack its term ids at 2 bytes")
+'''
+
+
+def test_every_command_runs_on_the_standard_library_alone(tmp_path):
+    # -I -S: no site-packages, no user site, no PYTHON* variables
+    src = str(Path(cli.__file__).parents[1])
+    reply = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", _STANDALONE_SCRIPT, src, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    # the records query writes its summary to stderr, and nothing else does
+    assert (reply.returncode, reply.stderr) == (0, "matches: 2\n")
+    assert reply.stdout.count("cases indexed:") == 4
+    assert "dropped terms:" in reply.stdout

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import pytest
 
-from cbrsearch import Case, Index, build_index, rank
+from cbrsearch import Case, Index, build_index
+from cbrsearch.similarity import rank
 
 TITLES = [
     "sistem informasi akademik berbasis web",

@@ -9,6 +9,8 @@ import threading
 from array import array
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brute import DenseOracle
 from cbrsearch import (
@@ -312,7 +314,40 @@ class TestTfidfWeight:
         assert 0 not in small_index.postings[tid]
 
 
+# a few words, and a corpus that may hold "semua" in every title; a query
+# may hold "semua", its idf 0 or unseen, and "baru", never indexed
+_WORDS = ["a", "b", "c", "d", "e"]
+
+
+@st.composite
+def _corpus_and_tokens(draw):
+    title = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=5)
+    titles = draw(st.lists(title, min_size=1, max_size=12))
+    if draw(st.booleans()):
+        titles = [title + ["semua"] for title in titles]
+    return titles, draw(st.lists(st.sampled_from(_WORDS + ["semua", "baru"]), max_size=6))
+
+
 class TestVectorizeQuery:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(drawn=_corpus_and_tokens())
+    def test_every_query_is_one_ranking_can_score(self, drawn):
+        # what ranking takes for granted of a query, and never checks
+        titles, tokens = drawn
+        index, _ = build_index([Case(str(n), " ".join(title)) for n, title in enumerate(titles)])
+        for scorer in ("cosine", "set"):
+            query = index.vectorize_query(tokens, scorer)
+            for tid, weight in query.weights.items():
+                assert 0 <= tid < len(index.terms)
+                assert math.isfinite(weight) and weight > 0.0
+                if scorer == "set":
+                    assert weight == 1.0
+                else:
+                    assert index._idf[tid] > 0.0
+                    assert all(index.ordinal_norms[o] > 0.0 for o in index.postings[tid])
+            kept = {index.terms[tid] for tid in query.weights}
+            assert kept | set(query.dropped_terms) == set(tokens)
+
     def test_own_title_tokens_point_along_the_document_vector(self, small_index):
         query = small_index.vectorize_query(["a", "b"])
         assert query.weights == row_weights(small_index, 0)

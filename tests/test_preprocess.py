@@ -92,6 +92,17 @@ class TestLoadStopwords:
         path.write_text("di\ndi\n", encoding="utf-8")
         assert load_stopwords(path) == {"di"}
 
+    def test_a_leading_byte_order_mark_is_not_part_of_the_first_word(self, tmp_path):
+        path = tmp_path / "stop.txt"
+        path.write_text("yang\ndan\n", encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        stopwords = load_stopwords(path)
+        assert stopwords == {"yang", "dan"}
+        assert tokenize("Sistem yang Cerdas", PreprocessConfig(stopwords=stopwords)) == [
+            "sistem",
+            "cerdas",
+        ]
+
     def test_missing_file_raises_config_error_naming_the_path(self, tmp_path):
         missing = tmp_path / "nope.txt"
         with pytest.raises(ConfigError, match="nope.txt"):

@@ -40,7 +40,6 @@ PUBLIC = [
     "build_index",
     "load_index",
     "load_stopwords",
-    "rank",
     "read_corpus",
     "reuse",
     "save_index",

@@ -23,13 +23,13 @@ from cbrsearch import (
     append_case,
     build_index,
     load_index,
-    rank,
     read_corpus,
     save_index,
     store,
 )
 from cbrsearch.index import _build_fields, _extend_fields, extend_index
 from cbrsearch.cli import EXIT_DATA, EXIT_OK, main
+from cbrsearch.similarity import rank
 from cbrsearch.store import _read_index, _read_records, _sealed, _term_ids, _write_index
 from conftest import (
     corpus_cases,
@@ -943,6 +943,14 @@ class TestReadCorpusRecords:
             Case(id="r1", title="Sistem Parkir", solution="sensor", meta={"tahun": "2020"}),
             Case(id="r2", title="Aplikasi Kasir"),
         ]
+
+    # a "]" sends the file to the per-line reader, none to the one-parse path
+    @pytest.mark.parametrize("title", ["Sistem Parkir", "Sistem [Parkir]"])
+    def test_a_leading_byte_order_mark_is_skipped(self, tmp_path, title):
+        path = tmp_path / "corpus.jsonl"
+        text = json.dumps({"id": "r1", "title": title}) + '\n{"id":"r2","title":"Aplikasi"}\n'
+        path.write_text(text, encoding="utf-8-sig")
+        assert read_corpus(path, "record") == [Case("r1", title), Case("r2", "Aplikasi")]
 
     def test_invalid_json_names_path_and_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
