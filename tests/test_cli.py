@@ -842,6 +842,25 @@ class TestByteOrderMark:
         assert "cases indexed: 1" in out
         assert load_index(output).doc_ids == ["r1"]
 
+    def test_add_extends_a_record_corpus_that_starts_with_one(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"id":"r1","title":"Sistem Parkir"}\n', encoding="utf-8-sig")
+        output = tmp_path / "corpus.idx"
+        code, _, _ = run_cli(
+            ["index", "--input", str(corpus), "--format", "record", "--output", str(output)],
+            capsys,
+        )
+        assert code == EXIT_OK
+        code, out, err = run_cli(
+            ["add", "--index", str(output), "--corpus", str(corpus),
+             "--id", "r2", "--title", "Aplikasi Kasir"],
+            capsys,
+        )
+        assert (code, err) == (EXIT_OK, "")
+        assert "corpus size: 2" in out
+        assert load_index(output).doc_ids == ["r1", "r2"]
+        assert corpus.read_bytes().startswith(b'\xef\xbb\xbf{"id":"r1"')
+
     def test_a_plain_corpus_stores_its_first_title_as_written(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("\n".join(SAMPLE_TITLES) + "\n", encoding="utf-8-sig")

@@ -238,6 +238,41 @@ class TestRank:
         assert results.dropped_terms == ("q",)
         assert not results
 
+    @pytest.mark.parametrize("scorer", ["cosine", "set"])
+    @pytest.mark.parametrize("top_k", [None, 1])
+    def test_a_word_outside_the_vocabulary_is_dropped_before_ranking(
+        self, small_index, top_k, scorer
+    ):
+        # a query only reaches the ranking through search, which keeps term
+        # ids in range by dropping the words it has no id for
+        plain = search(small_index, "a", scorer=scorer, top_k=top_k)
+        mixed = search(small_index, "q a z", scorer=scorer, top_k=top_k)
+        assert mixed.dropped_terms == ("q", "z")
+        assert mixed.total_matches == plain.total_matches == 2
+        assert [m.case_id for m in mixed.matches] == [m.case_id for m in plain.matches]
+        for match, expected in zip(mixed.matches, plain.matches):
+            assert math.isclose(match.score, expected.score, rel_tol=1e-12)
+        # "c", the last term id, is reached like any other
+        assert search(small_index, "c", scorer=scorer, top_k=top_k).total_matches == 2
+
+    @pytest.mark.parametrize("scorer", ["cosine", "set"])
+    @pytest.mark.parametrize("top_k", [None, 1])
+    def test_a_long_query_scores_finitely(self, top_k, scorer):
+        # a cosine weight is the token's share of the query times its idf, so
+        # no query length can push the query norm to inf or NaN
+        doc_tokens = {"1": ["a", "b"], "2": ["a", "c"], "3": ["b", "c"], "4": ["d"]}
+        index, _ = build_index(corpus_cases(doc_tokens))
+        tokens = ["b"] * 100_000 + ["c"]
+        results = search(index, " ".join(tokens), scorer=scorer, top_k=top_k)
+        weights = index.vectorize_query(tokens, scorer).weights.values()
+        assert all(math.isfinite(w) and w > 0.0 for w in weights)
+        expected = DenseOracle(doc_tokens).rank(tokens, scorer=scorer)
+        assert results.total_matches == len(expected) == 3
+        assert [m.case_id for m in results.matches] == [d for d, _ in expected][:top_k]
+        for match, (_, score) in zip(results.matches, expected):
+            assert 0.0 < match.score <= 1.0
+            assert math.isclose(match.score, score, rel_tol=1e-9)
+
     def test_set_scorer_via_term_set_query(self, small_index):
         query = small_index.vectorize_query(["a", "b"], "set")
         results = rank(small_index, query)

@@ -168,6 +168,15 @@ class TestRejection:
         with pytest.raises(IndexFormatError, match="corrupt"):
             load_index(path)
 
+    def test_a_leading_byte_order_mark_is_corrupt(self, small_index, tmp_path):
+        # user files may start with one; an index file is read as the exact
+        # bytes its checksum covers
+        path = tmp_path / "bom.idx"
+        save_index(small_index, path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        with pytest.raises(IndexFormatError, match="corrupt"):
+            load_index(path)
+
     def test_version_bump_is_rejected_not_migrated(self, small_index, tmp_path):
         path = tmp_path / "versioned.idx"
         save_index(small_index, path)
