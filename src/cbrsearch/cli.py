@@ -28,7 +28,6 @@ import math
 import random
 import sys
 from contextlib import contextmanager
-from pathlib import Path
 
 from .casebase import search
 from .errors import DataError, SearchError
@@ -271,7 +270,8 @@ def cmd_eval(args) -> int:
     """
     index = load_index(args.index)
     try:
-        raw = Path(args.titles).read_text(encoding="utf-8-sig")
+        with open(args.titles, encoding="utf-8-sig") as handle:
+            raw = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read titles file {args.titles}: {exc}") from exc
     titles = [line for line in raw.splitlines() if line.strip()]

@@ -12,9 +12,9 @@ stopwords.
 from __future__ import annotations
 
 import hashlib
+import os
 import re
 from collections import namedtuple
-from pathlib import Path
 
 from .errors import ConfigError
 
@@ -74,14 +74,15 @@ def tokenize(text: str, config: PreprocessConfig | None = None) -> list[str]:
     return [piece for piece in pieces if len(piece) >= min_length and piece not in stopwords]
 
 
-def load_stopwords(path: str | Path) -> set[str]:
+def load_stopwords(path: str | os.PathLike[str]) -> set[str]:
     """Read a stopword file: one word per line, UTF-8, a leading byte-order mark skipped.
 
     Blank lines and lines starting with ``#`` are ignored; entries are
     lowercased and deduplicated.
     """
     try:
-        raw = Path(path).read_text(encoding="utf-8-sig")
+        with open(path, encoding="utf-8-sig") as handle:
+            raw = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read stopword file {path}: {exc}") from exc
     words: set[str] = set()

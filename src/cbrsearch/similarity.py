@@ -14,13 +14,15 @@ score in [0, 1], both are symmetric between two titles, and both are
 invariant to positive per-vector scaling of weights. The dense oracle of the
 test suite, ``tests/brute.py``, is their reference.
 
-Ranking runs both scorers through one cosine accumulator: a set query is a
-:class:`QueryVector` of 1.0 weights, and its documents read 1.0 for every
-posting and ``sqrt(distinct terms)`` as their norm. Documents are reached
-through the index's ordinal-keyed postings, so per-query state is a list
-indexed by document ordinal rather than a dict keyed by case id. With a
-``top_k`` the best matches are selected without a full sort of the
-candidates; in every case ties still break by ascending case id.
+A set query is a :class:`QueryVector` of 1.0 weights, so a document's dot
+product is the number of the query's posting lists that hold it, counted
+in C by one :class:`~collections.Counter`, over ``sqrt(distinct terms)``
+as its norm. A cosine query accumulates its dot products term at a time in
+a list indexed by document ordinal, through the index's ordinal-keyed
+postings, rather than in a dict keyed by case id. Scoring, the threshold
+filter and the selection are one path for both scorers. With a ``top_k``
+the best matches are selected without a full sort of the candidates; in
+every case ties still break by ascending case id.
 
 Scoring is one pass over the query's posting lists less a skip set
 (:func:`_score`). For a cosine query of two or more terms with a ``top_k``
@@ -40,9 +42,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Mapping
-from itertools import chain, repeat
+from itertools import chain
 
 from .index import Index, QueryVector
 
@@ -130,19 +132,23 @@ def _score(
 ) -> tuple[list[int], list[float], int]:
     """Ordinals and scores of the documents that can match, and the match count.
 
-    Dot products accumulate term at a time, in ascending term id, over the
-    lists :func:`_skippable` keeps; a set query scores 1.0 for every posting
-    against the set norms. With nothing skipped, the result is every
-    document scoring above *threshold*. With lists skipped, theta rises to
-    the ``top_k``-th best partial score, and a candidate whose partial score
-    plus every skipped bound falls below theta is dropped. Rounding cannot
-    push a partial sum of nonnegative terms above the full sum, and every
-    bound check keeps :data:`SLACK` to spare. A survivor in no skipped list
-    already holds its exact score; any other is scored again by
-    :meth:`Index.dot`, so every score is bit-identical, and the match count
-    is the size of the union of all the query's lists. Every candidate's
-    norm is above 0 (see the module docstring), and so is *query_norm*,
-    ``_norm(query.weights)``, when there is a candidate at all.
+    A cosine query's dot products accumulate term at a time, in ascending
+    term id, over the lists :func:`_skippable` keeps. A set query skips
+    nothing, and its dot product is the number of its lists holding the
+    document, counted by a :class:`Counter` and divided by the set norms: a
+    sum of 1.0 per list is that integer exactly, and ``int / float``
+    converts it exactly, so the scores are those of summing 1.0s, bit for
+    bit. From there both scorers share one path. With nothing skipped, the
+    result is every document scoring above *threshold*. With lists skipped,
+    theta rises to the ``top_k``-th best partial score, and a candidate whose
+    partial score plus every skipped bound falls below theta is dropped.
+    Rounding cannot push a partial sum of nonnegative terms above the full
+    sum, and every bound check keeps :data:`SLACK` to spare. A survivor in
+    no skipped list already holds its exact score; any other is scored again
+    by :meth:`Index.dot`, so every score is bit-identical, and the match
+    count is the size of the union of all the query's lists. Every
+    candidate's norm is above 0 (see the module docstring), and so is
+    *query_norm*, ``_norm(query.weights)``, when there is a candidate at all.
 
     Each per-candidate step (the scores, then the threshold filter or the
     theta cut) is one comprehension that indexes ``dots`` and ``norms`` by
@@ -154,18 +160,22 @@ def _score(
     binary = query.scorer == "set"
     norms = index.ordinal_set_norms if binary else index.ordinal_norms
     skipped, reach, theta = _skippable(index, query, query_norm, threshold, top_k)
-    dots = [0.0] * index.corpus_size
-    union: set[int] = set()
-    for tid in sorted(weights.keys() - skipped):
-        query_weight = weights[tid]
-        ordinals = index.postings[tid]
-        doc_weights = repeat(1.0) if binary else index.posting_weights[tid]
-        for ordinal, doc_weight in zip(ordinals, doc_weights):
-            dots[ordinal] += query_weight * doc_weight
-        union.update(ordinals)
-    candidates = list(union)
     # dot / (query_norm * norm), clamped to 1.0 as min(score, 1.0) would
-    scores = [dots[o] / (query_norm * norms[o]) for o in candidates]
+    if binary:
+        counts = Counter(chain.from_iterable(map(index.postings.__getitem__, weights)))
+        candidates = list(counts)
+        scores = [count / (query_norm * norms[o]) for o, count in counts.items()]
+    else:
+        dots = [0.0] * index.corpus_size
+        union: set[int] = set()
+        for tid in sorted(weights.keys() - skipped):
+            query_weight = weights[tid]
+            ordinals = index.postings[tid]
+            for ordinal, doc_weight in zip(ordinals, index.posting_weights[tid]):
+                dots[ordinal] += query_weight * doc_weight
+            union.update(ordinals)
+        candidates = list(union)
+        scores = [dots[o] / (query_norm * norms[o]) for o in candidates]
     if not skipped:
         scores = _clamp(scores)
         if scores and min(scores) <= threshold:

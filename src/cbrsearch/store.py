@@ -61,9 +61,9 @@ import os
 import sys
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
+from contextlib import suppress
 from itertools import accumulate, chain, repeat
 from operator import countOf, ge, sub
-from pathlib import Path
 from types import NoneType
 
 from .errors import ConfigError, DataError, IndexFormatError
@@ -110,12 +110,12 @@ def _seal_tail(digest) -> bytes:
     return f'{_CHECKSUM_KEY}"{digest.hexdigest()}"}}\n'.encode("ascii")
 
 
-def save_index(index: Index, path: str | Path) -> None:
+def save_index(index: Index, path: str | os.PathLike[str]) -> None:
     """Write *index* to *path* as a versioned, checksummed JSON document."""
     _write_index(path, *index.fields)
 
 
-def _write_index(path: str | Path, config: PreprocessConfig, *lists: Sequence) -> None:
+def _write_index(path: str | os.PathLike[str], config: PreprocessConfig, *lists: Sequence) -> None:
     """Write an index's stored fields (see :data:`Fields`) to *path*.
 
     *lists* are the fields after *config*, stored under :data:`_LIST_KEYS`:
@@ -158,16 +158,17 @@ def _write_index(path: str | Path, config: PreprocessConfig, *lists: Sequence) -
     for piece in pieces:
         digest.update(piece)
     pieces[-1] = _seal_tail(digest)  # in place of the body's closing "}"
-    target = Path(path)
-    temporary = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    directory, name = os.path.split(path)
+    temporary = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
     try:
         with open(temporary, "wb") as handle:
             handle.writelines(pieces)
             handle.flush()
             os.fsync(handle.fileno())
-        os.replace(temporary, target)
+        os.replace(temporary, path)
     except BaseException:
-        temporary.unlink(missing_ok=True)
+        with suppress(FileNotFoundError):
+            os.unlink(temporary)
         raise
 
 
@@ -287,7 +288,7 @@ def _unencodable(text: str, strings: Iterable[str]) -> UnicodeEncodeError | None
     return None
 
 
-def load_index(path: str | Path) -> Index:
+def load_index(path: str | os.PathLike[str]) -> Index:
     """Read an index file written by :func:`save_index`.
 
     Raises :class:`IndexFormatError` with a distinct message for an
@@ -298,7 +299,7 @@ def load_index(path: str | Path) -> Index:
     return Index(_read_index(path))
 
 
-def _read_index(path: str | Path) -> Fields:
+def _read_index(path: str | os.PathLike[str]) -> Fields:
     """The checked fields of an index file (see :data:`Fields`).
 
     Every check :func:`load_index` makes happens here, with its messages;
@@ -405,7 +406,7 @@ def _read_index(path: str | Path) -> Fields:
     return (config, terms, doc_ids, titles, *columns)
 
 
-def read_corpus(path: str | Path, corpus_format: str) -> list[Case]:
+def read_corpus(path: str | os.PathLike[str], corpus_format: str) -> list[Case]:
     """Read a corpus file into cases.
 
     ``record`` mode parses one JSON object per ``\\n``-separated line (blank
@@ -422,7 +423,8 @@ def read_corpus(path: str | Path, corpus_format: str) -> list[Case]:
     if corpus_format not in CORPUS_FORMATS:
         raise ValueError(f"corpus format must be one of {CORPUS_FORMATS}, got {corpus_format!r}")
     try:
-        raw = Path(path).read_text(encoding="utf-8-sig")
+        with open(path, encoding="utf-8-sig") as handle:
+            raw = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read corpus file {path}: {exc}") from exc
 
@@ -503,7 +505,7 @@ def _parse_records(lines: list[str]) -> list[Case] | None:
     return cases
 
 
-def _read_records(path: str | Path, lines: list[str]) -> list[Case]:
+def _read_records(path: str | os.PathLike[str], lines: list[str]) -> list[Case]:
     """The cases of the record *lines*, one ``json.loads`` per non-blank line.
 
     The reference reader, and the one that raises: the first bad line is a
@@ -559,7 +561,7 @@ def unencodable_field(case: Case) -> str | None:
     return None
 
 
-def append_case(path: str | Path, case: Case) -> None:
+def append_case(path: str | os.PathLike[str], case: Case) -> None:
     """Append one record-mode line for *case* to the corpus file."""
     record: dict = {"id": case.id, "title": case.title}
     if case.solution is not None:
@@ -567,12 +569,11 @@ def append_case(path: str | Path, case: Case) -> None:
     if case.meta:
         record["meta"] = dict(case.meta)
     line = _canonical_json(record)
-    target = Path(path)
     prefix = ""
-    if target.exists():
-        with open(target, "rb") as handle:
+    if os.path.exists(path):
+        with open(path, "rb") as handle:
             handle.seek(max(handle.seek(0, os.SEEK_END) - 1, 0))
             if handle.read(1) not in (b"", b"\n"):  # keep records line-delimited
                 prefix = "\n"
-    with open(target, "a", encoding="utf-8") as handle:
+    with open(path, "a", encoding="utf-8") as handle:
         handle.write(prefix + line + "\n")

@@ -1218,3 +1218,17 @@ def test_every_command_runs_on_the_standard_library_alone(tmp_path):
     assert (reply.returncode, reply.stderr) == (0, "matches: 2\n")
     assert reply.stdout.count("cases indexed:") == 4
     assert "dropped terms:" in reply.stdout
+
+
+def test_the_command_line_imports_no_pathlib():
+    # -I -S: site-packages can import pathlib on their own, the package must not
+    src = str(Path(cli.__file__).parents[1])
+    script = "import sys; sys.path.insert(0, sys.argv[1]); import cbrsearch.cli; "
+    script += "print('pathlib' in sys.modules)"
+    reply = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", script, src],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (reply.returncode, reply.stdout, reply.stderr) == (0, "False\n", "")

@@ -568,3 +568,39 @@ class TestPruning:
             checked += 1
         assert checked > 10
         assert index == twin  # the cache is not part of an index's value
+
+
+class TestSetCounting:
+    """A set query's scores are those of summing 1.0 per list, bit for bit."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(drawn=_corpus_and_query())
+    def test_scores_and_total_equal_a_sum_of_ones(self, drawn):
+        titles, tokens = drawn
+        cases = [Case(f"{n:03d}", " ".join(words)) for n, words in enumerate(titles)]
+        index, _ = build_index(cases)
+        query = index.vectorize_query(tokens, "set")
+        query_norm = _norm(query.weights)
+        union, reference = set(), {}
+        for case, words in zip(cases, titles):
+            dot = 0.0
+            for tid in sorted(query.weights):
+                if index.terms[tid] in words:
+                    dot += 1.0
+                    union.add(case.id)
+            if dot:
+                score = dot / (query_norm * math.sqrt(len(set(words))))
+                reference[case.id] = min(score, 1.0)
+        for threshold in (0.0, 0.3):
+            above = sorted((-s, case_id) for case_id, s in reference.items() if s > threshold)
+            if threshold == 0.0:
+                assert len(above) == len(union)
+            for top_k in (None, 1, 3):
+                results = search(
+                    index, " ".join(tokens), scorer="set", threshold=threshold, top_k=top_k
+                )
+                assert results.total_matches == len(above)
+                assert [(m.case_id, m.score.hex(), m.rank) for m in results.matches] == [
+                    (case_id, (-negated).hex(), position)
+                    for position, (negated, case_id) in enumerate(above[:top_k], start=1)
+                ]
