@@ -147,9 +147,12 @@ class Index:
         ordinal_set_norms: ordinal -> L2 norm of the document's 0/1 incidence
             vector, ``sqrt(distinct terms)``.
 
-    :meth:`term_ratios` (which caches one array per term) and :func:`rank`
-    derive the terms they read first, so no underived entry is ever read;
-    :meth:`dot` reads only the count rows.
+    :meth:`term_ratios` (which caches one array per term), :meth:`posting_bits`
+    (which caches one ``int`` of ``corpus_size / 8`` bytes per term, about
+    12.5 KB at 100k titles; ranking asks only for the lists it skips) and
+    :func:`rank` derive the terms they read first, so no underived entry is
+    ever read; :meth:`dot` reads only the count rows. Neither cache is part
+    of :attr:`fields` or of equality.
     """
 
     __slots__ = (
@@ -168,6 +171,7 @@ class Index:
         "_ids",
         "_idf",
         "_ratios",
+        "_bits",
     )
 
     def __init__(self, fields: Fields):
@@ -198,6 +202,7 @@ class Index:
         self._ids = {term: tid for tid, term in enumerate(terms)}
         self._idf = [math.log10(corpus_size / count) for count in df]
         self._ratios: dict[int, array] = {}
+        self._bits: dict[int, int] = {}
 
     def _derive(self, term_ids: Iterable[int]) -> None:
         """Post the unposted terms of *term_ids*, and norm their documents, in one row scan.
@@ -274,6 +279,28 @@ class Index:
             ratios = array("d", sorted(ratios, reverse=True))
             self._ratios[term_id] = ratios
         return ratios
+
+    def posting_bits(self, term_id: int) -> int:
+        """The postings of *term_id* as a bitmap: bit ``o`` is set when ordinal ``o`` is one.
+
+        Computed on first use and cached, as :meth:`term_ratios` is, and
+        cached only once complete; it holds ``corpus_size`` bits, so
+        ``to_bytes((corpus_size + 7) >> 3, "little")`` puts ordinal ``o``
+        at bit ``o & 7`` of byte ``o >> 3``. It is parsed from one ASCII
+        digit per ordinal: a store per posting and one parse in C, about
+        three times as fast as setting each bit in a ``bytearray``, and as
+        fast as hashing the postings into a set.
+        """
+        bits = self._bits.get(term_id)
+        if bits is None:
+            self._derive((term_id,))
+            digits = bytearray(b"0") * self.corpus_size  # one binary digit per ordinal
+            for ordinal in self.postings[term_id]:
+                digits[ordinal] = 49  # "1"
+            digits.reverse()  # the highest ordinal's digit leads
+            bits = int(digits, 2)
+            self._bits[term_id] = bits
+        return bits
 
     def dot(self, ordinal: int, weights: Mapping[int, float]) -> float:
         """Dot product of term-id-keyed *weights* with document *ordinal*.

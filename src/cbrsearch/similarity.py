@@ -18,9 +18,10 @@ A set query is a :class:`QueryVector` of 1.0 weights, so a document's dot
 product is the number of the query's posting lists that hold it, counted
 in C by one :class:`~collections.Counter`, over ``sqrt(distinct terms)``
 as its norm. A cosine query accumulates its dot products term at a time in
-a list indexed by document ordinal, through the index's ordinal-keyed
-postings, rather than in a dict keyed by case id. Scoring, the threshold
-filter and the selection are one path for both scorers. With a ``top_k``
+a dict keyed by document ordinal, through the index's ordinal-keyed
+postings, so its cost grows with the lists it accumulates, not with the
+corpus. Scoring, the threshold filter and the selection are one path for
+both scorers. With a ``top_k``
 the best matches are selected without a full sort of the candidates; in
 every case ties still break by ascending case id.
 
@@ -31,7 +32,9 @@ document into the top ``top_k``, and only documents that can still rank
 are scored. Every other query skips nothing: set queries, whose term
 bounds are all ``1 / sqrt(distinct terms)``, too loose to skip much;
 single-term queries; thresholds above 0; and queries without ``top_k``.
-Matches, scores and ``total_matches`` are bit-identical either way.
+A skipped list is read only as a bitmap (:meth:`Index.posting_bits`), to
+count ``total_matches`` and to find the survivors it holds. Matches,
+scores and ``total_matches`` are bit-identical either way.
 
 :class:`RankedMatch` and :class:`RankedResults` are immutable named tuples.
 Iterate over ``results.matches``: the results themselves unpack into their
@@ -133,9 +136,11 @@ def _score(
     """Ordinals and scores of the documents that can match, and the match count.
 
     A cosine query's dot products accumulate term at a time, in ascending
-    term id, over the lists :func:`_skippable` keeps. A set query skips
-    nothing, and its dot product is the number of its lists holding the
-    document, counted by a :class:`Counter` and divided by the set norms: a
+    term id, over the lists :func:`_skippable` keeps, in a dict keyed by
+    ordinal; a document's first add is ``0.0 + x``, as it would be in a
+    list of zeros. A set query skips nothing, and its dot product is the
+    number of its lists holding the document, counted by a
+    :class:`Counter` and divided by the set norms: a
     sum of 1.0 per list is that integer exactly, and ``int / float``
     converts it exactly, so the scores are those of summing 1.0s, bit for
     bit. From there both scorers share one path. With nothing skipped, the
@@ -143,18 +148,22 @@ def _score(
     theta rises to the ``top_k``-th best partial score, and a candidate whose
     partial score plus every skipped bound falls below theta is dropped.
     Rounding cannot push a partial sum of nonnegative terms above the full
-    sum, and every bound check keeps :data:`SLACK` to spare. A survivor in
-    no skipped list already holds its exact score; any other is scored again
-    by :meth:`Index.dot`, so every score is bit-identical, and the match
-    count is the size of the union of all the query's lists. Every
-    candidate's norm is above 0 (see the module docstring), and so is
-    *query_norm*, ``_norm(query.weights)``, when there is a candidate at all.
+    sum, and every bound check keeps :data:`SLACK` to spare. The skipped
+    lists are never walked: their :meth:`Index.posting_bits` are ORed into
+    one bitmap, laid out as bytes so one document's bit is read in constant
+    time. A survivor whose bit is clear already holds its exact score; one
+    whose bit is set is stale, and is scored again by :meth:`Index.dot`, so
+    every score is bit-identical. The match count is the size of the union
+    of all the query's lists: the bitmap's set bits plus the accumulated
+    documents whose bit is clear. Every candidate's norm is above 0 (see
+    the module docstring), and so is *query_norm*, ``_norm(query.weights)``,
+    when there is a candidate at all.
 
     Each per-candidate step (the scores, then the threshold filter or the
-    theta cut) is one comprehension that indexes ``dots`` and ``norms`` by
-    ordinal. On CPython 3.11 and later the scores run about twice as fast
-    as through chained ``map`` calls, and the filters as fast as
-    ``compress``; on 3.10 the two forms take about the same time.
+    theta cut) is one comprehension that indexes ``norms`` by ordinal. On
+    CPython 3.11 and later the scores run about twice as fast as through
+    chained ``map`` calls, and the filters as fast as ``compress``; on 3.10
+    the two forms take about the same time.
     """
     weights = query.weights
     binary = query.scorer == "set"
@@ -162,20 +171,16 @@ def _score(
     skipped, reach, theta = _skippable(index, query, query_norm, threshold, top_k)
     # dot / (query_norm * norm), clamped to 1.0 as min(score, 1.0) would
     if binary:
-        counts = Counter(chain.from_iterable(map(index.postings.__getitem__, weights)))
-        candidates = list(counts)
-        scores = [count / (query_norm * norms[o]) for o, count in counts.items()]
+        dots = Counter(chain.from_iterable(map(index.postings.__getitem__, weights)))
     else:
-        dots = [0.0] * index.corpus_size
-        union: set[int] = set()
+        dots = {}
+        get = dots.get
         for tid in sorted(weights.keys() - skipped):
             query_weight = weights[tid]
-            ordinals = index.postings[tid]
-            for ordinal, doc_weight in zip(ordinals, index.posting_weights[tid]):
-                dots[ordinal] += query_weight * doc_weight
-            union.update(ordinals)
-        candidates = list(union)
-        scores = [dots[o] / (query_norm * norms[o]) for o in candidates]
+            for ordinal, doc_weight in zip(index.postings[tid], index.posting_weights[tid]):
+                dots[ordinal] = get(ordinal, 0.0) + query_weight * doc_weight
+    candidates = list(dots)
+    scores = [dot / (query_norm * norms[o]) for o, dot in dots.items()]
     if not skipped:
         scores = _clamp(scores)
         if scores and min(scores) <= threshold:
@@ -188,11 +193,14 @@ def _score(
     floor = max(theta, heapq.nlargest(top_k, scores)[-1]) - reach - SLACK
     candidates = [o for o, score in zip(candidates, scores) if score >= floor]
     scores = [score for score in scores if score >= floor]
-    unseen = set(chain.from_iterable(map(index.postings.__getitem__, skipped)))
-    total = len(union) + len(unseen) - len(unseen.intersection(union))
-    stale = unseen.intersection(candidates)
+    bits = 0
+    for tid in skipped:
+        bits |= index.posting_bits(tid)
+    flags = bits.to_bytes((index.corpus_size + 7) >> 3, "little")
+    # the union of every list: the skipped lists' bits, and the kept union's documents in none
+    total = bits.bit_count() + len(dots) - sum(flags[o >> 3] >> (o & 7) & 1 for o in dots)
     for position, ordinal in enumerate(candidates):
-        if ordinal in stale:
+        if flags[ordinal >> 3] >> (ordinal & 7) & 1:  # stale: in a skipped list
             scores[position] = index.dot(ordinal, weights) / (query_norm * norms[ordinal])
     return candidates, _clamp(scores), total
 

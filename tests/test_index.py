@@ -259,6 +259,26 @@ class TestDeriveOnFirstUse:
         assert [results[n] for n in range(len(pool))] == expected
 
 
+class TestPostingBits:
+    """A term's posting bitmap holds exactly its postings, and is cached."""
+
+    # every document holds a term, so some bitmap sets the last byte's bits
+    @pytest.mark.parametrize("size", range(1, 18))
+    def test_its_set_bits_are_its_postings(self, size):
+        rng = random.Random(size)
+        words = ["satu", "dua", "tiga", "empat", "lima"]
+        cases = [Case(str(n), " ".join(rng.sample(words, rng.randint(1, 3)))) for n in range(size)]
+        built, _ = build_index(cases)
+        twin, _ = build_index(cases)
+        fresh = Index(built.fields)  # nothing derived, as a load is
+        for tid, ordinals in enumerate(built.postings):
+            bits = built.posting_bits(tid)
+            assert [o for o in range(bits.bit_length()) if bits >> o & 1] == list(ordinals)
+            assert built.posting_bits(tid) is bits
+            assert fresh.posting_bits(tid) == bits
+        assert built == twin == fresh  # the cache is not part of an index's value
+
+
 class TestTermFrequency:
     """The in-document frequency, a raw count over the token total, in the weights."""
 

@@ -549,6 +549,30 @@ class TestPruning:
         assert skipped(["umum", "langka"], top_k=None) == set()
         assert skipped(["langka"]) == set()
 
+    def test_two_skipped_lists_count_and_score_as_the_exhaustive_ranking(self):
+        # "umum" and "biasa" are weak lists that hold documents no other list
+        # holds, and candidates of "langka"; 22 titles leave the last byte of a
+        # bitmap partial, and the last title is in both weak lists
+        titles = ["langka", "langka umum", "langka biasa", "umum", "biasa", "lain"]
+        titles += [f"umum kata{n}" for n in range(7)] + [f"biasa kata{n}" for n in range(7, 14)]
+        titles += ["umum biasa kata14", "umum biasa kata15"]
+        doc_tokens = {f"{n:02d}": title.split() for n, title in enumerate(titles)}
+        index, _ = build_index(corpus_cases(doc_tokens))
+        assert index.corpus_size % 8
+        tokens = ["umum", "langka", "biasa"]
+        query = index.vectorize_query(tokens)
+        skipped = _skippable(index, query, _norm(query.weights), 0.0, 1)[0]
+        assert skipped == {index.lookup("umum"), index.lookup("biasa")}
+        matching = len(DenseOracle(doc_tokens).rank(tokens))
+        full = rank(index, query)
+        assert full.total_matches == matching == len(titles) - 1  # all but "lain"
+        for top_k in range(1, 4):
+            cut = rank(index, query, top_k=top_k)
+            assert cut.total_matches == matching
+            assert [(m.case_id, m.score.hex()) for m in cut.matches] == [
+                (m.case_id, m.score.hex()) for m in full.matches[:top_k]
+            ]
+
     def test_term_ratios_bound_every_posting_and_are_reached(self):
         rng = random.Random(8128)
         doc_tokens = generate_token_corpus(rng, max_docs=80, max_tokens=12, max_vocab=30)
