@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections import namedtuple
-from collections.abc import Container, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from itertools import accumulate, pairwise
 from operator import truediv
 
@@ -144,15 +144,19 @@ class Index:
             for the term, parallel to ``postings[term_id]``; None until posted.
         ordinal_norms: ordinal -> L2 norm of the document's weight vector;
             None until a term the document holds is posted.
-        ordinal_set_norms: ordinal -> L2 norm of the document's 0/1 incidence
-            vector, ``sqrt(distinct terms)``.
 
     :meth:`term_ratios` (which caches one array per term), :meth:`posting_bits`
-    (which caches one ``int`` of ``corpus_size / 8`` bytes per term, about
-    12.5 KB at 100k titles; ranking asks only for the lists it skips) and
-    :func:`rank` derive the terms they read first, so no underived entry is
-    ever read; :meth:`dot` reads only the count rows. Neither cache is part
-    of :attr:`fields` or of equality.
+    and :func:`rank` derive the terms they read first, so no underived entry
+    is ever read; :meth:`dot` and :meth:`length_bits` read only the count
+    rows. Three caches grow with use, and none is part of :attr:`fields` or
+    of equality. The ratios hold 8 bytes per posting of each term whose
+    MaxScore bound a cosine query reads. The posting bitmaps hold one
+    ``int`` of ``corpus_size / 8`` bytes (about 12.5 KB at 100k titles) for
+    each term a set query adds or a cosine query skips, but only for a term
+    in at least ``corpus_size / 96`` documents, so at worst they hold the
+    bytes of the posting arrays they mirror. The length bitmaps, made on
+    the first set query, hold the number of distinct row lengths times
+    ``corpus_size / 8`` bytes.
     """
 
     __slots__ = (
@@ -167,15 +171,15 @@ class Index:
         "postings",
         "posting_weights",
         "ordinal_norms",
-        "ordinal_set_norms",
         "_ids",
         "_idf",
         "_ratios",
         "_bits",
+        "_lengths",
     )
 
     def __init__(self, fields: Fields):
-        """Derive the cheap tables from *fields*: the term ids, idf and the set norms.
+        """Derive the cheap tables from *fields*: the term ids and idf.
 
         The document ``doc_ids[ordinal]`` holds the next
         ``row_lengths[ordinal]`` entries of ``term_ids``, ascending, and of
@@ -195,14 +199,11 @@ class Index:
         self.postings: list[array | None] = [None] * len(terms)
         self.posting_weights: list[array | None] = [None] * len(terms)
         self.ordinal_norms: list[float | None] = [None] * corpus_size
-        # roots taken in one pass keep these floats together in memory: a set
-        # query reads one per candidate, and scattered among per-document
-        # allocations they made set-scorer ranking about 15% slower
-        self.ordinal_set_norms = list(map(math.sqrt, row_lengths))
         self._ids = {term: tid for tid, term in enumerate(terms)}
         self._idf = [math.log10(corpus_size / count) for count in df]
         self._ratios: dict[int, array] = {}
         self._bits: dict[int, int] = {}
+        self._lengths: dict[int, int] | None = None
 
     def _derive(self, term_ids: Iterable[int]) -> None:
         """Post the unposted terms of *term_ids*, and norm their documents, in one row scan.
@@ -283,58 +284,77 @@ class Index:
     def posting_bits(self, term_id: int) -> int:
         """The postings of *term_id* as a bitmap: bit ``o`` is set when ordinal ``o`` is one.
 
-        Computed on first use and cached, as :meth:`term_ratios` is, and
-        cached only once complete; it holds ``corpus_size`` bits, so
+        It holds ``corpus_size`` bits, so
         ``to_bytes((corpus_size + 7) >> 3, "little")`` puts ordinal ``o``
-        at bit ``o & 7`` of byte ``o >> 3``. It is parsed from one ASCII
-        digit per ordinal: a store per posting and one parse in C, about
-        three times as fast as setting each bit in a ``bytearray``, and as
-        fast as hashing the postings into a set.
+        at bit ``o & 7`` of byte ``o >> 3``. A term in at least
+        ``corpus_size / 96`` documents, whose ``corpus_size / 8`` bytes of
+        bitmap are no more than the 12 bytes per posting of its two arrays,
+        is computed on first use and cached, as :meth:`term_ratios` is, and
+        cached only once complete. It is parsed from one ASCII digit per
+        ordinal: a store per posting and one parse in C, faster than setting
+        bits one by one from about 1,000 postings up. A rarer term's bitmap is
+        set bit by bit in a ``bytearray`` on every call, and not kept.
         """
         bits = self._bits.get(term_id)
         if bits is None:
             self._derive((term_id,))
+            ordinals = self.postings[term_id]
+            if len(ordinals) * 96 < self.corpus_size:
+                flags = bytearray((self.corpus_size + 7) >> 3)
+                for ordinal in ordinals:
+                    flags[ordinal >> 3] |= 1 << (ordinal & 7)
+                return int.from_bytes(flags, "little")
             digits = bytearray(b"0") * self.corpus_size  # one binary digit per ordinal
-            for ordinal in self.postings[term_id]:
+            for ordinal in ordinals:
                 digits[ordinal] = 49  # "1"
             digits.reverse()  # the highest ordinal's digit leads
             bits = int(digits, 2)
             self._bits[term_id] = bits
         return bits
 
+    def length_bits(self) -> dict[int, int]:
+        """Row length -> the bitmap of the documents of that many distinct terms.
+
+        Bitmaps as :meth:`posting_bits` lays them out, one per row length
+        that occurs, all parsed on first use from one pass over the stored
+        row lengths, one ASCII digit per ordinal and length, and cached.
+        """
+        lengths = self._lengths
+        if lengths is None:
+            digits: dict[int, bytearray] = {}
+            for ordinal, length in enumerate(self.fields[4]):
+                row = digits.get(length)
+                if row is None:
+                    row = digits[length] = bytearray(b"0") * self.corpus_size
+                row[ordinal] = 49  # "1"
+            lengths = {}
+            for length, row in digits.items():
+                row.reverse()  # the highest ordinal's digit leads
+                lengths[length] = int(row, 2)
+            self._lengths = lengths
+        return lengths
+
     def dot(self, ordinal: int, weights: Mapping[int, float]) -> float:
         """Dot product of term-id-keyed *weights* with document *ordinal*.
 
         Summed from 0.0 in ascending term id over the document's count row,
-        weighted by :meth:`_row_weights` and filtered to the terms of
-        *weights*, so it equals an accumulation over the postings bit for
-        bit. No weight is computed for a row term outside *weights*.
+        each row term of *weights* weighted by the expression :meth:`_derive`
+        posts, so it equals an accumulation over the postings bit for bit.
+        No weight is computed for a row term outside *weights*.
         """
+        tids, counts = self._row(ordinal)
+        token_total = sum(counts)
+        idf = self._idf
         total = 0.0  # a loop, not sum(), which compensates its rounding from 3.12
-        for tid, weight in self._row_weights(ordinal, weights).items():
-            total += weights[tid] * weight
+        for tid, count in zip(tids, counts):
+            if tid in weights:
+                total += weights[tid] * ((count / token_total) * idf[tid])
         return total
 
     def _row(self, ordinal: int) -> tuple[array, array]:
         """The term ids and the counts of document *ordinal*'s count row."""
         start, end = self.row_offsets[ordinal : ordinal + 2]
         return self.term_ids[start:end], self.counts[start:end]
-
-    def _row_weights(self, ordinal: int, only: Container[int]) -> dict[int, float]:
-        """Term id -> weight over row *ordinal*, by the expression :meth:`_derive` posts.
-
-        The row's terms outside *only*, a container of term ids, are left
-        out; the token total, and so every weight, still counts the whole
-        row. :meth:`dot` reads its weights here.
-        """
-        tids, counts = self._row(ordinal)
-        token_total = sum(counts)
-        idf = self._idf
-        return {
-            tid: (count / token_total) * idf[tid]
-            for tid, count in zip(tids, counts)
-            if tid in only
-        }
 
     def vectorize_query(self, tokens: Sequence[str], scorer: str = "cosine") -> QueryVector:
         """Convert query tokens into the weight space of *scorer*.

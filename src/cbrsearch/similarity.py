@@ -1,4 +1,4 @@
-"""The ranking pipeline, :func:`rank`: the one scoring path of both scorers.
+"""The ranking pipeline, :func:`rank`: scoring and the one selection of both scorers.
 
 :func:`rank` is internal: :func:`cbrsearch.search`, the one query entry
 point, passes it a query from :meth:`Index.vectorize_query` on the same
@@ -15,26 +15,27 @@ invariant to positive per-vector scaling of weights. The dense oracle of the
 test suite, ``tests/brute.py``, is their reference.
 
 A set query is a :class:`QueryVector` of 1.0 weights, so a document's dot
-product is the number of the query's posting lists that hold it, counted
-in C by one :class:`~collections.Counter`, over ``sqrt(distinct terms)``
-as its norm. A cosine query accumulates its dot products term at a time in
-a dict keyed by document ordinal, through the index's ordinal-keyed
-postings, so its cost grows with the lists it accumulates, not with the
-corpus. Scoring, the threshold filter and the selection are one path for
-both scorers. With a ``top_k``
-the best matches are selected without a full sort of the candidates; in
-every case ties still break by ascending case id.
+product is ``m``, the number of the query's posting lists that hold it, and
+its norm ``sqrt(j)`` for its ``j`` distinct terms. Both are small integers,
+so the documents fall into a few cells ``(m, j)`` of one score each. They
+are counted by bit-sliced addition over the lists' bitmaps
+(:func:`_count`), with no per-posting step, and only the cells that can
+rank become ordinals. A cosine query accumulates its dot products term at
+a time in a dict keyed by document ordinal, through the index's
+ordinal-keyed postings, so its cost grows with the lists it accumulates,
+not with the corpus. The selection is one path for both scorers: with a
+``top_k`` the best matches are selected without a full sort of the
+candidates, and in every case ties still break by ascending case id.
 
-Scoring is one pass over the query's posting lists less a skip set
-(:func:`_score`). For a cosine query of two or more terms with a ``top_k``
+A cosine query is scored by one pass over its posting lists less a skip
+set (:func:`_score`). For a query of two or more terms with a ``top_k``
 and a threshold of 0, MaxScore skips the lists of terms too weak to lift a
 document into the top ``top_k``, and only documents that can still rank
-are scored. Every other query skips nothing: set queries, whose term
-bounds are all ``1 / sqrt(distinct terms)``, too loose to skip much;
-single-term queries; thresholds above 0; and queries without ``top_k``.
-A skipped list is read only as a bitmap (:meth:`Index.posting_bits`), to
-count ``total_matches`` and to find the survivors it holds. Matches,
-scores and ``total_matches`` are bit-identical either way.
+are scored. Every other cosine query skips nothing: single-term queries,
+thresholds above 0 and queries without ``top_k``. A skipped list is read
+only as a bitmap (:meth:`Index.posting_bits`), to count ``total_matches``
+and to find the survivors it holds. Matches, scores and ``total_matches``
+are bit-identical either way.
 
 :class:`RankedMatch` and :class:`RankedResults` are immutable named tuples.
 Iterate over ``results.matches``: the results themselves unpack into their
@@ -45,9 +46,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import Counter, namedtuple
+import re
+from collections import namedtuple
 from collections.abc import Mapping
-from itertools import chain
 
 from .index import Index, QueryVector
 
@@ -109,9 +110,10 @@ def _skippable(
     below theta are skipped: a document only they reach cannot rank or tie.
     Returns the skipped term ids, the sum of their bounds and theta.
 
-    The queries the module docstring names skip nothing (a lone term's bound
-    is never below theta). Every bound is above 0, as the query's terms have
-    idf above 0 (see the module docstring).
+    The cosine queries the module docstring names skip nothing (a lone
+    term's bound is never below theta), nor does a set query, which
+    :func:`_score` counts without skipping. Every bound is above 0, as the
+    query's terms have idf above 0 (see the module docstring).
     """
     weights = query.weights
     if query.scorer == "set" or threshold > 0.0 or top_k is None or len(weights) < 2:
@@ -135,29 +137,24 @@ def _score(
 ) -> tuple[list[int], list[float], int]:
     """Ordinals and scores of the documents that can match, and the match count.
 
-    A cosine query's dot products accumulate term at a time, in ascending
-    term id, over the lists :func:`_skippable` keeps, in a dict keyed by
-    ordinal; a document's first add is ``0.0 + x``, as it would be in a
-    list of zeros. A set query skips nothing, and its dot product is the
-    number of its lists holding the document, counted by a
-    :class:`Counter` and divided by the set norms: a
-    sum of 1.0 per list is that integer exactly, and ``int / float``
-    converts it exactly, so the scores are those of summing 1.0s, bit for
-    bit. From there both scorers share one path. With nothing skipped, the
-    result is every document scoring above *threshold*. With lists skipped,
-    theta rises to the ``top_k``-th best partial score, and a candidate whose
-    partial score plus every skipped bound falls below theta is dropped.
-    Rounding cannot push a partial sum of nonnegative terms above the full
-    sum, and every bound check keeps :data:`SLACK` to spare. The skipped
-    lists are never walked: their :meth:`Index.posting_bits` are ORed into
-    one bitmap, laid out as bytes so one document's bit is read in constant
-    time. A survivor whose bit is clear already holds its exact score; one
-    whose bit is set is stale, and is scored again by :meth:`Index.dot`, so
-    every score is bit-identical. The match count is the size of the union
-    of all the query's lists: the bitmap's set bits plus the accumulated
-    documents whose bit is clear. Every candidate's norm is above 0 (see
-    the module docstring), and so is *query_norm*, ``_norm(query.weights)``,
-    when there is a candidate at all.
+    A set query is counted by :func:`_count`. A cosine query's dot products
+    accumulate term at a time, in ascending term id, over the lists
+    :func:`_skippable` keeps, in a dict keyed by ordinal; a document's first
+    add is ``0.0 + x``, as it would be in a list of zeros. With nothing
+    skipped, the result is every document scoring above *threshold*. With
+    lists skipped, theta rises to the ``top_k``-th best partial score, and a
+    candidate whose partial score plus every skipped bound falls below theta
+    is dropped. Rounding cannot push a partial sum of nonnegative terms above
+    the full sum, and every bound check keeps :data:`SLACK` to spare. The
+    skipped lists are never walked: their :meth:`Index.posting_bits` are ORed
+    into one bitmap, laid out as bytes so one document's bit is read in
+    constant time. A survivor whose bit is clear already holds its exact
+    score; one whose bit is set is stale, and is scored again by
+    :meth:`Index.dot`, so every score is bit-identical. The match count is
+    the size of the union of all the query's lists: the bitmap's set bits
+    plus the accumulated documents whose bit is clear. Every candidate's norm
+    is above 0 (see the module docstring), and so is *query_norm*,
+    ``_norm(query.weights)``, when there is a candidate at all.
 
     Each per-candidate step (the scores, then the threshold filter or the
     theta cut) is one comprehension that indexes ``norms`` by ordinal. On
@@ -166,20 +163,18 @@ def _score(
     the two forms take about the same time.
     """
     weights = query.weights
-    binary = query.scorer == "set"
-    norms = index.ordinal_set_norms if binary else index.ordinal_norms
+    if query.scorer == "set":
+        return _count(index, weights, query_norm, threshold, top_k)
+    norms = index.ordinal_norms
     skipped, reach, theta = _skippable(index, query, query_norm, threshold, top_k)
-    # dot / (query_norm * norm), clamped to 1.0 as min(score, 1.0) would
-    if binary:
-        dots = Counter(chain.from_iterable(map(index.postings.__getitem__, weights)))
-    else:
-        dots = {}
-        get = dots.get
-        for tid in sorted(weights.keys() - skipped):
-            query_weight = weights[tid]
-            for ordinal, doc_weight in zip(index.postings[tid], index.posting_weights[tid]):
-                dots[ordinal] = get(ordinal, 0.0) + query_weight * doc_weight
+    dots = {}
+    get = dots.get
+    for tid in sorted(weights.keys() - skipped):
+        query_weight = weights[tid]
+        for ordinal, doc_weight in zip(index.postings[tid], index.posting_weights[tid]):
+            dots[ordinal] = get(ordinal, 0.0) + query_weight * doc_weight
     candidates = list(dots)
+    # dot / (query_norm * norm), clamped to 1.0 as min(score, 1.0) would
     scores = [dot / (query_norm * norms[o]) for o, dot in dots.items()]
     if not skipped:
         scores = _clamp(scores)
@@ -203,6 +198,65 @@ def _score(
         if flags[ordinal >> 3] >> (ordinal & 7) & 1:  # stale: in a skipped list
             scores[position] = index.dot(ordinal, weights) / (query_norm * norms[ordinal])
     return candidates, _clamp(scores), total
+
+
+def _count(
+    index: Index,
+    weights: Mapping[int, float],
+    query_norm: float,
+    threshold: float,
+    top_k: int | None,
+) -> tuple[list[int], list[float], int]:
+    """:func:`_score` for a set query, by bit-sliced addition over its posting bitmaps.
+
+    A document's dot product is ``m``, the number of the query's lists that
+    hold it, and its norm ``sqrt(j)`` for its ``j`` distinct terms. A
+    ripple-carry adder over the lists' :meth:`Index.posting_bits` keeps
+    ``m`` in binary: ``slices[i]`` holds the documents whose ``m`` has bit
+    ``i`` set (O'Neil & Quass's bit-sliced index). The documents of exactly
+    ``m`` lists, ANDed with :meth:`Index.length_bits` for ``j``, make one
+    cell, whose documents all score ``m / (query_norm * sqrt(j))``, clamped
+    as :func:`_clamp` does. A sum of 1.0 per list is the integer ``m``
+    exactly, and ``int / float`` converts it exactly, so these are the
+    scores of summing 1.0s, bit for bit. Cells of equal scores are merged.
+
+    The match count is the set bits of the cells above *threshold*. Only
+    the cells that can rank leave as ordinals: all of them without a
+    ``top_k``; with one, those at or above the ``top_k``-th best score,
+    whose cell is found by walking the cells in descending score.
+    """
+    slices: list[int] = []
+    for tid in weights:
+        carry = index.posting_bits(tid)
+        for i, bits in enumerate(slices):
+            slices[i], carry = bits ^ carry, bits & carry
+        if carry:
+            slices.append(carry)
+    lengths = index.length_bits()
+    cells: dict[float, int] = {}  # score -> the bitmap of its documents
+    for m in range(1, min(len(weights) + 1, 1 << len(slices))):
+        exact = -1  # all ones; m has a set bit, so some slice makes it nonnegative
+        for i, bits in enumerate(slices):
+            exact &= bits if m >> i & 1 else ~bits
+        for j, bits in lengths.items():
+            cell = exact & bits
+            if cell:
+                score = m / (query_norm * math.sqrt(j))
+                score = 1.0 if score > 1.0 else score
+                if score > threshold:
+                    cells[score] = cells.get(score, 0) | cell
+    ordinals: list[int] = []
+    scores: list[float] = []
+    for score in sorted(cells, reverse=True):
+        if top_k is not None and len(ordinals) >= top_k:
+            break
+        # the ones of its binary digits, found in C, the highest ordinal's first
+        digits = format(cells[score], "b")
+        last = len(digits) - 1
+        found = [last - match.start() for match in re.finditer("1", digits)]
+        ordinals += found
+        scores += [score] * len(found)
+    return ordinals, scores, sum(map(int.bit_count, cells.values()))
 
 
 def _clamp(scores: list[float]) -> list[float]:

@@ -84,8 +84,13 @@ def random_query_tokens(
 
 
 def row_weights(index, ordinal: int) -> dict[int, float]:
-    """Term id -> weight over every term of document *ordinal*'s count row."""
-    return index._row_weights(ordinal, range(len(index.terms)))
+    """Term id -> weight over every term of document *ordinal*'s count row.
+
+    Each read as ``Index.dot`` with the one term at weight 1.0: ``0.0 + 1.0 * w``
+    is ``w`` bit for bit.
+    """
+    tids, _ = index._row(ordinal)
+    return {tid: index.dot(ordinal, {tid: 1.0}) for tid in tids}
 
 
 def sealed_index_text(document: dict) -> str:

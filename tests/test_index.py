@@ -178,9 +178,9 @@ class TestIndexIsItsFields:
         for table in ("postings", "posting_weights"):
             rows = [(a.typecode, a.tobytes()) for a in getattr(again, table)]
             assert rows == [(a.typecode, a.tobytes()) for a in getattr(index, table)], table
-        for table in ("ordinal_norms", "ordinal_set_norms"):
-            bits = array("d", getattr(again, table)).tobytes()
-            assert bits == array("d", getattr(index, table)).tobytes(), table
+        bits = array("d", again.ordinal_norms).tobytes()
+        assert bits == array("d", index.ordinal_norms).tobytes()
+        assert again.length_bits() == index.length_bits()
         assert _bits(again._idf) == _bits(index._idf)
 
 
@@ -277,6 +277,30 @@ class TestPostingBits:
             assert built.posting_bits(tid) is bits
             assert fresh.posting_bits(tid) == bits
         assert built == twin == fresh  # the cache is not part of an index's value
+
+    # above 96 documents a term in a few of them is below the cut
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(size=st.integers(min_value=97, max_value=400).filter(lambda n: n % 8), seed=st.integers())
+    def test_only_bitmaps_no_bigger_than_their_postings_are_cached(self, size, seed):
+        rng = random.Random(seed)
+        words = [f"kata{n}" for n in range(60)]
+        rows = [set(rng.choices(words, weights=range(60, 0, -1), k=4)) for _ in range(size)]
+        index, _ = build_index([Case(str(n), " ".join(row)) for n, row in enumerate(rows)])
+        for word in words:
+            search(index, word, scorer="set")
+        rare = 0
+        for tid, term in enumerate(index.terms):
+            # a bitmap of corpus_size / 8 bytes against 4 + 8 bytes a posting
+            cached = len(index.postings[tid]) * 96 >= size
+            assert (tid in index._bits) == cached
+            rare += not cached
+            # the digits of the ordinals holding the term, the highest first
+            digits = "".join("1" if term in row else "0" for row in reversed(rows))
+            assert index.posting_bits(tid) == int(digits, 2)
+        assert 0 < rare < len(index.terms)
+        for length, bits in index.length_bits().items():
+            assert bits == int("".join("01"[len(row) == length] for row in reversed(rows)), 2)
+        assert set(index.length_bits()) == {len(row) for row in rows}
 
 
 class TestTermFrequency:
@@ -490,9 +514,11 @@ class TestIndexInvariants:
                 assert list(weights) == sorted(posted[ordinal])
                 assert _bits(weights.values()) == _bits(map(posted[ordinal].get, weights))
                 only = set(rng.sample(range(len(index.terms)), 5))
-                assert index._row_weights(ordinal, only) == {
-                    tid: weight for tid, weight in weights.items() if tid in only
-                }
+                expected = 0.0
+                for tid, weight in weights.items():
+                    if tid in only:
+                        expected += weight
+                assert index.dot(ordinal, dict.fromkeys(only, 1.0)).hex() == expected.hex()
 
     def test_stored_norms_match_recomputation(self):
         for _, index in self._random_indexes():
@@ -501,7 +527,7 @@ class TestIndexInvariants:
                 recomputed = math.sqrt(sum(w * w for w in weights.values()))
                 stored = index.ordinal_norms[ordinal]
                 assert abs(stored - recomputed) <= 1e-12 * max(stored, recomputed, 1e-300)
-                assert index.ordinal_set_norms[ordinal] == math.sqrt(len(weights))
+                assert index.length_bits()[len(weights)] >> ordinal & 1
 
     def test_weights_match_a_dense_recomputation(self):
         for doc_tokens, index in self._random_indexes():

@@ -628,3 +628,70 @@ class TestSetCounting:
                     (case_id, (-negated).hex(), position)
                     for position, (negated, case_id) in enumerate(above[:top_k], start=1)
                 ]
+
+
+# up to 11 distinct words a title, so a document can hold all 9 words of a
+# query and its count of lists carries into a fourth bit slice
+_CELL_WORDS = [f"kata{i}" for i in range(11)]
+
+
+@st.composite
+def _cells_corpus_and_query(draw):
+    size = draw(st.integers(min_value=2, max_value=45).filter(lambda n: n % 8))
+    # a title is a nonempty subset of the words, drawn as one bit mask
+    masks = draw(st.lists(st.integers(1, 2 ** len(_CELL_WORDS) - 1), min_size=size, max_size=size))
+    titles = [[word for i, word in enumerate(_CELL_WORDS) if mask >> i & 1] for mask in masks]
+    words = sorted({word for title in titles for word in title})
+    return titles, draw(st.lists(st.sampled_from(words), min_size=1, max_size=9, unique=True))
+
+
+class TestSetCells:
+    """A set query counted cell by cell ranks as the dense oracle does, bit for bit.
+
+    A cell is the documents in the same number of the query's lists with the
+    same number of distinct terms; all of them score alike.
+    """
+
+    @staticmethod
+    def _check(titles, query, thresholds=(0.0,), top_ks=(None, 1, 2, 3, 5, 8)):
+        doc_tokens = {f"{n:03d}": words for n, words in enumerate(titles)}
+        index, _ = build_index(corpus_cases(doc_tokens))
+        oracle = DenseOracle(doc_tokens)
+        for threshold in thresholds:
+            expected = [
+                (doc_id, score.hex())
+                for doc_id, score in oracle.rank(query, threshold=threshold, scorer="set")
+            ]
+            for top_k in top_ks:
+                results = search(
+                    index, " ".join(query), scorer="set", threshold=threshold, top_k=top_k
+                )
+                assert results.total_matches == len(expected)
+                assert [(m.case_id, m.score.hex()) for m in results.matches] == expected[:top_k]
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(drawn=_cells_corpus_and_query())
+    def test_cells_rank_as_the_dense_oracle(self, drawn):
+        titles, query = drawn
+        doc_tokens = {f"{n:03d}": words for n, words in enumerate(titles)}
+        scores = sorted({score for _, score in DenseOracle(doc_tokens).rank(query, scorer="set")})
+        # thresholds between two cells' scores: the cells below them neither count nor rank
+        between = [(low + high) / 2 for low, high in zip(scores, scores[1:])]
+        self._check(titles, query, thresholds=(0.0, *between[:2]))
+
+    def test_equal_scores_of_two_cells_rank_together(self):
+        # one list of one term scores 1 / (sqrt(2) * 1), two of four terms
+        # 2 / (sqrt(2) * 2): the same float. The cut at 2 falls inside the
+        # first cell, and the second holds the lower case ids
+        titles = [["a", "b", "c", "d"], ["a", "b", "c", "d"], ["a"], ["a"], ["a"]]
+        assert 1 / (math.sqrt(2) * math.sqrt(1)) == 2 / (math.sqrt(2) * math.sqrt(4))
+        self._check(titles, ["a", "b"], top_ks=(None, 1, 2, 3))
+        index, _ = build_index(corpus_cases({f"{n}": t for n, t in enumerate(titles)}))
+        results = search(index, "a b", scorer="set", top_k=2)
+        assert [m.case_id for m in results.matches] == ["0", "1"]
+
+    def test_nine_lists_carry_into_a_fourth_slice(self):
+        query = [f"kata{i}" for i in range(9)]
+        titles = [query, query[:8], query[:8] + ["lain"], query[:7], query[:1], ["lain"]]
+        titles += [query[:4], query[3:], ["kata0", "lain"]]
+        self._check(titles, query, thresholds=(0.0, 0.5), top_ks=(None, 1, 2, 4))
