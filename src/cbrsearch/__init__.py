@@ -35,9 +35,16 @@ from .index import (
     QueryVector,
     build_index,
 )
-from .preprocess import PreprocessConfig, load_stopwords, tokenize
+from .preprocess import PreprocessConfig, tokenize
 from .similarity import RankedMatch, RankedResults
-from .store import INDEX_FORMAT_VERSION, append_case, load_index, read_corpus, save_index
+from .store import (
+    INDEX_FORMAT_VERSION,
+    append_case,
+    load_index,
+    load_stopwords,
+    read_corpus,
+    save_index,
+)
 
 __version__ = "0.1.0"
 

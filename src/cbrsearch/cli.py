@@ -32,12 +32,14 @@ from contextlib import contextmanager
 from .casebase import search
 from .errors import DataError, SearchError
 from .index import SCORERS, Case, _build_fields, _extend_fields, _refuse_duplicate_ids
-from .preprocess import PreprocessConfig, load_stopwords, tokenize
+from .preprocess import PreprocessConfig, tokenize
 from .store import (
     _read_index,
+    _read_lines,
     _write_index,
     append_case,
     load_index,
+    load_stopwords,
     read_corpus,
     unencodable_field,
 )
@@ -269,12 +271,7 @@ def cmd_eval(args) -> int:
     the violations go to stderr.
     """
     index = load_index(args.index)
-    try:
-        with open(args.titles, encoding="utf-8-sig") as handle:
-            raw = handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read titles file {args.titles}: {exc}") from exc
-    titles = [line for line in raw.splitlines() if line.strip()]
+    titles = [line for line in _read_lines(args.titles, "titles", DataError) if line.strip()]
     if not titles:
         raise DataError(f"titles file {args.titles} contains no titles")
 

@@ -3,6 +3,8 @@
 Titles and queries pass through the same pipeline so query terms land in
 exactly the form the index stores: split on non-alphanumeric runs, lowercase
 every token, drop stopwords and under-length tokens. No stemming, no n-grams.
+The module handles text only: the stopword file is read by
+:func:`store.load_stopwords`.
 
 :class:`PreprocessConfig` is an immutable named tuple. Construction and
 ``_replace`` alike check its minimum token length and lowercase its
@@ -12,7 +14,6 @@ stopwords.
 from __future__ import annotations
 
 import hashlib
-import os
 import re
 from collections import namedtuple
 
@@ -73,22 +74,3 @@ def tokenize(text: str, config: PreprocessConfig | None = None) -> list[str]:
     pieces = [piece.lower() for piece in _TOKEN_RE.findall(text)]
     return [piece for piece in pieces if len(piece) >= min_length and piece not in stopwords]
 
-
-def load_stopwords(path: str | os.PathLike[str]) -> set[str]:
-    """Read a stopword file: one word per line, UTF-8, a leading byte-order mark skipped.
-
-    Blank lines and lines starting with ``#`` are ignored; entries are
-    lowercased and deduplicated.
-    """
-    try:
-        with open(path, encoding="utf-8-sig") as handle:
-            raw = handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read stopword file {path}: {exc}") from exc
-    words: set[str] = set()
-    for line in raw.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        words.add(line.lower())
-    return words

@@ -111,12 +111,11 @@ def _skippable(
     Returns the skipped term ids, the sum of their bounds and theta.
 
     The cosine queries the module docstring names skip nothing (a lone
-    term's bound is never below theta), nor does a set query, which
-    :func:`_score` counts without skipping. Every bound is above 0, as the
+    term's bound is never below theta). Every bound is above 0, as the
     query's terms have idf above 0 (see the module docstring).
     """
     weights = query.weights
-    if query.scorer == "set" or threshold > 0.0 or top_k is None or len(weights) < 2:
+    if threshold > 0.0 or top_k is None or len(weights) < 2:
         return set(), 0.0, 0.0
     tids = sorted(weights)
     ratios = {tid: index.term_ratios(tid) for tid in tids}
@@ -241,8 +240,7 @@ def _count(
         for j, bits in lengths.items():
             cell = exact & bits
             if cell:
-                score = m / (query_norm * math.sqrt(j))
-                score = 1.0 if score > 1.0 else score
+                score = min(m / (query_norm * math.sqrt(j)), 1.0)
                 if score > threshold:
                     cells[score] = cells.get(score, 0) | cell
     ordinals: list[int] = []

@@ -1,4 +1,4 @@
-"""On-disk formats: the index snapshot and the corpus files.
+"""On-disk formats: the index snapshot and the line files.
 
 Index file (format version 5)
     A single-line JSON document. It stores the preprocessing configuration
@@ -40,16 +40,20 @@ Index file (format version 5)
     pieces as they are, and the reader decodes each column into an array
     and hashes the one UTF-8 encoding of the text it parsed.
 
-Corpus files
-    ``record`` mode: JSON Lines, one JSON object per ``\\n``-separated line
-    with fields ``id`` and ``title`` (required), ``solution`` and ``meta``
-    (optional). Only ``\\n`` ends a record, so U+2028, U+2029 and U+0085,
-    which :func:`append_case` writes as they are, stay inside one. Most
-    files are parsed one chunk of lines per ``json.loads``
+Line files
+    The corpus files, the stopword file and the titles file of ``eval``.
+    One reader, :func:`_read_lines`, reads them all: UTF-8, a leading
+    byte-order mark skipped, ``\\r\\n`` and a lone ``\\r`` read as ``\\n``,
+    and only ``\\n`` ends a line, so U+2028, U+2029 and U+0085, which
+    :func:`append_case` writes as they are, stay inside one.
+    ``record`` corpus: JSON Lines, one JSON object per line with fields
+    ``id`` and ``title`` (required), ``solution`` and ``meta`` (optional).
+    Most files are parsed one chunk of lines per ``json.loads``
     (:func:`_parse_records`); the per-line reader, :func:`_read_records`,
     makes every error, naming the file and line number.
-    ``plain`` mode: one title per line (``str.splitlines``); ids are 1-based
-    line numbers.
+    ``plain`` corpus: one title per line; ids are 1-based line numbers.
+    Stopword file (:func:`load_stopwords`): one word per line.
+    Titles file: one query title per line.
 """
 
 from __future__ import annotations
@@ -313,7 +317,8 @@ def _read_index(path: str | os.PathLike[str]) -> Fields:
     hashes one encoding of the text.
     """
     try:
-        # newline="": the checksum covers the file's own line ending
+        # not _read_lines: the checksum covers the file's exact bytes, so no
+        # newline translation (newline="") and no byte-order mark skipped
         with open(path, encoding="utf-8", newline="") as handle:
             raw = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
@@ -406,14 +411,43 @@ def _read_index(path: str | os.PathLike[str]) -> Fields:
     return (config, terms, doc_ids, titles, *columns)
 
 
+def _read_lines(path: str | os.PathLike[str], what: str, error: type[Exception]) -> list[str]:
+    """The lines of the line file *path*: a corpus, stopword or titles file.
+
+    The text is UTF-8, and a leading byte-order mark is skipped, not read as
+    part of the first line. Newlines are universal, so ``\\r\\n`` and a lone
+    ``\\r`` read as ``\\n``, and only ``\\n`` ends a line: U+2028, U+0085, a
+    form feed and every other Unicode line boundary stay text inside one.
+    The empty piece after a final ``\\n`` is not a line. A file that cannot
+    be read or decoded raises *error*, naming *what* and *path*.
+    """
+    try:
+        with open(path, encoding="utf-8-sig") as handle:
+            lines = handle.read().split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what} file {path}: {exc}") from exc
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
+def load_stopwords(path: str | os.PathLike[str]) -> set[str]:
+    """Read a stopword file, a line file of one word per line.
+
+    Blank lines and lines starting with ``#`` are ignored; entries are
+    lowercased and deduplicated.
+    """
+    words = map(str.strip, _read_lines(path, "stopword", ConfigError))
+    return {word.lower() for word in words if word and not word.startswith("#")}
+
+
 def read_corpus(path: str | os.PathLike[str], corpus_format: str) -> list[Case]:
     """Read a corpus file into cases.
 
-    ``record`` mode parses one JSON object per ``\\n``-separated line (blank
-    lines skipped); ``plain`` mode takes every line as a title, ids numbered
-    from 1 so line numbers stay stable even when a blank line is later
-    skipped by indexing. The file is UTF-8, and a leading byte-order mark is
-    skipped, not read as part of the first line.
+    The file is a line file, read by :func:`_read_lines`. ``record`` mode
+    parses one JSON object per line (blank lines skipped); ``plain`` mode
+    takes every line as a title, ids numbered from 1 so line numbers stay
+    stable even when a blank line is later skipped by indexing.
 
     A record file whose text holds no ``]`` is parsed by
     :func:`_parse_records`, a chunk of lines at a time; any other file, and
@@ -422,21 +456,12 @@ def read_corpus(path: str | os.PathLike[str], corpus_format: str) -> list[Case]:
     """
     if corpus_format not in CORPUS_FORMATS:
         raise ValueError(f"corpus format must be one of {CORPUS_FORMATS}, got {corpus_format!r}")
-    try:
-        with open(path, encoding="utf-8-sig") as handle:
-            raw = handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read corpus file {path}: {exc}") from exc
-
+    lines = _read_lines(path, "corpus", DataError)
     if corpus_format == "plain":
-        return [
-            Case(id=str(lineno), title=line)
-            for lineno, line in enumerate(raw.splitlines(), start=1)
-        ]
-    # JSON Lines: only \n ends a record (reading as text made \r\n and a lone
-    # \r into \n), so U+2028, U+2029 and U+0085 stay text inside a record
-    lines = raw.split("\n")
-    if "]" not in raw:
+        return [Case(id=str(lineno), title=line) for lineno, line in enumerate(lines, start=1)]
+    # one join: a substring search in C, where a scan of each line would be a
+    # Python-level step per line
+    if "]" not in "".join(lines):
         cases = _parse_records(list(filter(str.strip, lines)))
         if cases is not None:
             return cases

@@ -21,6 +21,10 @@ SAMPLE_TITLES = [
     "Perancangan dan Implementasi Aplikasi Sistem Monitoring",
 ]
 
+# the characters besides \n and \r that str.splitlines ends a line at; in a
+# line file (a corpus, stopword or titles file) they are text, not line ends
+SPLITLINES_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
 WORDS = [
     "sistem", "aplikasi", "informasi", "data", "metode", "algoritma",
     "analisis", "perancangan", "implementasi", "pengembangan", "website",

@@ -27,7 +27,7 @@ from cbrsearch import (
 )
 from cbrsearch import index as index_module
 from cbrsearch.cli import EXIT_DATA, EXIT_OK, EXIT_PROPERTY, EXIT_USAGE, main
-from conftest import SAMPLE_TITLES, generate_titles, sealed_index_text
+from conftest import SAMPLE_TITLES, SPLITLINES_BREAKS, generate_titles, sealed_index_text
 
 # arrays nested deeper than the default recursion limit: json.loads raises
 # RecursionError on them, not ValueError, before it reaches the missing ends
@@ -764,6 +764,19 @@ class TestCmdEval:
         row = next(line for line in out.splitlines() if line.startswith("row 1:"))
         assert "found_stage1=" in row
 
+    def test_only_a_line_feed_ends_a_title(self, indexed, tmp_path, capsys):
+        lines = [f"Sistem{char}Parkir" for char in SPLITLINES_BREAKS]
+        titles = tmp_path / "breaks.txt"
+        titles.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, _ = run_cli(
+            ["eval", "--index", str(indexed), "--titles", str(titles), "--seed", "3"],
+            capsys,
+        )
+        assert code == EXIT_OK
+        stage1 = [line for line in out.split("\n") if line.startswith("  stage1: ")]
+        assert stage1 == [f"  stage1: {line}" for line in lines]
+        assert sum(line.startswith("row ") for line in out.split("\n")) == len(lines)
+
     def test_empty_titles_file_exits_2(self, indexed, tmp_path, capsys):
         titles = tmp_path / "empty.txt"
         titles.write_text("\n\n", encoding="utf-8")
@@ -881,6 +894,20 @@ class TestByteOrderMark:
             reports.append(run_cli(argv, capsys))
         assert reports[0][0] == EXIT_OK
         assert reports[1] == reports[0]
+
+    def test_every_line_file_reads_the_same_lines(self, indexed, tmp_path, capsys):
+        # with \r\n endings, and text that holds a break of str.splitlines
+        lines = ["sistem parkir", "aplikasi\u2028kasir", "peta\x85interaktif"]
+        path = tmp_path / "lines.txt"
+        path.write_bytes(("\r\n".join(lines) + "\r\n").encode("utf-8-sig"))
+        assert [case.title for case in read_corpus(path, "plain")] == lines
+        assert load_stopwords(path) == set(lines)
+        code, out, _ = run_cli(
+            ["eval", "--index", str(indexed), "--titles", str(path), "--seed", "5"], capsys
+        )
+        assert code == EXIT_OK
+        stage1 = [line for line in out.split("\n") if line.startswith("  stage1: ")]
+        assert stage1 == [f"  stage1: {line}" for line in lines]
 
 
 def _double_first_word(title, seed, row):

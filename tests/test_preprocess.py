@@ -87,6 +87,11 @@ class TestLoadStopwords:
         path.write_text("# comment\n\ndi\n", encoding="utf-8")
         assert load_stopwords(path) == {"di"}
 
+    def test_only_a_line_feed_ends_an_entry(self, tmp_path):
+        path = tmp_path / "stop.txt"
+        path.write_text("dan\u2028di\nyang\n", encoding="utf-8")
+        assert load_stopwords(path) == {"dan\u2028di", "yang"}
+
     def test_duplicates_collapse(self, tmp_path):
         path = tmp_path / "stop.txt"
         path.write_text("di\ndi\n", encoding="utf-8")

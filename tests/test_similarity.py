@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brute import DenseOracle
-from cbrsearch import Case, QueryVector, build_index, search
+from cbrsearch import Case, QueryVector, build_index, search, similarity
 from cbrsearch.similarity import _norm, _skippable, rank
 from conftest import (
     SAMPLE_TITLES,
@@ -534,7 +534,7 @@ class TestPruning:
         assert (results.matches, results.total_matches) == ((), 0)
         assert results.dropped_terms == ("a", "q")
 
-    def test_a_weak_list_is_skipped_only_where_pruning_applies(self):
+    def test_a_weak_list_is_skipped_only_where_pruning_applies(self, monkeypatch):
         # "umum" is in all titles but one: a long list with a low bound
         titles = ["langka"] + [f"umum kata{n}" for n in range(9)]
         index, _ = build_index([Case(f"{n:02d}", title) for n, title in enumerate(titles)])
@@ -544,10 +544,16 @@ class TestPruning:
             return _skippable(index, query, _norm(query.weights), threshold, top_k)[0]
 
         assert skipped(["umum", "langka"]) == {index.lookup("umum")}
-        assert skipped(["umum", "langka"], scorer="set") == set()
         assert skipped(["umum", "langka"], threshold=0.3) == set()
         assert skipped(["umum", "langka"], top_k=None) == set()
         assert skipped(["langka"]) == set()
+
+        # a set query is counted, never pruned: it does not ask what to skip
+        def refuse(*args):
+            raise AssertionError("a set query asked what to skip")
+
+        monkeypatch.setattr(similarity, "_skippable", refuse)
+        assert search(index, "umum langka", scorer="set", top_k=1).total_matches == 10
 
     def test_two_skipped_lists_count_and_score_as_the_exhaustive_ranking(self):
         # "umum" and "biasa" are weak lists that hold documents no other list

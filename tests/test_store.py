@@ -32,6 +32,7 @@ from cbrsearch.cli import EXIT_DATA, EXIT_OK, main
 from cbrsearch.similarity import rank
 from cbrsearch.store import _read_index, _read_records, _sealed, _term_ids, _write_index
 from conftest import (
+    SPLITLINES_BREAKS,
     corpus_cases,
     generate_token_corpus,
     packed_column,
@@ -1179,6 +1180,15 @@ class TestReadCorpusPlain:
         index, report = build_index(cases)
         assert report.skipped == (("2", "title tokenizes to empty"),)
         assert index.corpus_size == 2
+
+    def test_only_a_line_feed_ends_a_title(self, tmp_path):
+        titles = [f"Sistem{char}Parkir" for char in SPLITLINES_BREAKS] + ["Aplikasi Kasir"]
+        path = tmp_path / "titles.txt"
+        path.write_text("\n".join(titles) + "\n", encoding="utf-8")
+        cases = read_corpus(path, "plain")
+        assert [(c.id, c.title) for c in cases] == [
+            (str(lineno), title) for lineno, title in enumerate(titles, start=1)
+        ]
 
     def test_unknown_format_is_rejected(self, tmp_path):
         path = tmp_path / "titles.txt"
