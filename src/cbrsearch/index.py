@@ -145,18 +145,18 @@ class Index:
         ordinal_norms: ordinal -> L2 norm of the document's weight vector;
             None until a term the document holds is posted.
 
-    :meth:`term_ratios` (which caches one array per term), :meth:`posting_bits`
+    :meth:`impacts` (which caches two arrays per term), :meth:`posting_bits`
     and :func:`rank` derive the terms they read first, so no underived entry
     is ever read; :meth:`dot` and :meth:`length_bits` read only the count
     rows. Three caches grow with use, and none is part of :attr:`fields` or
-    of equality. The ratios hold 8 bytes per posting of each term whose
-    MaxScore bound a cosine query reads. The posting bitmaps hold one
-    ``int`` of ``corpus_size / 8`` bytes (about 12.5 KB at 100k titles) for
-    each term a set query adds or a cosine query skips, but only for a term
-    in at least ``corpus_size / 96`` documents, so at worst they hold the
-    bytes of the posting arrays they mirror. The length bitmaps, made on
-    the first set query, hold the number of distinct row lengths times
-    ``corpus_size / 8`` bytes.
+    of equality. The impacts hold 12 bytes per posting, a 4-byte ordinal and
+    an 8-byte ratio, of each term a cosine query with a ``top_k`` reads. The
+    posting bitmaps hold one ``int`` of ``corpus_size / 8`` bytes (about
+    12.5 KB at 100k titles) for each term a set query or a cut cosine query
+    counts, but only for a term in at least ``corpus_size / 96`` documents,
+    so at worst they hold the bytes of the posting arrays they mirror. The
+    length bitmaps, made on the first set query, hold the number of
+    distinct row lengths times ``corpus_size / 8`` bytes.
     """
 
     __slots__ = (
@@ -173,7 +173,7 @@ class Index:
         "ordinal_norms",
         "_ids",
         "_idf",
-        "_ratios",
+        "_impacts",
         "_bits",
         "_lengths",
     )
@@ -201,7 +201,7 @@ class Index:
         self.ordinal_norms: list[float | None] = [None] * corpus_size
         self._ids = {term: tid for tid, term in enumerate(terms)}
         self._idf = [math.log10(corpus_size / count) for count in df]
-        self._ratios: dict[int, array] = {}
+        self._impacts: dict[int, tuple[array, array]] = {}
         self._bits: dict[int, int] = {}
         self._lengths: dict[int, int] | None = None
 
@@ -263,23 +263,32 @@ class Index:
         """Term id, or None when the term was never indexed."""
         return self._ids.get(term)
 
-    def term_ratios(self, term_id: int) -> array:
-        """Every ``weight / norm`` over the postings of *term_id*, descending.
+    def impacts(self, term_id: int) -> tuple[array, array]:
+        """The postings of *term_id* in impact order: ordinals and their ``weight / norm``.
 
-        What a document's normalized vector holds in the term's coordinate,
-        so the first entry times the query weight bounds what the term adds
-        to any cosine dot product, and the k-th is met or beaten by k
-        documents. Computed on first use and cached; defined for terms with
-        nonzero idf, whose documents all have nonzero norms.
+        Two parallel arrays, ``array('i')`` and ``array('d')``, in descending
+        ratio, ties in ascending ordinal. A ratio is what the document's
+        normalized vector holds in the term's coordinate, so times the query
+        weight it is what the term adds to the document's cosine: the first
+        bounds what the term adds to any document, and the k-th is met or
+        beaten by k documents. Computed on first use, with one key sort in C,
+        and cached; defined for terms with nonzero idf, whose documents all
+        have nonzero norms.
         """
-        ratios = self._ratios.get(term_id)
-        if ratios is None:
+        impacts = self._impacts.get(term_id)
+        if impacts is None:
             self._derive((term_id,))
-            norms = map(self.ordinal_norms.__getitem__, self.postings[term_id])
-            ratios = map(truediv, self.posting_weights[term_id], norms)
-            ratios = array("d", sorted(ratios, reverse=True))
-            self._ratios[term_id] = ratios
-        return ratios
+            ordinals = self.postings[term_id]
+            norms = map(self.ordinal_norms.__getitem__, ordinals)
+            ratios = list(map(truediv, self.posting_weights[term_id], norms))
+            # stable: equal ratios keep the postings' ascending ordinals
+            order = sorted(range(len(ratios)), key=ratios.__getitem__, reverse=True)
+            impacts = (
+                array("i", map(ordinals.__getitem__, order)),
+                array("d", map(ratios.__getitem__, order)),
+            )
+            self._impacts[term_id] = impacts
+        return impacts
 
     def posting_bits(self, term_id: int) -> int:
         """The postings of *term_id* as a bitmap: bit ``o`` is set when ordinal ``o`` is one.
@@ -289,7 +298,7 @@ class Index:
         at bit ``o & 7`` of byte ``o >> 3``. A term in at least
         ``corpus_size / 96`` documents, whose ``corpus_size / 8`` bytes of
         bitmap are no more than the 12 bytes per posting of its two arrays,
-        is computed on first use and cached, as :meth:`term_ratios` is, and
+        is computed on first use and cached, as :meth:`impacts` is, and
         cached only once complete. It is parsed from one ASCII digit per
         ordinal: a store per posting and one parse in C, faster than setting
         bits one by one from about 1,000 postings up. A rarer term's bitmap is

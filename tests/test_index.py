@@ -225,12 +225,13 @@ class TestDeriveOnFirstUse:
             assert norms == _bits(map(built.ordinal_norms.__getitem__, ordinals))
         assert _bits(loaded.ordinal_norms) == _bits(built.ordinal_norms)
 
-    def test_term_ratios_derive_what_they_read(self, tmp_path):
+    def test_impacts_derive_what_they_read(self, tmp_path):
         loaded, built = self._loaded_and_built(tmp_path, LAZY_CORPORA["titles"]())
         assert loaded.postings == [None] * len(built.postings)
         for tid, ordinals in enumerate(built.postings):
             assert len(ordinals) < built.corpus_size  # no term of idf 0, so every term is read
-            assert _bits(loaded.term_ratios(tid)) == _bits(built.term_ratios(tid))
+            for mine, theirs in zip(loaded.impacts(tid), built.impacts(tid)):
+                assert _bits(mine) == _bits(theirs)
         assert _bits(loaded.ordinal_norms) == _bits(built.ordinal_norms)
 
     def test_concurrent_readers_of_a_fresh_load_rank_as_a_build(self, tmp_path):

@@ -4,14 +4,15 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brute import DenseOracle
-from cbrsearch import Case, QueryVector, build_index, search, similarity
-from cbrsearch.similarity import _norm, _skippable, rank
+from cbrsearch import Case, Index, QueryVector, build_index, search, similarity
+from cbrsearch.similarity import SLACK, _cuts, _norm, rank
 from conftest import (
     SAMPLE_TITLES,
     corpus_cases,
@@ -524,7 +525,9 @@ class TestPruning:
             assert math.isclose(match.score, score, rel_tol=1e-12)
         assert results.total_matches == 1
         assert results.dropped_terms == ("a",)
-        assert index._ratios == {}  # no ratios of a zero-norm document were computed
+        # no ratio of the zero-norm document was computed: "a" is never read
+        assert index.lookup("a") not in index._impacts
+        assert all(0 not in ordinals for ordinals, _ in index._impacts.values())
 
     @pytest.mark.parametrize("top_k", [None, 1])
     def test_a_query_of_norm_0_matches_nothing(self, top_k):
@@ -539,27 +542,27 @@ class TestPruning:
         titles = ["langka"] + [f"umum kata{n}" for n in range(9)]
         index, _ = build_index([Case(f"{n:02d}", title) for n, title in enumerate(titles)])
 
-        def skipped(tokens, scorer="cosine", threshold=0.0, top_k=1):
+        def cuts(tokens, scorer="cosine", threshold=0.0, top_k=1):
             query = index.vectorize_query(tokens, scorer)
-            return _skippable(index, query, _norm(query.weights), threshold, top_k)[0]
+            return _cuts(index, query, _norm(query.weights), threshold, top_k)[0]
 
-        assert skipped(["umum", "langka"]) == {index.lookup("umum")}
-        assert skipped(["umum", "langka"], threshold=0.3) == set()
-        assert skipped(["umum", "langka"], top_k=None) == set()
-        assert skipped(["langka"]) == set()
+        assert cuts(["umum", "langka"]) == {index.lookup("umum"): 0}
+        assert cuts(["umum", "langka"], threshold=0.3) == {}
+        assert cuts(["umum", "langka"], top_k=None) == {}
+        assert cuts(["langka"]) == {}
 
-        # a set query is counted, never pruned: it does not ask what to skip
+        # a set query is counted, never pruned: it does not ask for cuts
         def refuse(*args):
-            raise AssertionError("a set query asked what to skip")
+            raise AssertionError("a set query asked for cuts")
 
-        monkeypatch.setattr(similarity, "_skippable", refuse)
+        monkeypatch.setattr(similarity, "_cuts", refuse)
         assert search(index, "umum langka", scorer="set", top_k=1).total_matches == 10
 
     def test_two_skipped_lists_count_and_score_as_the_exhaustive_ranking(self):
         # "umum" and "biasa" are weak lists that hold documents no other list
         # holds, and candidates of "langka"; 22 titles leave the last byte of a
         # bitmap partial, and the last title is in both weak lists
-        titles = ["langka", "langka umum", "langka biasa", "umum", "biasa", "lain"]
+        titles = ["langka", "langka umum", "langka biasa", "umum lain", "biasa lain", "lain"]
         titles += [f"umum kata{n}" for n in range(7)] + [f"biasa kata{n}" for n in range(7, 14)]
         titles += ["umum biasa kata14", "umum biasa kata15"]
         doc_tokens = {f"{n:02d}": title.split() for n, title in enumerate(titles)}
@@ -567,8 +570,9 @@ class TestPruning:
         assert index.corpus_size % 8
         tokens = ["umum", "langka", "biasa"]
         query = index.vectorize_query(tokens)
-        skipped = _skippable(index, query, _norm(query.weights), 0.0, 1)[0]
-        assert skipped == {index.lookup("umum"), index.lookup("biasa")}
+        for top_k in range(1, 4):
+            cuts = _cuts(index, query, _norm(query.weights), 0.0, top_k)[0]
+            assert cuts == {index.lookup("umum"): 0, index.lookup("biasa"): 0}
         matching = len(DenseOracle(doc_tokens).rank(tokens))
         full = rank(index, query)
         assert full.total_matches == matching == len(titles) - 1  # all but "lain"
@@ -579,25 +583,133 @@ class TestPruning:
                 (m.case_id, m.score.hex()) for m in full.matches[:top_k]
             ]
 
-    def test_term_ratios_bound_every_posting_and_are_reached(self):
+    def test_impacts_order_every_posting_by_its_ratio(self):
         rng = random.Random(8128)
         doc_tokens = generate_token_corpus(rng, max_docs=80, max_tokens=12, max_vocab=30)
+        # duplicated titles give equal ratios, which must come in ascending ordinal
+        again = {f"{doc_id}-again": doc_tokens[doc_id] for doc_id in list(doc_tokens)[:8]}
+        doc_tokens.update(again)
         index, _ = build_index(corpus_cases(doc_tokens))
         twin, _ = build_index(corpus_cases(doc_tokens))
-        checked = 0
+        checked = ties = 0
         for tid, ordinals in enumerate(index.postings):
             if len(ordinals) == index.corpus_size:  # idf 0: no cosine query holds the term
                 continue
-            pairs = zip(index.postings[tid], index.posting_weights[tid])
-            ratios = [weight / index.ordinal_norms[ordinal] for ordinal, weight in pairs]
-            cached = index.term_ratios(tid)
-            assert all(ratio <= cached[0] for ratio in ratios)
-            assert cached[0] in ratios
-            assert list(cached) == sorted(ratios, reverse=True)
-            assert index.term_ratios(tid) is cached
+            weights = dict(zip(ordinals, index.posting_weights[tid]))
+            cached = index.impacts(tid)
+            order, ratios = cached
+            assert sorted(order) == list(ordinals)
+            assert [r.hex() for r in ratios] == [
+                (weights[o] / index.ordinal_norms[o]).hex() for o in order
+            ]
+            for (first, high), (second, low) in zip(zip(order, ratios), zip(order[1:], ratios[1:])):
+                assert high >= low
+                if high == low:
+                    assert first < second
+                    ties += 1
+            assert index.impacts(tid) is cached
             checked += 1
-        assert checked > 10
+        assert checked > 10 and ties > 0
         assert index == twin  # the cache is not part of an index's value
+
+
+# built once for the module: a term in 240 of 300 titles, beside 1-6 other
+# words, so its ratios spread; the other 60 titles lack it, so its idf is above 0
+def _common_corpus():
+    rng = random.Random(3301)
+    words = [f"kata{n}" for n in range(40)]
+    titles = [["umum", *rng.sample(words, 1 + n % 6)] for n in range(240)]
+    titles += [rng.sample(words, 2) for _ in range(60)]
+    return {f"{n:03d}": title for n, title in enumerate(titles)}
+
+
+# built once for the module: three copies of the query title and of a title
+# one word longer, so scores tie at 1.0 and below it at several cuts
+_TITLE_QUERY = ["sistem", "informasi", "akademik"]
+
+
+def _tied_corpus():
+    titles = [_TITLE_QUERY] * 3 + [[*_TITLE_QUERY, "baru"]] * 3
+    titles += [["sistem", f"kata{n}"] for n in range(12)] + [["akademik", "kampus", "lain"]] * 2
+    titles += [["informasi", f"kata{n}", "data"] for n in range(9)]
+    return {f"{n:02d}": title for n, title in enumerate(titles)}
+
+
+@pytest.fixture(scope="module")
+def common_index():
+    return build_index(corpus_cases(_common_corpus()))[0]
+
+
+@pytest.fixture(scope="module")
+def tied_index():
+    return build_index(corpus_cases(_tied_corpus()))[0]
+
+
+def _hexes(results):
+    return [(m.case_id, m.score.hex()) for m in results.matches], results.total_matches
+
+
+class TestImpactCuts:
+    """A cut list is read only down to its cut, and ranks as the exhaustive path."""
+
+    def test_a_lone_common_term_rescores_far_fewer_documents_than_its_list(
+        self, common_index, monkeypatch
+    ):
+        index = common_index
+        df = len(index.postings[index.lookup("umum")])
+        full = search(index, "umum")
+        assert full.total_matches == df
+        calls = []
+        dot = Index.dot
+
+        def counting(self, ordinal, weights):
+            calls.append(ordinal)
+            return dot(self, ordinal, weights)
+
+        monkeypatch.setattr(Index, "dot", counting)
+        for top_k in (1, 3):
+            calls.clear()
+            cut = search(index, "umum", top_k=top_k)
+            assert 1 <= len(calls) and len(calls) * 10 <= df
+            assert _hexes(cut) == (_hexes(full)[0][:top_k], df)
+
+    def test_ties_at_the_cut_and_a_clamped_score_rank_as_the_exhaustive_path(self, tied_index):
+        index = tied_index
+        query = index.vectorize_query(_TITLE_QUERY)
+        # the stored title scores above 1.0 before the clamp
+        unclamped = index.dot(0, query.weights) / (_norm(query.weights) * index.ordinal_norms[0])
+        assert unclamped > 1.0
+        cut_at_a_tie = 0
+        for tokens in (_TITLE_QUERY, ["sistem", "baru"], ["sistem"], ["akademik"]):
+            query = index.vectorize_query(tokens)
+            full = search(index, " ".join(tokens))
+            for top_k in range(1, index.corpus_size + 1):
+                cut = search(index, " ".join(tokens), top_k=top_k)
+                assert _hexes(cut) == (_hexes(full)[0][:top_k], full.total_matches)
+                cuts = _cuts(index, query, _norm(query.weights), 0.0, top_k)[0]
+                scores = [m.score for m in full.matches[top_k - 1 : top_k + 1]]
+                if cuts and scores[1:] == scores[:1]:
+                    cut_at_a_tie += 1
+        assert cut_at_a_tie >= 8  # lists were cut where the k-th score ties the next
+        results = search(index, " ".join(_TITLE_QUERY), top_k=3)
+        assert [m.score for m in results.matches] == [1.0] * 3
+
+    @pytest.mark.parametrize("scale", [1.0, 1e8])
+    def test_the_unread_bound_stays_below_theta_less_slack(self, scale):
+        # the lone list's cut leaves 1.2e-9 unread against a theta of 2e-9: within
+        # SLACK of theta, so the list is read whole; scaled up, the same cut holds
+        ratios = array("d", (r * scale for r in (3e-9, 2e-9, 1.2e-9, 1e-10)))
+
+        class Stub:
+            def impacts(self, term_id):
+                return array("i", range(len(ratios))), ratios
+
+        query = QueryVector({0: 1.0})
+        cuts, unread, theta = _cuts(Stub(), query, 1.0, 0.0, 2)
+        assert theta == ratios[1]
+        if cuts:
+            assert unread == sum(ratios[depth] for depth in cuts.values()) < theta - SLACK
+        assert cuts == ({} if scale == 1.0 else {0: 2})
 
 
 class TestSetCounting:
