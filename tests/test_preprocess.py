@@ -3,11 +3,41 @@
 from __future__ import annotations
 
 import random
+import re
+import string
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbrsearch import ConfigError, PreprocessConfig, load_stopwords, tokenize
+
+
+def _reference(text: str, config: PreprocessConfig) -> list[str]:
+    """The tokenizer's definition: split on runs of non-alphanumerics, lower each token, filter."""
+    pieces = [piece.lower() for piece in re.findall(r"[^\W_]+", text)]
+    return [p for p in pieces if len(p) >= config.min_token_length and p not in config.stopwords]
+
+
+# ASCII with the separators that keep text off the split path, and non-ASCII
+# letters, marks and spaces: U+0130 lowers to two characters, final sigma,
+# composed and decomposed e-acute, sharp s, a fullwidth letter, no-break
+# space, next line, em space, ideographic space, line separator, a
+# titlecase digraph
+_ALPHABET = (
+    string.ascii_letters + string.digits + " -,._\t\x1c"
+    + "\u0130\u03a3\u03c2\u00e9\u0301\u00df\uff33\xa0\x85\u2003\u3000\u2028\u01c5"
+)
+
+
+@st.composite
+def _texts_and_configs(draw):
+    """Text of the alphabet, with a config that has no stopwords or some of the text's words."""
+    text = draw(st.text(alphabet=_ALPHABET, max_size=30))
+    words = _reference(text, PreprocessConfig())
+    stopwords = draw(st.sets(st.sampled_from(words), min_size=1)) if words and draw(st.booleans()) else ()
+    return text, PreprocessConfig(frozenset(stopwords), draw(st.integers(1, 3)))
 
 
 class TestTokenize:
@@ -42,6 +72,12 @@ class TestTokenize:
     def test_digits_and_accented_letters_are_token_characters(self):
         assert tokenize("algoritma2 café") == ["algoritma2", "café"]
 
+    def test_an_underscore_splits_a_token(self):
+        assert tokenize("a_b") == ["a", "b"]
+
+    def test_a_run_of_spaces_and_punctuation_is_one_split(self):
+        assert tokenize("TF-IDF  Sistem") == ["tf", "idf", "sistem"]
+
     def test_each_token_is_lowercased_after_the_split(self):
         # "İ".lower() gains a combining dot, which is no token character
         assert tokenize("İstanbul İZMİR") == ["i\u0307stanbul", "i\u0307zmi\u0307r"]
@@ -52,6 +88,36 @@ class TestTokenize:
 
 
 class TestTokenizeProperties:
+    @settings(max_examples=250, deadline=None, derandomize=True, database=None)
+    @given(drawn=_texts_and_configs())
+    def test_equals_the_regex_definition(self, drawn):
+        text, config = drawn
+        # ASCII text takes a lowered split, and a config that filters nothing
+        # skips the filter; neither may change a token
+        assert tokenize(text, config) == _reference(text, config)
+
+    # plain ASCII takes the split path; punctuation, an underscore, a tab,
+    # surrounding spaces and non-ASCII text take the regex
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "Sistem Pakar Diagnosa Penyakit",
+            "TF-IDF, Cosine: Sistem Temu Kembali",
+            "sistem_informasi akademik",
+            "Aplikasi\tMonitoring Sistem",
+            "\u0130stanbul \u0130ZM\u0130R Sistem",
+            "Stra\u00dfe STRASSE caf\u00e9 cafe\u0301 \u03a3\u039f\u03a6\u039f\u03a3",
+            "  Pakar  Sistem  ",
+        ],
+    )
+    @pytest.mark.parametrize(
+        "config",
+        [PreprocessConfig(), PreprocessConfig(stopwords=frozenset({"sistem"}), min_token_length=2)],
+        ids=["default", "filtered"],
+    )
+    def test_titles_of_every_path_equal_the_regex_definition(self, text, config):
+        assert tokenize(text, config) == _reference(text, config)
+
     def test_idempotent_over_rejoined_tokens(self):
         rng = random.Random(90125)
         config = PreprocessConfig(stopwords=frozenset({"dan"}), min_token_length=2)
