@@ -42,6 +42,7 @@ constructed and when ``_replace`` copies it.
 from __future__ import annotations
 
 import math
+import re
 from array import array
 from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
@@ -150,13 +151,13 @@ class Index:
     is ever read; :meth:`dot` and :meth:`length_bits` read only the count
     rows. Three caches grow with use, and none is part of :attr:`fields` or
     of equality. The impacts hold 12 bytes per posting, a 4-byte ordinal and
-    an 8-byte ratio, of each term a cosine query with a ``top_k`` reads. The
-    posting bitmaps hold one ``int`` of ``corpus_size / 8`` bytes (about
-    12.5 KB at 100k titles) for each term a set query or a cut cosine query
-    counts, but only for a term in at least ``corpus_size / 96`` documents,
-    so at worst they hold the bytes of the posting arrays they mirror. The
-    length bitmaps, made on the first set query, hold the number of
-    distinct row lengths times ``corpus_size / 8`` bytes.
+    an 8-byte ratio, of each term a cosine query with a ``top_k`` reads. Both
+    bitmap caches hold :func:`_bitmap` ints of ``corpus_size`` bits, about
+    12.5 KB each at 100k titles. The posting bitmaps hold one for each term
+    a set query or a cut cosine query counts, but only for a term in at
+    least ``corpus_size / 96`` documents, so at worst they hold the bytes of
+    the posting arrays they mirror. The length bitmaps, made on the first
+    set query, hold one per distinct row length.
     """
 
     __slots__ = (
@@ -291,55 +292,35 @@ class Index:
         return impacts
 
     def posting_bits(self, term_id: int) -> int:
-        """The postings of *term_id* as a bitmap: bit ``o`` is set when ordinal ``o`` is one.
+        """The postings of *term_id* as a bitmap (:func:`_bitmap`) of ``corpus_size`` bits.
 
-        It holds ``corpus_size`` bits, so
-        ``to_bytes((corpus_size + 7) >> 3, "little")`` puts ordinal ``o``
-        at bit ``o & 7`` of byte ``o >> 3``. A term in at least
-        ``corpus_size / 96`` documents, whose ``corpus_size / 8`` bytes of
-        bitmap are no more than the 12 bytes per posting of its two arrays,
-        is computed on first use and cached, as :meth:`impacts` is, and
-        cached only once complete. It is parsed from one ASCII digit per
-        ordinal: a store per posting and one parse in C, faster than setting
-        bits one by one from about 1,000 postings up. A rarer term's bitmap is
-        set bit by bit in a ``bytearray`` on every call, and not kept.
+        A term in at least ``corpus_size / 96`` documents, whose
+        ``corpus_size / 8`` bytes of bitmap are no more than the 12 bytes per
+        posting of its two arrays, is computed on first use and cached, as
+        :meth:`impacts` is, and cached only once complete. A rarer term's
+        bitmap is built on every call, and not kept.
         """
         bits = self._bits.get(term_id)
         if bits is None:
             self._derive((term_id,))
             ordinals = self.postings[term_id]
-            if len(ordinals) * 96 < self.corpus_size:
-                flags = bytearray((self.corpus_size + 7) >> 3)
-                for ordinal in ordinals:
-                    flags[ordinal >> 3] |= 1 << (ordinal & 7)
-                return int.from_bytes(flags, "little")
-            digits = bytearray(b"0") * self.corpus_size  # one binary digit per ordinal
-            for ordinal in ordinals:
-                digits[ordinal] = 49  # "1"
-            digits.reverse()  # the highest ordinal's digit leads
-            bits = int(digits, 2)
-            self._bits[term_id] = bits
+            bits = _bitmap(ordinals, self.corpus_size)
+            if len(ordinals) * 96 >= self.corpus_size:
+                self._bits[term_id] = bits
         return bits
 
     def length_bits(self) -> dict[int, int]:
-        """Row length -> the bitmap of the documents of that many distinct terms.
+        """Row length -> the bitmap (:func:`_bitmap`) of the documents of that many distinct terms.
 
-        Bitmaps as :meth:`posting_bits` lays them out, one per row length
-        that occurs, all parsed on first use from one pass over the stored
-        row lengths, one ASCII digit per ordinal and length, and cached.
+        One per row length that occurs, all built on first use from one pass
+        that groups the ordinals by their stored row length, and cached.
         """
         lengths = self._lengths
         if lengths is None:
-            digits: dict[int, bytearray] = {}
+            groups: dict[int, list[int]] = {}
             for ordinal, length in enumerate(self.fields[4]):
-                row = digits.get(length)
-                if row is None:
-                    row = digits[length] = bytearray(b"0") * self.corpus_size
-                row[ordinal] = 49  # "1"
-            lengths = {}
-            for length, row in digits.items():
-                row.reverse()  # the highest ordinal's digit leads
-                lengths[length] = int(row, 2)
+                groups.setdefault(length, []).append(ordinal)
+            lengths = {n: _bitmap(group, self.corpus_size) for n, group in groups.items()}
             self._lengths = lengths
         return lengths
 
@@ -395,6 +376,40 @@ class Index:
             else:
                 weights[tid] = (counts[tid] / token_total) * self._idf[tid]
         return QueryVector(weights, tuple(sorted(dropped)), scorer)
+
+
+def _bitmap(ordinals: Sequence[int], size: int) -> int:
+    """The bitmap of the distinct *ordinals*, each below *size*: bit ``o`` set for ordinal ``o``.
+
+    It holds *size* bits, so ``to_bytes((size + 7) >> 3, "little")`` puts
+    ordinal ``o`` at bit ``o & 7`` of byte ``o >> 3``; :func:`_ordinals`
+    reads it back. Below ``size / 96`` ordinals the bits are set one by one
+    in a ``bytearray``. From there up the bitmap is parsed from one ASCII
+    digit per ordinal: a store per ordinal and one parse in C, faster than
+    setting bits one by one from about 1,000 ordinals up. The only builder
+    of both bitmap caches of :class:`Index`.
+    """
+    if len(ordinals) * 96 < size:
+        flags = bytearray((size + 7) >> 3)
+        for ordinal in ordinals:
+            flags[ordinal >> 3] |= 1 << (ordinal & 7)
+        return int.from_bytes(flags, "little")
+    digits = bytearray(b"0") * size  # one binary digit per ordinal
+    for ordinal in ordinals:
+        digits[ordinal] = 49  # "1"
+    digits.reverse()  # the highest ordinal's digit leads
+    return int(digits, 2)
+
+
+def _ordinals(bits: int) -> list[int]:
+    """The ordinals set in the bitmap *bits* (see :func:`_bitmap`), the highest first.
+
+    The ones of its binary digits, found in C by one ``re.finditer``; the
+    only decoder of a bitmap.
+    """
+    digits = format(bits, "b")
+    last = len(digits) - 1
+    return [last - match.start() for match in re.finditer("1", digits)]
 
 
 def build_index(

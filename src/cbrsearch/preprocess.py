@@ -7,7 +7,8 @@ ASCII text made only of letters, digits and spaces, as most titles are, is
 lowered once and split on its spaces, which yields those same tokens
 without a regex or a per-token ``lower``.
 The module handles text only: the stopword file is read by
-:func:`store.load_stopwords`.
+:func:`store.load_stopwords`, and ``store`` alone maps a configuration to
+and from an index file, its fingerprint included.
 
 :class:`PreprocessConfig` is an immutable named tuple. Construction and
 ``_replace`` alike check its minimum token length and lowercase its
@@ -16,7 +17,6 @@ stopwords.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from collections import namedtuple
 
@@ -47,18 +47,6 @@ class PreprocessConfig(namedtuple("PreprocessConfig", "stopwords min_token_lengt
     def _make(cls, iterable) -> PreprocessConfig:
         # through __new__, so _replace checks and lowercases as construction does
         return cls(*iterable)
-
-    def fingerprint(self) -> str:
-        """Stable hex digest identifying this configuration.
-
-        The digest still covers a ``casefold=1`` line, from when lowercasing
-        could be turned off, so index files keep the fingerprints they hold.
-        """
-        canonical = "casefold=1\nmin_token_length={}\nstopwords={}".format(
-            self.min_token_length,
-            ",".join(sorted(self.stopwords)),
-        )
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def tokenize(text: str, config: PreprocessConfig | None = None) -> list[str]:

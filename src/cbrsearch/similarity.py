@@ -46,12 +46,11 @@ from __future__ import annotations
 
 import heapq
 import math
-import re
 from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Mapping
 
-from .index import Index, QueryVector
+from .index import Index, QueryVector, _ordinals
 
 SLACK = 1e-9  # room left in every bound check for rounding
 # the share of theta that the lists' unread postings may add (see _cuts);
@@ -279,10 +278,7 @@ def _count(
     for score in sorted(cells, reverse=True):
         if top_k is not None and len(ordinals) >= top_k:
             break
-        # the ones of its binary digits, found in C, the highest ordinal's first
-        digits = format(cells[score], "b")
-        last = len(digits) - 1
-        found = [last - match.start() for match in re.finditer("1", digits)]
+        found = _ordinals(cells[score])
         ordinals += found
         scores += [score] * len(found)
     return ordinals, scores, sum(map(int.bit_count, cells.values()))

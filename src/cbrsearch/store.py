@@ -2,23 +2,23 @@
 
 Index file (format version 5)
     A single-line JSON document. It stores the preprocessing configuration
-    and its fingerprint (its ``casefold`` is always ``true``, as tokens are
-    always lowercased; a file holding ``false`` must be rebuilt), the
-    vocabulary as a plain ``terms`` list (a term's id is its position), the
-    documents as parallel ``ids`` and ``titles`` lists, and the documents'
-    count rows as three flat columns of unsigned ints:
-    ``row_lengths`` (distinct terms per document), then ``term_ids`` and
-    ``counts``, which hold every row's term ids, ascending within a row,
-    and their counts, rows in document order. Each column is packed as a
-    two-item list ``[width, "<base64>"]``: the base64 text of the column's
-    values as little-endian unsigned integers of *width* bytes, 1, 2 or 4,
-    the narrowest that holds the column's largest value (so
-    ``[1,"AgI="]`` is the row lengths 2 and 2). Weights, token totals and document
-    frequencies are never written: a loaded index recomputes them through
-    the same code path ``build_index`` uses, the weights of a term when a
-    query first ranks it, so an index is defined by its stored counts.
-    Serialization is canonical (sorted keys, fixed separators), which makes
-    equal indexes produce byte-identical files.
+    (its ``casefold`` is always ``true``, as tokens are always lowercased; a
+    file holding ``false`` must be rebuilt) and its fingerprint
+    (:func:`_fingerprint`), the vocabulary as a plain ``terms`` list (a
+    term's id is its position), the documents as parallel ``ids`` and
+    ``titles`` lists, and the documents' count rows as three flat columns of
+    unsigned ints: ``row_lengths`` (distinct terms per document), then
+    ``term_ids`` and ``counts``, which hold every row's term ids, ascending
+    within a row, and their counts, rows in document order. Each column is
+    packed as a two-item list ``[width, "<base64>"]``: the base64 text of
+    the column's values as little-endian unsigned integers of *width* bytes,
+    1, 2 or 4, the narrowest that holds the column's largest value (so
+    ``[1,"AgI="]`` is the row lengths 2 and 2). Weights, token totals and
+    document frequencies are never written: a loaded index recomputes them
+    through the same code path ``build_index`` uses, the weights of a term
+    when a query first ranks it, so an index is defined by its stored
+    counts. Serialization is canonical (sorted keys, fixed separators),
+    which makes equal indexes produce byte-identical files.
     The last key, ``weights_sha256``, is the sha256 of the UTF-8 bytes of
     the canonical document without it, so any edit to a stored value, or
     to the file's layout, is rejected. The file is read with no newline
@@ -149,7 +149,7 @@ def _write_index(path: str | os.PathLike[str], config: PreprocessConfig, *lists:
             "min_token_length": config.min_token_length,
             "stopwords": sorted(config.stopwords),
         },
-        "preprocess_fingerprint": config.fingerprint(),
+        "preprocess_fingerprint": _fingerprint(config),
         **dict(zip(_LIST_KEYS, lists, strict=True)),
     }
     pieces = [b"{"]
@@ -174,6 +174,17 @@ def _write_index(path: str | os.PathLike[str], config: PreprocessConfig, *lists:
         with suppress(FileNotFoundError):
             os.unlink(temporary)
         raise
+
+
+def _fingerprint(config: PreprocessConfig) -> str:
+    """The stable hex digest of *config* that an index file stores beside it.
+
+    The digest still covers a ``casefold=1`` line, from when lowercasing
+    could be turned off, so index files keep the fingerprints they hold.
+    """
+    stopwords = ",".join(sorted(config.stopwords))
+    canonical = f"casefold=1\nmin_token_length={config.min_token_length}\nstopwords={stopwords}"
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def _canonical_json(value) -> str:
@@ -360,7 +371,7 @@ def _read_index(path: str | os.PathLike[str]) -> Fields:
             f"index file {path} keeps the case of its tokens, which is not supported; "
             "rebuild it with `cbrsearch index`"
         )
-    if config.fingerprint() != fingerprint:
+    if _fingerprint(config) != fingerprint:
         raise _corrupt(path, "preprocess fingerprint does not match stored configuration")
     if not _only(list, lists):
         raise _corrupt(path, "terms, ids, titles, row_lengths, term_ids and counts must be lists")

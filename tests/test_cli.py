@@ -235,6 +235,20 @@ class TestCmdQuery:
         assert json.loads(lines[0])["rank"] == 1
         assert "matches: 1" in err
 
+    def test_records_format_reports_dropped_terms_on_stderr_only(self, indexed, capsys):
+        code, out, err = run_cli(
+            ["query", "--index", str(indexed), "--query", "navigasi gedung quantum",
+             "--format", "records"],
+            capsys,
+        )
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        assert lines
+        assert all(set(json.loads(line)) == {"rank", "id", "title", "score", "count"}
+                   for line in lines)
+        assert "dropped" not in out
+        assert err == "matches: 1\ndropped terms: quantum\n"
+
     @pytest.mark.parametrize("output", ["table", "records"])
     def test_every_match_prints_its_own_stored_title(self, tmp_path, capsys, output):
         titles = {f"r{n}": title for n, title in enumerate(SAMPLE_TITLES, start=1)}

@@ -25,7 +25,7 @@ from cbrsearch import (
     save_index,
     search,
 )
-from cbrsearch.index import extend_index
+from cbrsearch.index import _bitmap, _ordinals, extend_index
 from conftest import (
     SAMPLE_TITLES,
     corpus_cases,
@@ -302,6 +302,57 @@ class TestPostingBits:
         for length, bits in index.length_bits().items():
             assert bits == int("".join("01"[len(row) == length] for row in reversed(rows)), 2)
         assert set(index.length_bits()) == {len(row) for row in rows}
+
+
+def _digit_bitmap(ordinals, size: int) -> int:
+    """The reference bitmap: one binary digit per ordinal below *size*, the highest first."""
+    chosen = set(ordinals)
+    return int("".join("01"[o in chosen] for o in reversed(range(size))), 2)
+
+
+class TestBitmap:
+    """The one bitmap builder, :func:`_bitmap`, and its decoder, :func:`_ordinals`."""
+
+    # 96 * count against size - 1, size and size + 1: the bytearray path
+    # below size / 96 ordinals, the digit path from there up
+    @pytest.mark.parametrize("count", [1, 2, 3, 7])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_equals_the_digits_either_side_of_the_switch(self, count, offset):
+        size = 96 * count - offset
+        ordinals = random.Random(size).sample(range(size), count)
+        assert _bitmap(ordinals, size) == _digit_bitmap(ordinals, size)
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 9, 95, 97, 100, 191, 193, 1001])
+    def test_no_ordinals_and_all_ordinals(self, size):
+        assert _bitmap([], size) == 0
+        assert _bitmap(range(size), size) == (1 << size) - 1
+        assert _bitmap(range(size - 1, -1, -1), size) == (1 << size) - 1
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(min_value=1, max_value=700).flatmap(
+            lambda size: st.tuples(st.just(size), st.sets(st.integers(0, size - 1)))
+        )
+    )
+    def test_the_decoder_reads_back_the_ordinals_highest_first(self, case):
+        size, ordinals = case
+        bits = _bitmap(list(ordinals), size)
+        assert bits == _digit_bitmap(ordinals, size)
+        assert _ordinals(bits) == sorted(ordinals, reverse=True)
+
+    def test_a_rare_row_length_is_set_bit_by_bit(self):
+        # 203 documents: the first and the last hold one term, one in the middle
+        # three, so those two lengths are held by fewer than 203 / 96 documents
+        titles = ["kata"] + ["satu dua"] * 100 + ["satu dua tiga"] + ["dua satu"] * 100 + ["lima"]
+        index, _ = build_index([Case(str(n), title) for n, title in enumerate(titles)])
+        rows = [set(title.split()) for title in titles]
+        expected = {
+            length: _digit_bitmap([o for o, row in enumerate(rows) if len(row) == length], 203)
+            for length in (1, 2, 3)
+        }
+        assert sum(bits.bit_count() * 96 < 203 for bits in expected.values()) == 2
+        assert index.length_bits() == expected
+        assert Index(index.fields).length_bits() == expected
 
 
 class TestTermFrequency:

@@ -178,25 +178,3 @@ class TestLoadStopwords:
         missing = tmp_path / "nope.txt"
         with pytest.raises(ConfigError, match="nope.txt"):
             load_stopwords(missing)
-
-
-class TestFingerprint:
-    def test_same_config_same_fingerprint(self):
-        a = PreprocessConfig(stopwords=frozenset({"dan", "di"}), min_token_length=2)
-        b = PreprocessConfig(stopwords=frozenset({"di", "dan"}), min_token_length=2)
-        assert a.fingerprint() == b.fingerprint()
-
-    def test_any_field_change_changes_the_fingerprint(self):
-        base = PreprocessConfig()
-        assert base.fingerprint() != PreprocessConfig(min_token_length=2).fingerprint()
-        assert base.fingerprint() != PreprocessConfig(stopwords=frozenset({"di"})).fingerprint()
-
-    def test_fingerprints_are_pinned(self):
-        # index files store the fingerprint: a changed digest breaks every one
-        assert PreprocessConfig().fingerprint() == (
-            "57e8a2f347fabab1d98b0b5b9aaf7030e26684ce14872f64e523cebc1930c4a0"
-        )
-        config = PreprocessConfig(stopwords={"Dan", "di"}, min_token_length=2)
-        assert config.fingerprint() == (
-            "9746e50db8f42778a7e51a2abec034e9e0f9c715285dd1784f6425e0f7ebb58f"
-        )

@@ -30,7 +30,14 @@ from cbrsearch import (
 from cbrsearch.index import _build_fields, _extend_fields, extend_index
 from cbrsearch.cli import EXIT_DATA, EXIT_OK, main
 from cbrsearch.similarity import rank
-from cbrsearch.store import _read_index, _read_records, _sealed, _term_ids, _write_index
+from cbrsearch.store import (
+    _fingerprint,
+    _read_index,
+    _read_records,
+    _sealed,
+    _term_ids,
+    _write_index,
+)
 from conftest import (
     SPLITLINES_BREAKS,
     corpus_cases,
@@ -115,6 +122,28 @@ class TestRoundTrip:
         assert (tmp_path / "loaded.fields").read_bytes() == saved.read_bytes()
 
 
+class TestFingerprint:
+    def test_same_config_same_fingerprint(self):
+        a = PreprocessConfig(stopwords=frozenset({"dan", "di"}), min_token_length=2)
+        b = PreprocessConfig(stopwords=frozenset({"di", "dan"}), min_token_length=2)
+        assert _fingerprint(a) == _fingerprint(b)
+
+    def test_any_field_change_changes_the_fingerprint(self):
+        base = _fingerprint(PreprocessConfig())
+        assert base != _fingerprint(PreprocessConfig(min_token_length=2))
+        assert base != _fingerprint(PreprocessConfig(stopwords=frozenset({"di"})))
+
+    def test_fingerprints_are_pinned(self):
+        # index files store the fingerprint: a changed digest breaks every one
+        assert _fingerprint(PreprocessConfig()) == (
+            "57e8a2f347fabab1d98b0b5b9aaf7030e26684ce14872f64e523cebc1930c4a0"
+        )
+        config = PreprocessConfig(stopwords={"Dan", "di"}, min_token_length=2)
+        assert _fingerprint(config) == (
+            "9746e50db8f42778a7e51a2abec034e9e0f9c715285dd1784f6425e0f7ebb58f"
+        )
+
+
 def _set_first_count(text: str, count) -> str:
     """*text* with the first stored count set to *count(first count)*, left unsealed."""
     document = json.loads(text)
@@ -136,7 +165,7 @@ def _add_stopword(text: str) -> str:
     document = json.loads(text)
     config = PreprocessConfig(stopwords=frozenset({"sistem"}))
     document["preprocess"]["stopwords"] = ["sistem"]
-    document["preprocess_fingerprint"] = config.fingerprint()
+    document["preprocess_fingerprint"] = _fingerprint(config)
     return _canonical(document)
 
 
@@ -267,6 +296,21 @@ class TestRejection:
         assert str(caught.value).startswith(message)
         assert main(["query", "--index", str(path), "--query", "sistem"]) == EXIT_DATA
         assert capsys.readouterr() == ("", f"error: {caught.value}\n")
+
+    def test_a_repeated_document_id_is_corrupt(self, tmp_path, capsys):
+        # the checksum is forged to match, so the duplicate id check is what refuses it
+        index, _ = build_index([Case("a", "sistem data"), Case("b", "aplikasi web")])
+        path = tmp_path / "repeated.idx"
+        save_index(index, path)
+        document = json.loads(path.read_text(encoding="utf-8"))
+        document["ids"] = ["a", "a"]
+        path.write_text(sealed_index_text(document), encoding="utf-8")
+        message = f"corrupt index file {path}: duplicate document id 'a'"
+        with pytest.raises(IndexFormatError) as caught:
+            load_index(path)
+        assert str(caught.value) == message
+        assert main(["query", "--index", str(path), "--query", "sistem"]) == EXIT_DATA
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     # the saved columns of the rows below, each packed at width 1:
     # row_lengths [2, 2, 2, 1], term_ids [0, 1, 0, 2, 1, 2, 2] and counts
@@ -508,7 +552,7 @@ def _written_once(fields) -> bytes:
             "min_token_length": config.min_token_length,
             "stopwords": sorted(config.stopwords),
         },
-        "preprocess_fingerprint": config.fingerprint(),
+        "preprocess_fingerprint": _fingerprint(config),
         "terms": terms,
         "ids": doc_ids,
         "titles": titles,
@@ -548,7 +592,7 @@ def _count_rows_text(columns: tuple[list, list, list], term_count: int) -> str:
         "format": "cbrsearch-index",
         "format_version": 5,
         "preprocess": {"casefold": True, "min_token_length": 1, "stopwords": []},
-        "preprocess_fingerprint": config.fingerprint(),
+        "preprocess_fingerprint": _fingerprint(config),
         "terms": [f"t{n}" for n in range(term_count)],
         "ids": [f"d{n}" for n in range(len(columns[0]))],
         "titles": ["x"] * len(columns[0]),
@@ -1204,6 +1248,15 @@ class TestAppendCase:
         append_case(path, Case(id="r2", title="Aplikasi Kasir", solution="modul kasir"))
         cases = read_corpus(path, "record")
         assert cases[-1] == Case(id="r2", title="Aplikasi Kasir", solution="modul kasir")
+
+    def test_a_record_with_meta_is_written_canonical_and_reads_back(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        case = Case(id="r1", title="Sistem Parkir", meta={"tahun": "2021", "prodi": "TI"})
+        append_case(path, case)
+        assert path.read_bytes() == (
+            b'{"id":"r1","meta":{"prodi":"TI","tahun":"2021"},"title":"Sistem Parkir"}\n'
+        )
+        assert read_corpus(path, "record") == [case]
 
     def test_append_repairs_a_missing_trailing_newline(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
