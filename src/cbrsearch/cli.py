@@ -25,6 +25,7 @@ import argparse
 import fcntl
 import json
 import math
+import os
 import random
 import sys
 from contextlib import contextmanager
@@ -125,6 +126,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_index(args) -> int:
+    for option, path in (("--input", args.input), ("--stopwords", args.stopwords)):
+        if path and _same_file(path, args.output):
+            raise DataError(f"--output {args.output} is the same file as {option} {path}")
     stopwords = load_stopwords(args.stopwords) if args.stopwords else frozenset()
     config = PreprocessConfig(stopwords=stopwords, min_token_length=args.min_token_len)
     # under the corpus lock that `add` holds: a rebuild and an add of the
@@ -172,6 +176,14 @@ def cmd_query(args) -> int:
     dropped = ", ".join(results.dropped_terms) if results.dropped_terms else "(none)"
     print(f"dropped terms: {dropped}")
     return EXIT_OK
+
+
+def _same_file(path, other) -> bool:
+    """Whether *path* and *other* name one existing file; False if either is missing."""
+    try:
+        return os.path.samefile(path, other)
+    except OSError:
+        return False
 
 
 @contextmanager

@@ -29,8 +29,11 @@ candidates, and in every case ties still break by ascending case id.
 
 A cosine query with a ``top_k`` and a threshold of 0 reads each posting
 list only down to a cut (:func:`_cuts`), in impact order
-(:meth:`Index.impacts`): far enough that a document read in no list cannot
-rank, and a weak term's list not at all, as MaxScore skips it. Only the
+(:meth:`Index.impacts`): while its next posting adds more than
+``theta / (n + 1)``, for the query's ``n`` terms and a lower bound theta of
+the ``top_k``-th best score. The ``n`` first unread postings then add less
+than theta, so a document read in no list cannot rank, and a weak term's
+list is not read at all, as MaxScore skips it. Only the
 documents whose partial scores can still reach the top ``top_k`` are
 scored, by :meth:`Index.dot`, and ``total_matches`` is counted from the
 lists' bitmaps (:meth:`Index.posting_bits`). Every other cosine query reads
@@ -53,9 +56,6 @@ from collections.abc import Mapping
 from .index import Index, QueryVector, _ordinals
 
 SLACK = 1e-9  # room left in every bound check for rounding
-# the share of theta that the lists' unread postings may add (see _cuts);
-# measured at 100k titles, 0.75-0.9 read and re-score least
-CUT = 0.8
 
 
 class RankedMatch(namedtuple("RankedMatch", "case_id score rank")):
@@ -112,14 +112,15 @@ def _cuts(
     it adds to any document, and its ``top_k``-th gives ``top_k``
     documents at least that much: the best such value over the query's
     terms is a lower bound theta of the ``top_k``-th best score, as in
-    Fagin, Lotem and Naor's threshold algorithm. Every list is read while
-    what its next posting adds is above one level, set so that the sum over
-    the terms of ``min(bound, level)`` is :data:`CUT` times theta. A list
+    Fagin, Lotem and Naor's threshold algorithm. Each of the query's ``n``
+    lists is read while what its next posting adds is above the level
+    ``theta / (n + 1)``, so what the first unread posting of each cut list
+    adds, summed, is at most ``n * theta / (n + 1)``: below theta. A list
     whose bound is at most the level is not read at all: MaxScore's skip.
-    What the first unread posting of each cut list adds, summed, bounds
-    what the unread postings add to any score. That sum is checked to be
-    below ``theta - SLACK``, so a document read in no list cannot rank or
-    tie; should rounding break it, every list is read whole.
+    That sum bounds what the unread postings add to any score, and it is
+    checked to be below ``theta - SLACK``, so a document read in no list
+    cannot rank or tie; should a theta near 0 or rounding break it, every
+    list is read whole.
 
     Returns each cut list's depth, the number of its postings to read from
     the top (0 for a skipped list; a list read whole is absent), that bound
@@ -134,14 +135,7 @@ def _cuts(
     ratios = {tid: index.impacts(tid)[1] for tid in weights}
     deep = [tid for tid in weights if len(ratios[tid]) >= top_k]
     theta = max((scales[tid] * ratios[tid][top_k - 1] for tid in deep), default=0.0)
-    bounds = sorted(scales[tid] * ratios[tid][0] for tid in weights)
-    budget, level = CUT * theta, 0.0
-    for position, bound in enumerate(bounds):
-        rest = len(bounds) - position  # the terms whose bounds are not below this one
-        if bound * rest >= budget:
-            level = budget / rest
-            break
-        budget -= bound
+    level = theta / (len(weights) + 1)
     cuts: dict[int, int] = {}
     unread = 0.0
     for tid in weights:

@@ -99,6 +99,25 @@ class TestCmdIndex:
         assert code == EXIT_DATA
         assert "ghost.txt" in err
 
+    @pytest.mark.parametrize("option", ["--input", "--stopwords"])
+    def test_an_output_that_is_an_input_file_exits_2_leaving_it(self, tmp_path, capsys, option):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_bytes(b"Sistem Parkir\nAplikasi Kasir\n")
+        stop = tmp_path / "stop.txt"
+        stop.write_bytes(b"dan\n")
+        victim = {"--input": corpus, "--stopwords": stop}[option]
+        before = {path: path.read_bytes() for path in (corpus, stop)}
+        output = tmp_path / "." / victim.name  # another spelling of the same file
+        code, out, err = run_cli(
+            ["index", "--input", str(corpus), "--format", "plain",
+             "--stopwords", str(stop), "--output", str(output)],
+            capsys,
+        )
+        assert code == EXIT_DATA
+        assert out == ""
+        assert f"--output {output} is the same file as {option} {victim}" in err
+        assert {path: path.read_bytes() for path in (corpus, stop)} == before
+
     def test_duplicate_record_id_exits_2_naming_the_id(self, tmp_path, capsys):
         corpus = tmp_path / "dup.jsonl"
         corpus.write_text(

@@ -493,6 +493,18 @@ def _corpus_and_query(draw):
     return titles, draw(st.lists(st.sampled_from(words), min_size=2, max_size=5))
 
 
+def _assert_cut_at_the_level(index, query, top_k):
+    """Each cut list stops at its first posting adding at most theta / (n + 1)."""
+    query_norm = _norm(query.weights)
+    cuts, _, theta = _cuts(index, query, query_norm, 0.0, top_k)
+    level = theta / (len(query.weights) + 1)
+    for tid, depth in cuts.items():
+        scale, ratios = query.weights[tid] / query_norm, index.impacts(tid)[1]
+        assert scale * ratios[depth] <= level
+        if depth > 0:
+            assert scale * ratios[depth - 1] > level
+
+
 class TestPruning:
     """The exact top-k path agrees with the exhaustive one, bit for bit."""
 
@@ -511,6 +523,8 @@ class TestPruning:
                     assert cut.matches == full.matches[:top_k]
                     assert [m.score for m in cut.matches] == [m.score for m in full.matches[:top_k]]
                     assert cut.total_matches == full.total_matches
+                    if scorer == "cosine" and threshold == 0.0:
+                        _assert_cut_at_the_level(index, query, top_k)
 
     @pytest.mark.parametrize("top_k", [None, 1])
     def test_a_document_of_norm_0_scores_0_and_never_matches(self, top_k):
@@ -696,9 +710,10 @@ class TestImpactCuts:
 
     @pytest.mark.parametrize("scale", [1.0, 1e8])
     def test_the_unread_bound_stays_below_theta_less_slack(self, scale):
-        # the lone list's cut leaves 1.2e-9 unread against a theta of 2e-9: within
-        # SLACK of theta, so the list is read whole; scaled up, the same cut holds
-        ratios = array("d", (r * scale for r in (3e-9, 2e-9, 1.2e-9, 1e-10)))
+        # the lone list's cut, at the level theta / 2, leaves 0.7e-9 unread against
+        # a theta of 1.5e-9: within SLACK of theta, so the list is read whole;
+        # scaled up, the same cut holds
+        ratios = array("d", (r * scale for r in (3e-9, 1.5e-9, 0.7e-9, 1e-10)))
 
         class Stub:
             def impacts(self, term_id):
