@@ -134,7 +134,8 @@ class Index:
             ``doc_ids`` (the stored list, ``fields[3]``).
         row_offsets: ordinal -> where the document's count row starts in
             ``term_ids`` and ``counts``; one entry more than documents, so
-            a row ends where the next starts.
+            a row ends where the next starts. An unsigned ``array`` of 4-byte
+            ints: 0.4 MB at 100k titles, where a list took 4 MB.
         term_ids: every count row's term ids, ascending within a row, an
             unsigned ``array`` (the stored column, not a copy).
         counts: every count row's counts, parallel to ``term_ids``, an
@@ -194,7 +195,7 @@ class Index:
         corpus_size = len(row_lengths)
         self.fields = fields
         self.config, self.terms, self.doc_ids, self.titles = config, terms, doc_ids, titles
-        self.row_offsets = [0, *accumulate(row_lengths)]
+        self.row_offsets = array(_TYPECODES[4], accumulate(row_lengths, initial=0))
         self.term_ids = term_ids
         self.counts = counts
         self.postings: list[array | None] = [None] * len(terms)

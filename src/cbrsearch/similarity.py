@@ -28,17 +28,19 @@ with the corpus. The selection is one path for both scorers: with a
 candidates, and in every case ties still break by ascending case id.
 
 A cosine query with a ``top_k`` and a threshold of 0 reads each posting
-list only down to a cut (:func:`_cuts`), in impact order
-(:meth:`Index.impacts`): while its next posting adds more than
-``theta / (n + 1)``, for the query's ``n`` terms and a lower bound theta of
-the ``top_k``-th best score. The ``n`` first unread postings then add less
-than theta, so a document read in no list cannot rank, and a weak term's
-list is not read at all, as MaxScore skips it. Only the
-documents whose partial scores can still reach the top ``top_k`` are
-scored, by :meth:`Index.dot`, and ``total_matches`` is counted from the
-lists' bitmaps (:meth:`Index.posting_bits`). Every other cosine query reads
-every list whole: thresholds above 0 and queries without ``top_k``.
-Matches, scores and ``total_matches`` are bit-identical either way.
+list only down to a cut, in impact order (:meth:`Index.impacts`): while
+its next posting adds more than ``theta / (n + 1)``, for the query's ``n``
+terms and a lower bound theta of the ``top_k``-th best score. The ``n``
+first unread postings then add less than theta, so a document read in no
+list cannot rank, and a weak term's list is not read at all, as MaxScore
+skips it. :func:`_cuts` works out each cut once and hands :func:`_score`
+the slices to read, its read plan. Only the documents whose partial scores
+can still reach the top ``top_k`` are scored, by :meth:`Index.dot`, and
+``total_matches`` is counted from the lists' bitmaps
+(:meth:`Index.posting_bits`). Every other cosine query reads every list
+whole: thresholds above 0, queries without ``top_k``, and those whose plan
+is empty, as no list is cut or the bound check fails. Matches, scores and
+``total_matches`` are bit-identical either way.
 
 :class:`RankedMatch` and :class:`RankedResults` are immutable named tuples.
 Iterate over ``results.matches``: the results themselves unpack into their
@@ -51,7 +53,7 @@ import heapq
 import math
 from bisect import bisect_left
 from collections import namedtuple
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 
 from .index import Index, QueryVector, _ordinals
 
@@ -101,9 +103,9 @@ def _norm(vector: Mapping) -> float:
 
 
 def _cuts(
-    index: Index, query: QueryVector, query_norm: float, threshold: float, top_k: int | None
-) -> tuple[dict[int, int], float, float]:
-    """How far down its impact-ordered list to read each query term's postings.
+    index: Index, query: QueryVector, query_norm: float, top_k: int
+) -> tuple[list[tuple[float, float, Sequence[int], Sequence[float]]], float, float]:
+    """The read plan of a cosine query with a ``top_k``: how far down each list to read.
 
     MaxScore (Turtle & Flood), generalized to per-list cuts over
     impact-ordered lists (Anh & Moffat). A document's score is the sum,
@@ -119,35 +121,34 @@ def _cuts(
     whose bound is at most the level is not read at all: MaxScore's skip.
     That sum bounds what the unread postings add to any score, and it is
     checked to be below ``theta - SLACK``, so a document read in no list
-    cannot rank or tie; should a theta near 0 or rounding break it, every
-    list is read whole.
+    cannot rank or tie.
 
-    Returns each cut list's depth, the number of its postings to read from
-    the top (0 for a skipped list; a list read whole is absent), that bound
-    and theta. A query without ``top_k`` or above a threshold cuts nothing,
-    and so does one of no terms, whose theta is 0. Every bound is above 0,
-    as the query's terms have idf above 0 (see the module docstring).
+    Returns the plan, that bound and theta. The plan holds one entry per
+    query term, in the query's order: ``(scale, spare, ordinals, ratios)``,
+    the term's ``weight / query_norm``, what its first unread posting adds
+    (0.0 for a list read whole), and the ordinals and ratios to read, the
+    top of its impacts. The plan is empty when no list is cut, and when the
+    bound check fails (a theta near 0, or rounding): every list is then
+    read whole. A query of no terms has theta 0. Every spare of a cut list
+    is above 0, as the query's terms have idf above 0 (see the module
+    docstring).
     """
-    weights = query.weights
-    if threshold > 0.0 or top_k is None:
-        return {}, 0.0, 0.0
-    scales = {tid: weight / query_norm for tid, weight in weights.items()}
-    ratios = {tid: index.impacts(tid)[1] for tid in weights}
-    deep = [tid for tid in weights if len(ratios[tid]) >= top_k]
-    theta = max((scales[tid] * ratios[tid][top_k - 1] for tid in deep), default=0.0)
-    level = theta / (len(weights) + 1)
-    cuts: dict[int, int] = {}
+    lists = [(weight / query_norm, *index.impacts(tid)) for tid, weight in query.weights.items()]
+    # what each list that is long enough adds with its top_k-th posting
+    kth = (scale * ratios[top_k - 1] for scale, _, ratios in lists if len(ratios) >= top_k)
+    theta = max(kth, default=0.0)
+    level = theta / (len(lists) + 1)
+    plan = []
     unread = 0.0
-    for tid in weights:
-        scale, impacts = scales[tid], ratios[tid]
+    for scale, ordinals, ratios in lists:
         # the first posting that adds no more than the level
-        depth = bisect_left(impacts, -level, key=lambda ratio: -(scale * ratio))
-        if depth < len(impacts):
-            cuts[tid] = depth
-            unread += scale * impacts[depth]
-    if not unread < theta - SLACK:
-        return {}, 0.0, theta
-    return cuts, unread, theta
+        depth = bisect_left(ratios, -level, key=lambda ratio: -(scale * ratio))
+        spare = scale * ratios[depth] if depth < len(ratios) else 0.0
+        unread += spare
+        plan.append((scale, spare, ordinals[:depth], ratios[:depth]))
+    if not 0.0 < unread < theta - SLACK:  # 0.0 unread: no list is cut
+        return [], unread, theta
+    return plan, unread, theta
 
 
 def _score(
@@ -155,17 +156,12 @@ def _score(
 ) -> tuple[list[int], list[float], int]:
     """Ordinals and scores of the documents that can match, and the match count.
 
-    A set query is counted by :func:`_count`. A cosine query that
-    :func:`_cuts` reads whole accumulates its dot products term at a time,
-    in ascending term id, over the postings in a dict keyed by ordinal; a
-    document's first add is ``0.0 + x``, as it would be in a list of zeros.
-    The result is every document scoring above *threshold*, and the match
-    count is their number.
-
-    With lists cut, each list is read down to its cut in impact order. Each
-    posting read adds ``weight / query_norm`` times its ratio, less what
-    the list's unread postings may add (its first unread posting's share of
-    the bound of :func:`_cuts`), to the document's partial score. A partial
+    A set query is counted by :func:`_count`. A cosine query with a
+    ``top_k`` and a threshold of 0 asks :func:`_cuts` for a read plan; when
+    it gets one, each posting in the plan adds its list's
+    ``weight / query_norm`` times its ratio, less its list's spare (what
+    the list's first unread posting adds, its share of the unread bound),
+    to the document's partial score, in the query's term order. A partial
     score plus that bound is at least the document's score: the lists that
     read it gave back their share. So a candidate whose partial score plus
     the bound falls below theta, raised to the ``top_k``-th best partial
@@ -178,6 +174,13 @@ def _score(
     candidate's norm is above 0 (see the module docstring), and so is
     *query_norm*, ``_norm(query.weights)``, when there is a candidate at all.
 
+    Every other cosine query, and one whose plan is empty, reads every list
+    whole: it accumulates its dot products term at a time, in ascending
+    term id, over the postings in a dict keyed by ordinal; a document's
+    first add is ``0.0 + x``, as it would be in a list of zeros. The result
+    is every document scoring above *threshold*, and the match count is
+    their number.
+
     Each per-candidate step (the scores, then the threshold filter or the
     theta cut) is one comprehension that indexes ``norms`` by ordinal. On
     CPython 3.11 and later the scores run about twice as fast as through
@@ -188,39 +191,35 @@ def _score(
     if query.scorer == "set":
         return _count(index, weights, query_norm, threshold, top_k)
     norms = index.ordinal_norms
-    cuts, unread, theta = _cuts(index, query, query_norm, threshold, top_k)
     dots = {}
     get = dots.get
-    if not cuts:
-        for tid in sorted(weights):
-            query_weight = weights[tid]
-            for ordinal, doc_weight in zip(index.postings[tid], index.posting_weights[tid]):
-                dots[ordinal] = get(ordinal, 0.0) + query_weight * doc_weight
-        candidates = list(dots)
-        # dot / (query_norm * norm), clamped to 1.0 as min(score, 1.0) would
-        scores = _clamp([dot / (query_norm * norms[o]) for o, dot in dots.items()])
-        if scores and min(scores) <= threshold:
-            candidates = [o for o, score in zip(candidates, scores) if score > threshold]
-            scores = [score for score in scores if score > threshold]
-        return candidates, scores, len(scores)
-
-    for tid, weight in weights.items():
-        ordinals, ratios = index.impacts(tid)
-        depth = cuts.get(tid, len(ratios))
-        scale = weight / query_norm
-        # less what the list's unread postings may add, credited to its read documents
-        spare = scale * ratios[depth] if depth < len(ratios) else 0.0
-        for ordinal, ratio in zip(ordinals[:depth], ratios[:depth]):
-            dots[ordinal] = get(ordinal, 0.0) + (scale * ratio - spare)
-    # theta's term adds theta, above the level, with its top_k-th posting, so
-    # at least top_k documents hold a partial score
-    floor = max(theta, heapq.nlargest(top_k, dots.values())[-1]) - unread - SLACK
-    candidates = [o for o, partial in dots.items() if partial >= floor]
-    scores = [index.dot(o, weights) / (query_norm * norms[o]) for o in candidates]
-    bits = 0
-    for tid in weights:
-        bits |= index.posting_bits(tid)
-    return candidates, _clamp(scores), bits.bit_count()
+    if threshold == 0.0 and top_k is not None:
+        plan, unread, theta = _cuts(index, query, query_norm, top_k)
+        if plan:
+            for scale, spare, ordinals, ratios in plan:
+                # less what the list's unread postings may add, credited to its read documents
+                for ordinal, ratio in zip(ordinals, ratios):
+                    dots[ordinal] = get(ordinal, 0.0) + (scale * ratio - spare)
+            # theta's term adds theta, above the level, with its top_k-th posting, so
+            # at least top_k documents hold a partial score
+            floor = max(theta, heapq.nlargest(top_k, dots.values())[-1]) - unread - SLACK
+            candidates = [o for o, partial in dots.items() if partial >= floor]
+            scores = [index.dot(o, weights) / (query_norm * norms[o]) for o in candidates]
+            bits = 0
+            for tid in weights:
+                bits |= index.posting_bits(tid)
+            return candidates, _clamp(scores), bits.bit_count()
+    for tid in sorted(weights):
+        query_weight = weights[tid]
+        for ordinal, doc_weight in zip(index.postings[tid], index.posting_weights[tid]):
+            dots[ordinal] = get(ordinal, 0.0) + query_weight * doc_weight
+    candidates = list(dots)
+    # dot / (query_norm * norm), clamped to 1.0 as min(score, 1.0) would
+    scores = _clamp([dot / (query_norm * norms[o]) for o, dot in dots.items()])
+    if scores and min(scores) <= threshold:
+        candidates = [o for o, score in zip(candidates, scores) if score > threshold]
+        scores = [score for score in scores if score > threshold]
+    return candidates, scores, len(scores)
 
 
 def _count(

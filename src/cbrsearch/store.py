@@ -58,6 +58,7 @@ Line files
 
 from __future__ import annotations
 
+import _thread
 import base64
 import hashlib
 import json
@@ -130,7 +131,8 @@ def _write_index(path: str | os.PathLike[str], config: PreprocessConfig, *lists:
     all go through it. The document goes to a temporary file in the same
     directory, is flushed to disk, and then replaces *path* in one step, so
     a failure at any point leaves either the old file or the new one, never
-    a partial one.
+    a partial one. The temporary file is named for the writing process and
+    thread, so two writers of one path never share it.
 
     The bytes are those of one canonical ``json.dumps`` of the document,
     sealed, but each string list is encoded a chunk of :data:`_CHUNK_LINES`
@@ -163,7 +165,7 @@ def _write_index(path: str | os.PathLike[str], config: PreprocessConfig, *lists:
         digest.update(piece)
     pieces[-1] = _seal_tail(digest)  # in place of the body's closing "}"
     directory, name = os.path.split(path)
-    temporary = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    temporary = os.path.join(directory, f".{name}.{os.getpid()}.{_thread.get_ident()}.tmp")
     try:
         with open(temporary, "wb") as handle:
             handle.writelines(pieces)

@@ -493,12 +493,20 @@ def _corpus_and_query(draw):
     return titles, draw(st.lists(st.sampled_from(words), min_size=2, max_size=5))
 
 
+def _depths(query, plan):
+    """The depth of each cut list of a read plan of :func:`_cuts`: term id -> postings read."""
+    assert plan == [] or len(plan) == len(query.weights)  # one entry per query term
+    return {
+        tid: len(ordinals) for tid, (_, spare, ordinals, _) in zip(query.weights, plan) if spare > 0.0
+    }
+
+
 def _assert_cut_at_the_level(index, query, top_k):
     """Each cut list stops at its first posting adding at most theta / (n + 1)."""
     query_norm = _norm(query.weights)
-    cuts, _, theta = _cuts(index, query, query_norm, 0.0, top_k)
+    plan, _, theta = _cuts(index, query, query_norm, top_k)
     level = theta / (len(query.weights) + 1)
-    for tid, depth in cuts.items():
+    for tid, depth in _depths(query, plan).items():
         scale, ratios = query.weights[tid] / query_norm, index.impacts(tid)[1]
         assert scale * ratios[depth] <= level
         if depth > 0:
@@ -556,20 +564,21 @@ class TestPruning:
         titles = ["langka"] + [f"umum kata{n}" for n in range(9)]
         index, _ = build_index([Case(f"{n:02d}", title) for n, title in enumerate(titles)])
 
-        def cuts(tokens, scorer="cosine", threshold=0.0, top_k=1):
-            query = index.vectorize_query(tokens, scorer)
-            return _cuts(index, query, _norm(query.weights), threshold, top_k)[0]
+        def cuts(tokens, top_k=1):
+            query = index.vectorize_query(tokens)
+            return _depths(query, _cuts(index, query, _norm(query.weights), top_k)[0])
 
         assert cuts(["umum", "langka"]) == {index.lookup("umum"): 0}
-        assert cuts(["umum", "langka"], threshold=0.3) == {}
-        assert cuts(["umum", "langka"], top_k=None) == {}
         assert cuts(["langka"]) == {}
 
-        # a set query is counted, never pruned: it does not ask for cuts
+        # a threshold above 0, a query without top_k and a set query are never
+        # pruned: they do not ask for cuts
         def refuse(*args):
-            raise AssertionError("a set query asked for cuts")
+            raise AssertionError("a query that is never pruned asked for cuts")
 
         monkeypatch.setattr(similarity, "_cuts", refuse)
+        assert search(index, "umum langka", threshold=0.3, top_k=1).matches
+        assert search(index, "umum langka").total_matches == 10
         assert search(index, "umum langka", scorer="set", top_k=1).total_matches == 10
 
     def test_two_skipped_lists_count_and_score_as_the_exhaustive_ranking(self):
@@ -585,8 +594,8 @@ class TestPruning:
         tokens = ["umum", "langka", "biasa"]
         query = index.vectorize_query(tokens)
         for top_k in range(1, 4):
-            cuts = _cuts(index, query, _norm(query.weights), 0.0, top_k)[0]
-            assert cuts == {index.lookup("umum"): 0, index.lookup("biasa"): 0}
+            plan = _cuts(index, query, _norm(query.weights), top_k)[0]
+            assert _depths(query, plan) == {index.lookup("umum"): 0, index.lookup("biasa"): 0}
         matching = len(DenseOracle(doc_tokens).rank(tokens))
         full = rank(index, query)
         assert full.total_matches == matching == len(titles) - 1  # all but "lain"
@@ -700,9 +709,9 @@ class TestImpactCuts:
             for top_k in range(1, index.corpus_size + 1):
                 cut = search(index, " ".join(tokens), top_k=top_k)
                 assert _hexes(cut) == (_hexes(full)[0][:top_k], full.total_matches)
-                cuts = _cuts(index, query, _norm(query.weights), 0.0, top_k)[0]
+                plan = _cuts(index, query, _norm(query.weights), top_k)[0]
                 scores = [m.score for m in full.matches[top_k - 1 : top_k + 1]]
-                if cuts and scores[1:] == scores[:1]:
+                if plan and scores[1:] == scores[:1]:
                     cut_at_a_tie += 1
         assert cut_at_a_tie >= 8  # lists were cut where the k-th score ties the next
         results = search(index, " ".join(_TITLE_QUERY), top_k=3)
@@ -711,8 +720,8 @@ class TestImpactCuts:
     @pytest.mark.parametrize("scale", [1.0, 1e8])
     def test_the_unread_bound_stays_below_theta_less_slack(self, scale):
         # the lone list's cut, at the level theta / 2, leaves 0.7e-9 unread against
-        # a theta of 1.5e-9: within SLACK of theta, so the list is read whole;
-        # scaled up, the same cut holds
+        # a theta of 1.5e-9: within SLACK of theta, so the list is read whole and
+        # the plan is empty; scaled up, the same cut holds
         ratios = array("d", (r * scale for r in (3e-9, 1.5e-9, 0.7e-9, 1e-10)))
 
         class Stub:
@@ -720,11 +729,13 @@ class TestImpactCuts:
                 return array("i", range(len(ratios))), ratios
 
         query = QueryVector({0: 1.0})
-        cuts, unread, theta = _cuts(Stub(), query, 1.0, 0.0, 2)
+        plan, unread, theta = _cuts(Stub(), query, 1.0, 2)
         assert theta == ratios[1]
-        if cuts:
+        cuts = _depths(query, plan)
+        if plan:
             assert unread == sum(ratios[depth] for depth in cuts.values()) < theta - SLACK
         assert cuts == ({} if scale == 1.0 else {0: 2})
+        assert (plan == []) == (scale == 1.0)
 
 
 class TestSetCounting:

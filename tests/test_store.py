@@ -5,7 +5,9 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import os
 import random
+import threading
 import tracemalloc
 from array import array
 from itertools import chain
@@ -678,6 +680,35 @@ class TestWriter:
         with pytest.raises(UnicodeEncodeError):
             _write_index(tmp_path / "surrogate.idx", *fields)
         assert list(tmp_path.iterdir()) == []
+
+    def test_two_threads_saving_to_one_path_use_two_temporary_files(self, tmp_path, monkeypatch):
+        # the first save's fsync runs a second save to the same path in another
+        # thread; had both one temporary file, the second would publish it and
+        # the first save's replace would find it gone
+        first, _ = build_index([Case("d1", "a b"), Case("d2", "a c")])
+        second, _ = build_index([Case("e1", "x y"), Case("e2", "x z"), Case("e3", "y z")])
+        path = tmp_path / "shared.idx"
+        fsync, errors, threads = os.fsync, [], []
+
+        def save_second():
+            try:
+                save_index(second, path)
+            except Exception as error:
+                errors.append(error)
+
+        def fsync_then_save(fd):
+            fsync(fd)
+            if not threads:  # the first save's, not the second's
+                threads.append(threading.Thread(target=save_second))
+                threads[0].start()
+                threads[0].join(timeout=60)
+
+        monkeypatch.setattr(os, "fsync", fsync_then_save)
+        save_index(first, path)
+        assert not threads[0].is_alive()
+        assert errors == []
+        assert load_index(path) == first  # the first save replaced the second
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestReaderChecks:
