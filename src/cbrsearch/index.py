@@ -379,6 +379,16 @@ class Index:
         return QueryVector(weights, tuple(sorted(dropped)), scorer)
 
 
+# _ordinals decodes a bitmap with fewer than one set bit in SPARSE of its
+# length byte by byte; at 100,000 bits, with the set bits spread out, both
+# of its paths take about 190 us at 700 set bits (Python 3.11)
+SPARSE = 125
+# 0 for a zero byte and 1 for any other, as a bytes.translate table
+_NONZERO = bytes(1) + bytes([1]) * 255
+# each byte value's set bits, the highest first
+_BYTE_BITS = [tuple(bit for bit in range(7, -1, -1) if value >> bit & 1) for value in range(256)]
+
+
 def _bitmap(ordinals: Sequence[int], size: int) -> int:
     """The bitmap of the distinct *ordinals*, each below *size*: bit ``o`` set for ordinal ``o``.
 
@@ -405,12 +415,28 @@ def _bitmap(ordinals: Sequence[int], size: int) -> int:
 def _ordinals(bits: int) -> list[int]:
     """The ordinals set in the bitmap *bits* (see :func:`_bitmap`), the highest first.
 
-    The ones of its binary digits, found in C by one ``re.finditer``; the
-    only decoder of a bitmap.
+    The only decoder of a bitmap, with two paths, as :func:`_bitmap` has.
+    Below one set bit in :data:`SPARSE` of its length, the bitmap's
+    little-endian bytes are walked from the top: one ``translate`` flags
+    the bytes that are not 0, ``rfind`` finds each in C, and a table gives
+    each such byte's set bits. Denser bitmaps are formatted as binary digits
+    and their ones found by one ``re.finditer``, in C, which costs the same
+    however few bits are set.
     """
-    digits = format(bits, "b")
-    last = len(digits) - 1
-    return [last - match.start() for match in re.finditer("1", digits)]
+    size = bits.bit_length()
+    if bits.bit_count() * SPARSE >= size:
+        digits = format(bits, "b")
+        last = len(digits) - 1
+        return [last - match.start() for match in re.finditer("1", digits)]
+    data = bits.to_bytes((size + 7) >> 3, "little")
+    flags = data.translate(_NONZERO)
+    ordinals = []
+    at = len(flags)
+    while (at := flags.rfind(1, 0, at)) >= 0:
+        base = at << 3
+        for bit in _BYTE_BITS[data[at]]:
+            ordinals.append(base + bit)
+    return ordinals
 
 
 def build_index(

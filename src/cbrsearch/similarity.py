@@ -19,13 +19,15 @@ product is ``m``, the number of the query's posting lists that hold it, and
 its norm ``sqrt(j)`` for its ``j`` distinct terms. Both are small integers,
 so the documents fall into a few cells ``(m, j)`` of one score each. They
 are counted by bit-sliced addition over the lists' bitmaps
-(:func:`_count`), with no per-posting step, and only the cells that can
-rank become ordinals. A cosine query accumulates its scores term at a
-time in a dict keyed by document ordinal, through the index's
-ordinal-keyed postings, so its cost grows with the postings it reads, not
-with the corpus. The selection is one path for both scorers: with a
-``top_k`` the best matches are selected without a full sort of the
-candidates, and in every case ties still break by ascending case id.
+(:func:`_count`), with no per-posting step; the match count is one
+popcount of the OR of the cells kept, and only the cells that can rank
+become ordinals, mostly by the decoder's byte walk, as they hold few
+documents. A cosine query accumulates its scores term at a time in a dict
+keyed by document ordinal, through the index's ordinal-keyed postings, so
+its cost grows with the postings it reads, not with the corpus. The
+selection is one path for both scorers: with a ``top_k`` the best matches
+are selected without a full sort of the candidates, and in every case ties
+still break by ascending case id.
 
 A cosine query with a ``top_k`` and a threshold of 0 reads each posting
 list only down to a cut, in impact order (:meth:`Index.impacts`): while
@@ -242,10 +244,13 @@ def _count(
     exactly, and ``int / float`` converts it exactly, so these are the
     scores of summing 1.0s, bit for bit. Cells of equal scores are merged.
 
-    The match count is the set bits of the cells above *threshold*. Only
-    the cells that can rank leave as ordinals: all of them without a
-    ``top_k``; with one, those at or above the ``top_k``-th best score,
-    whose cell is found by walking the cells in descending score.
+    The match count is the set bits of the OR of the cells above
+    *threshold*: one popcount, as the cells are disjoint. Only the cells
+    that can rank leave as ordinals, through :func:`_ordinals`: all of
+    them without a ``top_k``; with one, those at or above the ``top_k``-th
+    best score, whose cell is found by walking the cells in descending
+    score, so a query whose best cell holds ``top_k`` documents decodes
+    that cell alone.
     """
     slices: list[int] = []
     for tid in weights:
@@ -256,6 +261,7 @@ def _count(
             slices.append(carry)
     lengths = index.length_bits()
     cells: dict[float, int] = {}  # score -> the bitmap of its documents
+    matched = 0  # the documents of every cell kept
     for m in range(1, min(len(weights) + 1, 1 << len(slices))):
         exact = -1  # all ones; m has a set bit, so some slice makes it nonnegative
         for i, bits in enumerate(slices):
@@ -266,6 +272,7 @@ def _count(
                 score = min(m / (query_norm * math.sqrt(j)), 1.0)
                 if score > threshold:
                     cells[score] = cells.get(score, 0) | cell
+                    matched |= cell
     ordinals: list[int] = []
     scores: list[float] = []
     for score in sorted(cells, reverse=True):
@@ -274,7 +281,7 @@ def _count(
         found = _ordinals(cells[score])
         ordinals += found
         scores += [score] * len(found)
-    return ordinals, scores, sum(map(int.bit_count, cells.values()))
+    return ordinals, scores, matched.bit_count()
 
 
 def _clamp(scores: list[float]) -> list[float]:

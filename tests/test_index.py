@@ -25,7 +25,7 @@ from cbrsearch import (
     save_index,
     search,
 )
-from cbrsearch.index import _bitmap, _ordinals, extend_index
+from cbrsearch.index import SPARSE, _bitmap, _ordinals, extend_index
 from conftest import (
     SAMPLE_TITLES,
     corpus_cases,
@@ -321,6 +321,19 @@ class TestBitmap:
         size = 96 * count - offset
         ordinals = random.Random(size).sample(range(size), count)
         assert _bitmap(ordinals, size) == _digit_bitmap(ordinals, size)
+
+    # ordinals 0 and 7 share the first byte, 8 opens the second and 99,999 is
+    # the top bit; SPARSE * count against the length: the byte walk below
+    # the switch, the digits from it up
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_the_decoder_equals_the_digits_either_side_of_the_switch(self, offset):
+        size = 100_000
+        count = -(-size // SPARSE) + offset
+        middle = random.Random(count).sample(range(9, size - 1), count - 4)
+        ordinals = [0, 7, 8, size - 1, *middle]
+        bits = _digit_bitmap(ordinals, size)
+        assert bits.bit_length() == size and (bits.bit_count() * SPARSE < size) == (offset < 0)
+        assert _ordinals(bits) == sorted(ordinals, reverse=True)
 
     @pytest.mark.parametrize("size", [1, 2, 7, 9, 95, 97, 100, 191, 193, 1001])
     def test_no_ordinals_and_all_ordinals(self, size):

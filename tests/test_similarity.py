@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from brute import DenseOracle
 from cbrsearch import Case, Index, QueryVector, build_index, search, similarity
+from cbrsearch.index import _ordinals
 from cbrsearch.similarity import SLACK, _cuts, _norm, rank
 from conftest import (
     SAMPLE_TITLES,
@@ -833,6 +834,38 @@ class TestSetCells:
         index, _ = build_index(corpus_cases({f"{n}": t for n, t in enumerate(titles)}))
         results = search(index, "a b", scorer="set", top_k=2)
         assert [m.case_id for m in results.matches] == ["0", "1"]
+
+    @staticmethod
+    def _decodes(monkeypatch, titles, query, top_k):
+        """The documents in each cell that ranking *query* decodes, and its matches."""
+        index, _ = build_index(corpus_cases({f"{n}": t for n, t in enumerate(titles)}))
+        decoded = []
+
+        def counting(bits):
+            decoded.append(bits.bit_count())
+            return _ordinals(bits)
+
+        monkeypatch.setattr(similarity, "_ordinals", counting)
+        results = search(index, " ".join(query), scorer="set", top_k=top_k)
+        return decoded, [m.case_id for m in results.matches]
+
+    def test_a_best_cell_of_top_k_documents_is_decoded_alone(self, monkeypatch):
+        # three titles equal to the query make the best cell; four others hold one of its terms
+        titles = [["a", "b"]] * 3 + [["a", "c"], ["b", "c"], ["a"], ["b"]]
+        assert self._decodes(monkeypatch, titles, ["a", "b"], top_k=3) == ([3], ["0", "1", "2"])
+
+    @pytest.mark.parametrize(
+        "top_k, decoded", [(1, [5]), (2, [5]), (5, [5]), (6, [5, 1]), (7, [5, 1])]
+    )
+    def test_equal_scores_of_two_cells_are_decoded_together(self, monkeypatch, top_k, decoded):
+        # the corpus of test_equal_scores_of_two_cells_rank_together, and one title
+        # of cell (1, 2) below it: cells (1, 1) and (2, 4) score alike, so they
+        # are one bitmap of five documents, decoded whole wherever the cut falls
+        # in it; the lower cell is decoded only for a cut below those five
+        titles = [["a", "b", "c", "d"], ["a", "b", "c", "d"], ["a"], ["a"], ["a"], ["a", "e"]]
+        found, matches = self._decodes(monkeypatch, titles, ["a", "b"], top_k=top_k)
+        assert found == decoded
+        assert matches == ["0", "1", "2", "3", "4", "5"][:top_k]
 
     def test_nine_lists_carry_into_a_fourth_slice(self):
         query = [f"kata{i}" for i in range(9)]
