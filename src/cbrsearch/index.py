@@ -42,7 +42,6 @@ constructed and when ``_replace`` copies it.
 from __future__ import annotations
 
 import math
-import re
 from array import array
 from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
@@ -379,10 +378,6 @@ class Index:
         return QueryVector(weights, tuple(sorted(dropped)), scorer)
 
 
-# _ordinals decodes a bitmap with fewer than one set bit in SPARSE of its
-# length byte by byte; at 100,000 bits, with the set bits spread out, both
-# of its paths take about 190 us at 700 set bits (Python 3.11)
-SPARSE = 125
 # 0 for a zero byte and 1 for any other, as a bytes.translate table
 _NONZERO = bytes(1) + bytes([1]) * 255
 # each byte value's set bits, the highest first
@@ -394,41 +389,23 @@ def _bitmap(ordinals: Sequence[int], size: int) -> int:
 
     It holds *size* bits, so ``to_bytes((size + 7) >> 3, "little")`` puts
     ordinal ``o`` at bit ``o & 7`` of byte ``o >> 3``; :func:`_ordinals`
-    reads it back. Below ``size / 96`` ordinals the bits are set one by one
-    in a ``bytearray``. From there up the bitmap is parsed from one ASCII
-    digit per ordinal: a store per ordinal and one parse in C, faster than
-    setting bits one by one from about 1,000 ordinals up. The only builder
-    of both bitmap caches of :class:`Index`.
+    reads it back. The bits are set one by one in a ``bytearray``. The only
+    builder of both bitmap caches of :class:`Index`.
     """
-    if len(ordinals) * 96 < size:
-        flags = bytearray((size + 7) >> 3)
-        for ordinal in ordinals:
-            flags[ordinal >> 3] |= 1 << (ordinal & 7)
-        return int.from_bytes(flags, "little")
-    digits = bytearray(b"0") * size  # one binary digit per ordinal
+    flags = bytearray((size + 7) >> 3)
     for ordinal in ordinals:
-        digits[ordinal] = 49  # "1"
-    digits.reverse()  # the highest ordinal's digit leads
-    return int(digits, 2)
+        flags[ordinal >> 3] |= 1 << (ordinal & 7)
+    return int.from_bytes(flags, "little")
 
 
 def _ordinals(bits: int) -> list[int]:
     """The ordinals set in the bitmap *bits* (see :func:`_bitmap`), the highest first.
 
-    The only decoder of a bitmap, with two paths, as :func:`_bitmap` has.
-    Below one set bit in :data:`SPARSE` of its length, the bitmap's
-    little-endian bytes are walked from the top: one ``translate`` flags
-    the bytes that are not 0, ``rfind`` finds each in C, and a table gives
-    each such byte's set bits. Denser bitmaps are formatted as binary digits
-    and their ones found by one ``re.finditer``, in C, which costs the same
-    however few bits are set.
+    The only decoder of a bitmap. Its little-endian bytes are walked from
+    the top: one ``translate`` flags the bytes that are not 0, ``rfind``
+    finds each in C, and a table gives each such byte's set bits.
     """
-    size = bits.bit_length()
-    if bits.bit_count() * SPARSE >= size:
-        digits = format(bits, "b")
-        last = len(digits) - 1
-        return [last - match.start() for match in re.finditer("1", digits)]
-    data = bits.to_bytes((size + 7) >> 3, "little")
+    data = bits.to_bytes((bits.bit_length() + 7) >> 3, "little")
     flags = data.translate(_NONZERO)
     ordinals = []
     at = len(flags)

@@ -21,7 +21,7 @@ so the documents fall into a few cells ``(m, j)`` of one score each. They
 are counted by bit-sliced addition over the lists' bitmaps
 (:func:`_count`), with no per-posting step; the match count is one
 popcount of the OR of the cells kept, and only the cells that can rank
-become ordinals, mostly by the decoder's byte walk, as they hold few
+become ordinals, through the decoder's byte walk, cheap for cells of few
 documents. A cosine query accumulates its scores term at a time in a dict
 keyed by document ordinal, through the index's ordinal-keyed postings, so
 its cost grows with the postings it reads, not with the corpus. The

@@ -25,7 +25,7 @@ from cbrsearch import (
     save_index,
     search,
 )
-from cbrsearch.index import SPARSE, _bitmap, _ordinals, extend_index
+from cbrsearch.index import _bitmap, _ordinals, extend_index
 from conftest import (
     SAMPLE_TITLES,
     corpus_cases,
@@ -313,29 +313,19 @@ def _digit_bitmap(ordinals, size: int) -> int:
 class TestBitmap:
     """The one bitmap builder, :func:`_bitmap`, and its decoder, :func:`_ordinals`."""
 
-    # 96 * count against size - 1, size and size + 1: the bytearray path
-    # below size / 96 ordinals, the digit path from there up
-    @pytest.mark.parametrize("count", [1, 2, 3, 7])
-    @pytest.mark.parametrize("offset", [-1, 0, 1])
-    def test_equals_the_digits_either_side_of_the_switch(self, count, offset):
-        size = 96 * count - offset
-        ordinals = random.Random(size).sample(range(size), count)
-        assert _bitmap(ordinals, size) == _digit_bitmap(ordinals, size)
-
     # ordinals 0 and 7 share the first byte, 8 opens the second and 99,999 is
-    # the top bit; SPARSE * count against the length: the byte walk below
-    # the switch, the digits from it up
-    @pytest.mark.parametrize("offset", [-1, 0, 1])
-    def test_the_decoder_equals_the_digits_either_side_of_the_switch(self, offset):
+    # the top bit; from 4 set bits to one in two
+    @pytest.mark.parametrize("count", [4, 800, 12_500, 50_000])
+    def test_builds_and_decodes_as_the_digits_do(self, count):
         size = 100_000
-        count = -(-size // SPARSE) + offset
         middle = random.Random(count).sample(range(9, size - 1), count - 4)
         ordinals = [0, 7, 8, size - 1, *middle]
-        bits = _digit_bitmap(ordinals, size)
-        assert bits.bit_length() == size and (bits.bit_count() * SPARSE < size) == (offset < 0)
+        bits = _bitmap(ordinals, size)
+        assert bits == _digit_bitmap(ordinals, size)
+        assert bits.bit_length() == size and bits.bit_count() == count
         assert _ordinals(bits) == sorted(ordinals, reverse=True)
 
-    @pytest.mark.parametrize("size", [1, 2, 7, 9, 95, 97, 100, 191, 193, 1001])
+    @pytest.mark.parametrize("size", [0, 1, 2, 7, 9, 95, 97, 100, 191, 193, 1001])
     def test_no_ordinals_and_all_ordinals(self, size):
         assert _bitmap([], size) == 0
         assert _bitmap(range(size), size) == (1 << size) - 1
@@ -355,7 +345,8 @@ class TestBitmap:
 
     def test_a_rare_row_length_is_set_bit_by_bit(self):
         # 203 documents: the first and the last hold one term, one in the middle
-        # three, so those two lengths are held by fewer than 203 / 96 documents
+        # three and the rest two, so two lengths are held by fewer than 203 / 96
+        # documents; every length's bitmap is cached, however rare
         titles = ["kata"] + ["satu dua"] * 100 + ["satu dua tiga"] + ["dua satu"] * 100 + ["lima"]
         index, _ = build_index([Case(str(n), title) for n, title in enumerate(titles)])
         rows = [set(title.split()) for title in titles]
