@@ -22,7 +22,7 @@ from collections import namedtuple
 from collections.abc import Mapping, Sequence
 
 from .errors import DataError, StateError
-from .index import Case, Index, IngestReport, build_index, extend_index
+from .index import Case, Index, IngestReport, _extend_fields, _fully_derived, build_index
 from .preprocess import PreprocessConfig, tokenize
 from .similarity import RankedResults, rank
 
@@ -73,6 +73,9 @@ class ReuseResult(namedtuple("ReuseResult", "case_id text score title_only")):
 class CaseBase:
     """Immutable collection of cases plus the index snapshot built over them.
 
+    ``config`` is the index's own: the one given, or :func:`build_index`'s
+    default when none is.
+
     Reads (`retrieve`) are safe from any number of concurrent callers.
     `retain` and `revise` never touch an existing value; publishing the new
     CaseBase to readers is the embedding application's single-writer job.
@@ -81,15 +84,12 @@ class CaseBase:
     __slots__ = ("cases", "config", "index", "report", "_by_id")
 
     def __init__(self, cases: Sequence[Case], config: PreprocessConfig | None = None):
-        config = config if config is not None else PreprocessConfig()
         cases = tuple(cases)
-        self._fill(cases, config, *build_index(cases, config))
+        self._fill(cases, *build_index(cases, config))
 
-    def _fill(
-        self, cases: tuple[Case, ...], config: PreprocessConfig, index: Index, report: IngestReport
-    ) -> None:
+    def _fill(self, cases: tuple[Case, ...], index: Index, report: IngestReport) -> None:
         self.cases: tuple[Case, ...] = cases
-        self.config = config
+        self.config: PreprocessConfig = index.config
         self.index: Index = index
         self.report: IngestReport = report
         self._by_id = {case.id: case for case in cases}
@@ -97,7 +97,7 @@ class CaseBase:
     def _with(self, cases: tuple[Case, ...], index: Index, report: IngestReport) -> "CaseBase":
         """A new CaseBase over *cases* that takes *index* and *report* as given."""
         base = object.__new__(CaseBase)
-        base._fill(cases, self.config, index, report)
+        base._fill(cases, index, report)
         return base
 
     def __len__(self) -> int:
@@ -165,12 +165,13 @@ class CaseBase:
         one row for *new_case*, whose title is the only one tokenized;
         document frequencies and every weight are recomputed once, since the
         corpus size changed. It equals a build of the new case list from
-        scratch.
+        scratch. An id that any stored case holds, skipped cases included,
+        is refused first, then a title that tokenizes to empty, each with a
+        :class:`DataError`: the order and the messages of ``cbrsearch add``.
         """
         if new_case.id in self._by_id:
             raise DataError(f"duplicate case id: {new_case.id!r}")
-        # refuses a title that tokenizes to empty
-        grown = extend_index(self.index.fields, new_case)
+        grown = _fully_derived(_extend_fields(self.index.fields, new_case))
         report = IngestReport(
             indexed=grown.corpus_size,
             skipped=self.report.skipped,

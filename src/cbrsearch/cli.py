@@ -218,8 +218,9 @@ def _add(args) -> int:
     field = unencodable_field(new_case)
     if field is not None:
         raise DataError(f"--{field} is not encodable as UTF-8")
-    if not tokenize(new_case.title, config):
-        raise DataError(f"title of case {new_case.id!r} tokenizes to empty")
+    # a taken id is refused here, against every corpus id, skipped ones
+    # included; once the walk below shows that every indexed id is a corpus
+    # id, that is the precondition of _extend_fields
     _refuse_duplicate_ids([*cases, new_case])
     # the corpus must rebuild the stored index, before the new case joins it
     # or, after a crash between the save and the append below, with it
@@ -235,7 +236,8 @@ def _add(args) -> int:
         print(f"corpus size: {len(doc_ids)}")
         return EXIT_OK
     # index first, so a failed save leaves both files as they were; a failed
-    # append puts the old index back
+    # append puts the old index back. _extend_fields refuses a title that
+    # tokenizes to empty before a file is opened
     _write_index(args.index, *_extend_fields(fields, new_case))
     try:
         append_case(args.corpus, new_case)

@@ -27,10 +27,11 @@ two indexes are equal when their fields are. ``Index(fields)`` keeps the
 stored fields themselves, copying none, and derives idf from them; the
 postings, weights and norms of a batch of terms come from one scan of the
 count rows, on the first query that ranks them.
-:func:`build_index` and :func:`extend_index`, which appends a case to the
-stored count rows and tokenizes only the new title, each compute the fields
-and then derive every term, so a long-lived reader never pays on first use;
-a loaded index derives only what its queries rank. A writer that only saves
+:func:`build_index` computes the fields and then derives every term, so a
+long-lived reader never pays on first use, and ``CaseBase.retain`` derives
+every term of the fields that :func:`_extend_fields` gives: the stored count
+rows plus one row for the new case, whose title is the only one tokenized.
+A loaded index derives only what its queries rank. A writer that only saves
 an index, as the command line's ``index`` and ``add`` do, computes the
 fields alone.
 
@@ -477,23 +478,17 @@ def _build_fields(cases: Iterable[Case], config: PreprocessConfig) -> tuple[Fiel
     return (config, id_to_term, doc_ids, titles, *packed), report
 
 
-def extend_index(fields: Fields, new_case: Case) -> Index:
-    """The index of the stored *fields* with *new_case* appended, tokenizing only it.
-
-    *fields* are an index's stored fields as :func:`build_index` (or the
-    loader) gives them; none of them is modified. The new title's unseen
-    terms get the next ids in first-occurrence order, so the result equals
-    ``build_index`` over the corpus with *new_case* appended. A duplicate id
-    or a title that tokenizes to empty is a :class:`DataError`.
-    """
-    return _fully_derived(_extend_fields(fields, new_case))
-
-
 def _extend_fields(fields: Fields, new_case: Case) -> Fields:
-    """The stored fields of :func:`extend_index`'s index, with its checks."""
+    """The stored *fields* with *new_case* appended, tokenizing only its title.
+
+    The caller has refused an id of *new_case* that the corpus already
+    holds, skipped cases included; this function does not check it. A title
+    that tokenizes to empty is a :class:`DataError`. None of *fields* is
+    modified. The new title's unseen terms get the next ids in
+    first-occurrence order, so the result equals the fields of
+    :func:`build_index` over the corpus with *new_case* appended.
+    """
     config, terms, doc_ids, titles, *columns = fields
-    if new_case.id in doc_ids:
-        raise DataError(f"duplicate case id: {new_case.id!r}")
     tokens = tokenize(new_case.title, config)
     if not tokens:
         raise DataError(f"title of case {new_case.id!r} tokenizes to empty")

@@ -16,6 +16,8 @@ import pytest
 
 from cbrsearch import (
     Case,
+    CaseBase,
+    DataError,
     PreprocessConfig,
     build_index,
     cli,
@@ -436,6 +438,8 @@ class TestCmdAdd:
 
     def test_empty_tokenizing_title_exits_2(self, record_pair, capsys):
         corpus, index_path = record_pair
+        corpus_before = corpus.read_bytes()
+        index_before = index_path.read_bytes()
         code, _, err = run_cli(
             ["add", "--index", str(index_path), "--corpus", str(corpus),
              "--id", "r7", "--title", "???"],
@@ -443,6 +447,8 @@ class TestCmdAdd:
         )
         assert code == EXIT_DATA
         assert "tokenizes to empty" in err
+        assert corpus.read_bytes() == corpus_before
+        assert index_path.read_bytes() == index_before
 
     @pytest.mark.parametrize("deep_file", ["index", "corpus"])
     def test_a_too_deeply_nested_file_exits_2_leaving_both_files(
@@ -621,6 +627,30 @@ class TestCmdAdd:
         )
         assert (code, out, err) == (EXIT_DATA, "", "error: duplicate case id: 'blank'\n")
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("title", ["Aplikasi Kasir", "???"], ids=["tokens", "empty"])
+    @pytest.mark.parametrize("case_id", ["r1", "blank", "x1"], ids=["indexed", "skipped", "fresh"])
+    def test_accepts_and_refuses_as_retain_does(self, tmp_path, capsys, case_id, title):
+        # a taken id is refused before an empty title, by both entry points
+        records = [{"id": "r1", "title": "Sistem Informasi"}, {"id": "blank", "title": "?!?"}]
+        corpus, index_path = self._pair(tmp_path, capsys, records)
+        base = CaseBase(read_corpus(corpus, "record"))
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        try:
+            retained, refusal = base.retain(Case(case_id, title)), None
+        except DataError as exc:
+            retained, refusal = None, str(exc)
+        code, out, err = run_cli(
+            ["add", "--index", str(index_path), "--corpus", str(corpus),
+             "--id", case_id, "--title", title],
+            capsys,
+        )
+        if refusal is None:
+            assert (code, out, err) == (EXIT_OK, "corpus size: 2\n", "")
+            assert load_index(index_path) == retained.index
+        else:
+            assert (code, out, err) == (EXIT_DATA, "", f"error: {refusal}\n")
+            assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
     def test_a_corpus_that_repeats_an_id_exits_2(self, record_pair, capsys):
         corpus, index_path = record_pair

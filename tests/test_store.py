@@ -29,7 +29,7 @@ from cbrsearch import (
     save_index,
     store,
 )
-from cbrsearch.index import _build_fields, _extend_fields, extend_index
+from cbrsearch.index import _build_fields, _extend_fields, _fully_derived
 from cbrsearch.cli import EXIT_DATA, EXIT_OK, main
 from cbrsearch.similarity import rank
 from cbrsearch.store import (
@@ -113,7 +113,7 @@ class TestRoundTrip:
             "loaded": (_read_index(saved), load_index(saved)),
             "extended": (
                 _extend_fields(_read_index(saved), new_case),
-                extend_index(_read_index(saved), new_case),
+                _fully_derived(_extend_fields(_read_index(saved), new_case)),
             ),
         }
         for step, (fields, index) in steps.items():
