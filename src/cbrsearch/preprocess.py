@@ -8,7 +8,7 @@ lowered once and split on its spaces, which yields those same tokens
 without a regex or a per-token ``lower``.
 The module handles text only: the stopword file is read by
 :func:`store.load_stopwords`, and ``store`` alone maps a configuration to
-and from an index file, its fingerprint included.
+and from an index file.
 
 :class:`PreprocessConfig` is an immutable named tuple. Construction and
 ``_replace`` alike check its minimum token length and lowercase its

@@ -1,31 +1,30 @@
 """On-disk formats: the index snapshot and the line files.
 
-Index file (format version 5)
+Index file (format version 6)
     A single-line JSON document. It stores the preprocessing configuration
-    (its ``casefold`` is always ``true``, as tokens are always lowercased; a
-    file holding ``false`` must be rebuilt) and its fingerprint
-    (:func:`_fingerprint`), the vocabulary as a plain ``terms`` list (a
-    term's id is its position), the documents as parallel ``ids`` and
-    ``titles`` lists, and the documents' count rows as three flat columns of
-    unsigned ints: ``row_lengths`` (distinct terms per document), then
-    ``term_ids`` and ``counts``, which hold every row's term ids, ascending
-    within a row, and their counts, rows in document order. Each column is
-    packed as a two-item list ``[width, "<base64>"]``: the base64 text of
-    the column's values as little-endian unsigned integers of *width* bytes,
-    1, 2 or 4, the narrowest that holds the column's largest value (so
-    ``[1,"AgI="]`` is the row lengths 2 and 2). Weights, token totals and
-    document frequencies are never written: a loaded index recomputes them
-    through the same code path ``build_index`` uses, the weights of a term
-    when a query first ranks it, so an index is defined by its stored
-    counts. Serialization is canonical (sorted keys, fixed separators),
-    which makes equal indexes produce byte-identical files.
+    (``min_token_length`` and the sorted ``stopwords``), the vocabulary as a
+    plain ``terms`` list (a term's id is its position), the documents as
+    parallel ``ids`` and ``titles`` lists, and the documents' count rows as
+    three flat columns of unsigned ints: ``row_lengths`` (distinct terms per
+    document), then ``term_ids`` and ``counts``, which hold every row's term
+    ids, ascending within a row, and their counts, rows in document order.
+    Each column is packed as a two-item list ``[width, "<base64>"]``: the
+    base64 text of the column's values as little-endian unsigned integers
+    of *width* bytes, 1, 2 or 4, the narrowest that holds the column's
+    largest value (so ``[1,"AgI="]`` is the row lengths 2 and 2). Weights,
+    token totals and document frequencies are never written: a loaded index
+    recomputes them through the same code path ``build_index`` uses, the
+    weights of a term when a query first ranks it, so an index is defined by
+    its stored counts. Serialization is canonical (sorted keys, fixed
+    separators), which makes equal indexes produce byte-identical files.
     The last key, ``weights_sha256``, is the sha256 of the UTF-8 bytes of
     the canonical document without it, so any edit to a stored value, or
-    to the file's layout, is rejected. The file is read with no newline
-    translation, so a final ``\\r\\n`` or ``\\r`` in place of the ``\\n`` fails
-    the checksum too. Files of any other format version, versions 1 to 4
-    included, are rejected with a hint to rebuild them with
-    ``cbrsearch index``; there is one reader, for one format.
+    to the file's layout, is rejected: it is the file's one integrity
+    value. The file is read with no newline translation, so a final
+    ``\\r\\n`` or ``\\r`` in place of the ``\\n`` fails the checksum too.
+    Files of any other format version, versions 1 to 5 included, are
+    rejected with a hint to rebuild them with ``cbrsearch index``; there is
+    one reader, for one format.
 
     The file holds an index's stored fields (``index.Fields``, its value)
     and nothing else. One serializer writes them, :func:`_write_index`, and
@@ -75,7 +74,7 @@ from .errors import ConfigError, DataError, IndexFormatError
 from .index import _TYPECODES, Case, Fields, Index, _packed
 from .preprocess import PreprocessConfig
 
-INDEX_FORMAT_VERSION = 5
+INDEX_FORMAT_VERSION = 6
 
 _FORMAT_NAME = "cbrsearch-index"
 _CHECKSUM_KEY = ',"weights_sha256":'
@@ -147,11 +146,9 @@ def _write_index(path: str | os.PathLike[str], config: PreprocessConfig, *lists:
         "format": _FORMAT_NAME,
         "format_version": INDEX_FORMAT_VERSION,
         "preprocess": {
-            "casefold": True,  # tokens are always lowercased
             "min_token_length": config.min_token_length,
             "stopwords": sorted(config.stopwords),
         },
-        "preprocess_fingerprint": _fingerprint(config),
         **dict(zip(_LIST_KEYS, lists, strict=True)),
     }
     pieces = [b"{"]
@@ -176,17 +173,6 @@ def _write_index(path: str | os.PathLike[str], config: PreprocessConfig, *lists:
         with suppress(FileNotFoundError):
             os.unlink(temporary)
         raise
-
-
-def _fingerprint(config: PreprocessConfig) -> str:
-    """The stable hex digest of *config* that an index file stores beside it.
-
-    The digest still covers a ``casefold=1`` line, from when lowercasing
-    could be turned off, so index files keep the fingerprints they hold.
-    """
-    stopwords = ",".join(sorted(config.stopwords))
-    canonical = f"casefold=1\nmin_token_length={config.min_token_length}\nstopwords={stopwords}"
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def _canonical_json(value) -> str:
@@ -354,27 +340,19 @@ def _read_index(path: str | os.PathLike[str]) -> Fields:
         stopwords = pre["stopwords"]
         if not isinstance(stopwords, list) or not all(isinstance(w, str) for w in stopwords):
             raise ValueError("stopwords must be a list of strings")
-        casefold, min_token_length = pre["casefold"], pre["min_token_length"]
-        if type(casefold) is not bool or type(min_token_length) is not int:
-            raise ValueError("casefold must be a bool and min_token_length an int")
+        min_token_length = pre["min_token_length"]
+        if type(min_token_length) is not int:
+            raise ValueError("min_token_length must be an int")
         config = PreprocessConfig(
             stopwords=frozenset(stopwords),
             min_token_length=min_token_length,
         )
-        fingerprint = document["preprocess_fingerprint"]
         lists = list(map(document.__getitem__, _LIST_KEYS))
         terms, doc_ids, titles = lists[:3]
         if "weights_sha256" not in document:
             raise KeyError("weights_sha256")
     except (KeyError, TypeError, ValueError, OverflowError, ConfigError) as exc:
         raise _corrupt(path, f"missing or malformed field ({exc})") from exc
-    if not casefold:  # fingerprinted as casefold=0: checked before the fingerprint
-        raise IndexFormatError(
-            f"index file {path} keeps the case of its tokens, which is not supported; "
-            "rebuild it with `cbrsearch index`"
-        )
-    if _fingerprint(config) != fingerprint:
-        raise _corrupt(path, "preprocess fingerprint does not match stored configuration")
     if not _only(list, lists):
         raise _corrupt(path, "terms, ids, titles, row_lengths, term_ids and counts must be lists")
     columns = []

@@ -364,8 +364,16 @@ class TestCmdQuery:
              '"row_lengths":[2,2],"term_ids":[0,1,0,2],"terms":["a","b","c"],'
              '"titles":["a b","a c"],"weights_sha256":'
              '"9df278f5eb4537395178df7b453ac61e15a0c467ea7bdc83c77740dcb746a083"}\n'),
+            (5,
+             '{"counts":[1,"AQEBAQ=="],"format":"cbrsearch-index","format_version":5,'
+             '"ids":["d1","d2"],"preprocess":{"casefold":true,"min_token_length":1,'
+             '"stopwords":[]},"preprocess_fingerprint":'
+             '"57e8a2f347fabab1d98b0b5b9aaf7030e26684ce14872f64e523cebc1930c4a0",'
+             '"row_lengths":[1,"AgI="],"term_ids":[1,"AAEAAg=="],"terms":["a","b","c"],'
+             '"titles":["a b","a c"],"weights_sha256":'
+             '"5cb07a43b3927ceff6a917a8b4918e42c2b80814f8cd2aeaa43779e1deb97f88"}\n'),
         ],
-        ids=["v1", "v2", "v3", "v4"],
+        ids=["v1", "v2", "v3", "v4", "v5"],
     )
     def test_format_version_1_index_exits_2_with_a_rebuild_hint(
         self, tmp_path, capsys, version, text
@@ -1086,7 +1094,7 @@ class TestGoldenOutput:
         )
         assert code == EXIT_OK
         assert hashlib.sha256(index_path.read_bytes()).hexdigest() == (
-            "39c7470dbbc13a2dfe9b2d980544b8d44142dd33ebf175f7177be93b23b576e0"
+            "baa8543f02bf031163af20279475aa74621103755eee413bff24d3e970e73f6e"
         )
         code, _, _ = run_cli(
             ["add", "--index", str(index_path), "--corpus", str(corpus), "--id", "r7",
@@ -1095,7 +1103,7 @@ class TestGoldenOutput:
         )
         assert code == EXIT_OK
         assert hashlib.sha256(index_path.read_bytes()).hexdigest() == (
-            "acda19d26227b1997d37d089e0819c78c2c040ad47ab1929b85499217b49a189"
+            "224e528d6e03e467a6acd1856180651a6718a5d942cbd8719ef12036ec118369"
         )
 
 

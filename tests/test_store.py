@@ -11,6 +11,7 @@ import threading
 import tracemalloc
 from array import array
 from itertools import chain
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -33,7 +34,6 @@ from cbrsearch.index import _build_fields, _extend_fields, _fully_derived
 from cbrsearch.cli import EXIT_DATA, EXIT_OK, main
 from cbrsearch.similarity import rank
 from cbrsearch.store import (
-    _fingerprint,
     _read_index,
     _read_records,
     _sealed,
@@ -124,26 +124,61 @@ class TestRoundTrip:
         assert (tmp_path / "loaded.fields").read_bytes() == saved.read_bytes()
 
 
-class TestFingerprint:
-    def test_same_config_same_fingerprint(self):
-        a = PreprocessConfig(stopwords=frozenset({"dan", "di"}), min_token_length=2)
+class TestSeal:
+    """``weights_sha256`` is the file's one integrity value, its config included."""
+
+    CASES = [Case("d1", "sistem data"), Case("d2", "aplikasi web")]
+
+    def _saved(self, path, config=PreprocessConfig()) -> dict:
+        save_index(build_index(self.CASES, config)[0], path)
+        return json.loads(path.read_text(encoding="utf-8"))
+
+    def test_same_config_same_bytes(self, tmp_path):
+        a = PreprocessConfig(stopwords=frozenset({"Dan", "di"}), min_token_length=2)
         b = PreprocessConfig(stopwords=frozenset({"di", "dan"}), min_token_length=2)
-        assert _fingerprint(a) == _fingerprint(b)
+        self._saved(tmp_path / "a.idx", a)
+        self._saved(tmp_path / "b.idx", b)
+        assert (tmp_path / "a.idx").read_bytes() == (tmp_path / "b.idx").read_bytes()
 
-    def test_any_field_change_changes_the_fingerprint(self):
-        base = _fingerprint(PreprocessConfig())
-        assert base != _fingerprint(PreprocessConfig(min_token_length=2))
-        assert base != _fingerprint(PreprocessConfig(stopwords=frozenset({"di"})))
+    def test_any_config_change_changes_the_checksum(self, tmp_path):
+        # neither change drops a token, so the config alone tells the files apart
+        base = self._saved(tmp_path / "base.idx")
+        for name, config in [
+            ("length", PreprocessConfig(min_token_length=2)),
+            ("stopword", PreprocessConfig(stopwords=frozenset({"di"}))),
+        ]:
+            changed = self._saved(tmp_path / f"{name}.idx", config)
+            assert changed["preprocess"] != base["preprocess"], name
+            assert changed["counts"] == base["counts"], name
+            assert changed["weights_sha256"] != base["weights_sha256"], name
 
-    def test_fingerprints_are_pinned(self):
-        # index files store the fingerprint: a changed digest breaks every one
-        assert _fingerprint(PreprocessConfig()) == (
-            "57e8a2f347fabab1d98b0b5b9aaf7030e26684ce14872f64e523cebc1930c4a0"
-        )
+    def test_the_stored_config_is_pinned(self, tmp_path):
+        # index files store the config as is: a changed layout breaks every one
+        assert self._saved(tmp_path / "default.idx")["preprocess"] == {
+            "min_token_length": 1,
+            "stopwords": [],
+        }
         config = PreprocessConfig(stopwords={"Dan", "di"}, min_token_length=2)
-        assert _fingerprint(config) == (
-            "9746e50db8f42778a7e51a2abec034e9e0f9c715285dd1784f6425e0f7ebb58f"
-        )
+        document = self._saved(tmp_path / "config.idx", config)
+        assert document["preprocess"] == {"min_token_length": 2, "stopwords": ["dan", "di"]}
+        assert "preprocess_fingerprint" not in document
+
+    @pytest.mark.parametrize("value", ["false", "no", [1], 1, False])
+    def test_a_sealed_stray_casefold_key_is_ignored(self, tmp_path, value):
+        # version 5 files held the key; a version 6 reader reads no such key,
+        # whatever its value, and tokens are always lowercased
+        path = tmp_path / "stray.idx"
+        document = self._saved(path)
+        document["preprocess"]["casefold"] = value
+        path.write_text(sealed_index_text(document), encoding="utf-8")
+        assert load_index(path) == build_index(self.CASES)[0]
+
+    def test_a_sealed_stray_fingerprint_key_is_ignored(self, tmp_path):
+        path = tmp_path / "stray.idx"
+        document = self._saved(path)
+        document["preprocess_fingerprint"] = "0" * 64
+        path.write_text(sealed_index_text(document), encoding="utf-8")
+        assert load_index(path) == build_index(self.CASES)[0]
 
 
 def _set_first_count(text: str, count) -> str:
@@ -165,9 +200,7 @@ def _scale_first_row(text: str) -> str:
 
 def _add_stopword(text: str) -> str:
     document = json.loads(text)
-    config = PreprocessConfig(stopwords=frozenset({"sistem"}))
     document["preprocess"]["stopwords"] = ["sistem"]
-    document["preprocess_fingerprint"] = _fingerprint(config)
     return _canonical(document)
 
 
@@ -241,6 +274,22 @@ class TestRejection:
         assert "checksum mismatch" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "key, value", [("min_token_length", 2), ("stopwords", ["sistem"])]
+    )
+    def test_an_unsealed_config_edit_fails_the_checksum(self, tmp_path, capsys, key, value):
+        # the checksum is the file's one integrity value: it covers the config too
+        index, _ = build_index([Case("d1", "sistem data"), Case("d2", "aplikasi web")])
+        path = tmp_path / "config.idx"
+        save_index(index, path)
+        document = json.loads(path.read_text(encoding="utf-8"))
+        document["preprocess"][key] = value
+        path.write_text(_canonical(document), encoding="utf-8")
+        with pytest.raises(IndexFormatError, match="^index checksum mismatch in "):
+            load_index(path)
+        assert main(["query", "--index", str(path), "--query", "sistem"]) == EXIT_DATA
+        assert "index checksum mismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "titles, tamper",
         [
             (["a b", "a c", "b c"], _bump_first_count),
@@ -263,19 +312,15 @@ class TestRejection:
     @pytest.mark.parametrize(
         "key, value, saved",
         [
-            ("casefold", "false", True),
-            ("casefold", "no", True),
-            ("casefold", [1], True),
-            ("casefold", 1, True),
             ("min_token_length", 2.9, 2),
             ("min_token_length", "2", 2),
             ("min_token_length", True, 1),
         ],
     )
     def test_config_of_the_wrong_json_type_is_corrupt(self, tmp_path, key, value, saved):
-        # the fingerprint still matches: the value means the saved one loosely read;
-        # casefold is always saved as true
-        config = PreprocessConfig(**({} if key == "casefold" else {key: saved}))
+        # the checksum is forged to match, and the value means the saved one
+        # loosely read, so the type check is what refuses it
+        config = PreprocessConfig(**{key: saved})
         index, _ = build_index([Case("d1", "sistem data"), Case("d2", "aplikasi web")], config)
         path = tmp_path / "config.idx"
         save_index(index, path)
@@ -286,16 +331,22 @@ class TestRejection:
             load_index(path)
 
     def test_a_file_that_keeps_the_case_of_its_tokens_must_be_rebuilt(self, tmp_path, capsys):
+        # only version 5 files held the key, and a version 5 file is rebuilt
+        # whatever it holds
         index, _ = build_index([Case("d1", "sistem data"), Case("d2", "aplikasi web")])
         path = tmp_path / "cased.idx"
         save_index(index, path)
         document = json.loads(path.read_text(encoding="utf-8"))
+        document["format_version"] = 5
         document["preprocess"]["casefold"] = False
         path.write_text(sealed_index_text(document), encoding="utf-8")
-        message = f"index file {path} keeps the case of its tokens, which is not supported; "
-        with pytest.raises(IndexFormatError, match="rebuild it with `cbrsearch index`$") as caught:
+        message = (
+            f"unsupported index format version 5 in {path} (supported: 6); "
+            "rebuild it with `cbrsearch index`"
+        )
+        with pytest.raises(IndexFormatError) as caught:
             load_index(path)
-        assert str(caught.value).startswith(message)
+        assert str(caught.value) == message
         assert main(["query", "--index", str(path), "--query", "sistem"]) == EXIT_DATA
         assert capsys.readouterr() == ("", f"error: {caught.value}\n")
 
@@ -548,13 +599,11 @@ def _written_once(fields) -> bytes:
     config, terms, doc_ids, titles, row_lengths, term_ids, counts = fields
     document = {
         "format": "cbrsearch-index",
-        "format_version": 5,
+        "format_version": 6,
         "preprocess": {
-            "casefold": True,
             "min_token_length": config.min_token_length,
             "stopwords": sorted(config.stopwords),
         },
-        "preprocess_fingerprint": _fingerprint(config),
         "terms": terms,
         "ids": doc_ids,
         "titles": titles,
@@ -589,12 +638,10 @@ def _count_rows_text(columns: tuple[list, list, list], term_count: int) -> str:
     other, one holding a bool, a float, a negative int or a string, is
     stored as the plain list a version 4 file held.
     """
-    config = PreprocessConfig()
     document = {
         "format": "cbrsearch-index",
-        "format_version": 5,
-        "preprocess": {"casefold": True, "min_token_length": 1, "stopwords": []},
-        "preprocess_fingerprint": _fingerprint(config),
+        "format_version": 6,
+        "preprocess": {"min_token_length": 1, "stopwords": []},
         "terms": [f"t{n}" for n in range(term_count)],
         "ids": [f"d{n}" for n in range(len(columns[0]))],
         "titles": ["x"] * len(columns[0]),
@@ -671,6 +718,15 @@ class TestWriter:
         with mock.patch.object(store, "_CHUNK_LINES", chunk_lines):
             _write_index(index_file, *fields)
         assert index_file.read_bytes() == _written_once(fields)
+
+    def test_the_readme_example_is_what_save_index_writes(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("**Index file**", 1)[1]
+        example = section.split("```json\n", 1)[1].split("```", 1)[0]
+        index, _ = build_index([Case("d1", "a b"), Case("d2", "a c")])
+        path = tmp_path / "readme.idx"
+        save_index(index, path)
+        assert path.read_text(encoding="utf-8") == example
 
     @pytest.mark.parametrize("field", [1, 2, 3], ids=["terms", "ids", "titles"])
     def test_a_lone_surrogate_raises_before_any_file_exists(self, tmp_path, field):
