@@ -718,6 +718,29 @@ class TestImpactCuts:
         results = search(index, " ".join(_TITLE_QUERY), top_k=3)
         assert [m.score for m in results.matches] == [1.0] * 3
 
+    def test_a_match_read_by_two_lists_ranks_from_below_their_single_prefixes(self):
+        # "d" holds both query terms and scores 1.0, but in each list it adds less
+        # than the two one-word titles ahead of it, and less than the floor: no
+        # list's prefix of single documents reaches it, only the lists' overlap
+        titles = {"d": ["x", "y"], **{f"{t}{n}": [t] for t in "xy" for n in range(2)}}
+        for t in "xy":
+            titles.update({f"{t}-long{n}": [t, *(f"{t}{n}{m}" for m in range(9))] for n in range(3)})
+        index = build_index(corpus_cases(titles))[0]
+        query = index.vectorize_query(["x", "y"])
+        plan, unread, _ = _cuts(index, query, _norm(query.weights), 1)
+        assert len(_depths(query, plan)) == 2  # both lists are cut
+        full = search(index, "x y")
+        top = full.matches[0]
+        assert top.case_id == "d"
+        for scale, spare, ordinals, ratios in plan:
+            position = list(ordinals).index(index.doc_ids.index("d"))
+            assert position == 2
+            # the floor is at least the top score less the unread bound and SLACK
+            assert scale * ratios[position] - spare < top.score - unread - SLACK
+        for top_k in range(1, index.corpus_size + 1):
+            cut = search(index, "x y", top_k=top_k)
+            assert _hexes(cut) == (_hexes(full)[0][:top_k], full.total_matches)
+
     @pytest.mark.parametrize("scale", [1.0, 1e8])
     def test_the_unread_bound_stays_below_theta_less_slack(self, scale):
         # the lone list's cut, at the level theta / 2, leaves 0.7e-9 unread against
