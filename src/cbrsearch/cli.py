@@ -35,6 +35,7 @@ from .errors import DataError, SearchError
 from .index import SCORERS, Case, _build_fields, _extend_fields, _refuse_duplicate_ids
 from .preprocess import PreprocessConfig, tokenize
 from .store import (
+    CORPUS_FORMATS,
     _read_index,
     _read_lines,
     _write_index,
@@ -89,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_index = sub.add_parser("index", help="build an index file from a corpus")
     p_index.add_argument("--input", required=True, help="corpus file to ingest")
-    p_index.add_argument("--format", required=True, choices=["record", "plain"],
+    p_index.add_argument("--format", required=True, choices=CORPUS_FORMATS,
                          help="corpus layout: JSON records or one title per line")
     p_index.add_argument("--output", required=True, help="index file to write")
     p_index.add_argument("--stopwords", help="optional stopword file, one word per line")

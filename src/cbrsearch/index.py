@@ -59,8 +59,9 @@ SCORERS = ("cosine", "set")
 # lengths, term ids and counts, each an unsigned array (see _packed); an Index
 # keeps these objects as its attributes, not copies
 Fields = tuple[PreprocessConfig, list[str], list[str], list[str], array, array, array]
-# the count rows as _append_row builds them: row lengths, term ids and counts
-Columns = tuple[list[int], list[int], list[int]]
+# the count rows as _append_row appends to them: row lengths, term ids and
+# counts, the build's arrays or _extend_fields' one-row lists
+Columns = tuple[array, array, array] | tuple[list[int], list[int], list[int]]
 
 # the unsigned array typecode of each width a count column is kept at, in
 # bytes; C's unsigned int is 4 bytes wide on every platform CPython supports
@@ -444,16 +445,18 @@ def _build_fields(cases: Iterable[Case], config: PreprocessConfig) -> tuple[Fiel
     """The stored fields of :func:`build_index`'s index, and its report.
 
     Everything the index saves comes from here, so writing these fields
-    gives the bytes of the built index without assembling it.
+    gives the bytes of the built index without assembling it. Each count
+    row goes straight into the three ``array`` columns, and one dict
+    numbers the terms: its keys, in insertion order, are the stored terms.
     """
     cases = list(cases)
     _refuse_duplicate_ids(cases)
 
-    id_to_term: list[str] = []
     tid_by_term: dict[str, int] = {}
     doc_ids: list[str] = []
     titles: list[str] = []
-    columns: Columns = ([], [], [])
+    # 4 bytes wide; the writer packs each column at its own width
+    columns = (array(_TYPECODES[4]), array(_TYPECODES[4]), array(_TYPECODES[4]))
     skipped: list[tuple[str, str]] = []
     for case in cases:
         tokens = tokenize(case.title, config)
@@ -462,7 +465,7 @@ def _build_fields(cases: Iterable[Case], config: PreprocessConfig) -> tuple[Fiel
             continue
         doc_ids.append(case.id)
         titles.append(case.title)
-        _append_row(tokens, id_to_term, tid_by_term, columns)
+        _append_row(tokens, tid_by_term, columns)
 
     if not doc_ids:
         raise DataError("no indexable cases: every title tokenized to empty")
@@ -470,12 +473,9 @@ def _build_fields(cases: Iterable[Case], config: PreprocessConfig) -> tuple[Fiel
     report = IngestReport(
         indexed=len(doc_ids),
         skipped=tuple(skipped),
-        vocabulary_size=len(id_to_term),
+        vocabulary_size=len(tid_by_term),
     )
-    # 4 bytes wide: C fills an array("I") from ints two to three times as fast
-    # as a narrower one, and the writer packs each column at its own width
-    packed = (array(_TYPECODES[4], column) for column in columns)
-    return (config, id_to_term, doc_ids, titles, *packed), report
+    return (config, list(tid_by_term), doc_ids, titles, *columns), report
 
 
 def _extend_fields(fields: Fields, new_case: Case) -> Fields:
@@ -486,18 +486,19 @@ def _extend_fields(fields: Fields, new_case: Case) -> Fields:
     that tokenizes to empty is a :class:`DataError`. None of *fields* is
     modified. The new title's unseen terms get the next ids in
     first-occurrence order, so the result equals the fields of
-    :func:`build_index` over the corpus with *new_case* appended.
+    :func:`build_index` over the corpus with *new_case* appended. Its row
+    is built in three lists, and each stored column is copied with its
+    part of the row appended (:func:`_grown`).
     """
     config, terms, doc_ids, titles, *columns = fields
     tokens = tokenize(new_case.title, config)
     if not tokens:
         raise DataError(f"title of case {new_case.id!r} tokenizes to empty")
-    id_to_term = list(terms)
-    tid_by_term = {term: tid for tid, term in enumerate(id_to_term)}
+    tid_by_term = {term: tid for tid, term in enumerate(terms)}
     row: Columns = ([], [], [])
-    _append_row(tokens, id_to_term, tid_by_term, row)
+    _append_row(tokens, tid_by_term, row)
     grown = map(_grown, columns, row)  # copies, so the stored fields stay as they are
-    return (config, id_to_term, [*doc_ids, new_case.id], [*titles, new_case.title], *grown)
+    return (config, list(tid_by_term), [*doc_ids, new_case.id], [*titles, new_case.title], *grown)
 
 
 def _packed(values: Iterable[int], largest: int) -> array:
@@ -526,22 +527,19 @@ def _refuse_duplicate_ids(cases: Iterable[Case]) -> None:
         seen.add(case.id)
 
 
-def _append_row(
-    tokens: Sequence[str], id_to_term: list[str], tid_by_term: dict[str, int], columns: Columns
-) -> None:
+def _append_row(tokens: Sequence[str], tid_by_term: dict[str, int], columns: Columns) -> None:
     """Append the count row of *tokens* to the row lengths, term ids and counts of *columns*.
 
     The row holds each distinct term id of *tokens*, ascending, and its
-    count. A token not yet in *tid_by_term* becomes the next term id,
-    appended to *id_to_term* and entered in *tid_by_term*.
+    count. A token not yet in *tid_by_term* is entered with the next term
+    id, the dict's size; a dict keeps insertion order, so its keys are the
+    terms in id order.
     """
     counts: dict[int, int] = {}
     for token in tokens:
         tid = tid_by_term.get(token)
         if tid is None:
-            tid = len(id_to_term)
-            tid_by_term[token] = tid
-            id_to_term.append(token)
+            tid = tid_by_term[token] = len(tid_by_term)
         counts[tid] = counts.get(tid, 0) + 1
     tids = sorted(counts)
     columns[0].append(len(tids))

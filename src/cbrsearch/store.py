@@ -578,18 +578,20 @@ def unencodable_field(case: Case) -> str | None:
 
 
 def append_case(path: str | os.PathLike[str], case: Case) -> None:
-    """Append one record-mode line for *case* to the corpus file."""
+    """Append one record-mode line for *case* to the corpus file, creating it if missing.
+
+    The line is encoded before the file is opened, so a *case* that UTF-8
+    cannot encode (see :func:`unencodable_field`) raises
+    :class:`UnicodeEncodeError` and neither creates nor changes a file.
+    """
     record: dict = {"id": case.id, "title": case.title}
     if case.solution is not None:
         record["solution"] = case.solution
     if case.meta:
         record["meta"] = dict(case.meta)
-    line = _canonical_json(record)
-    prefix = ""
-    if os.path.exists(path):
-        with open(path, "rb") as handle:
-            handle.seek(max(handle.seek(0, os.SEEK_END) - 1, 0))
-            if handle.read(1) not in (b"", b"\n"):  # keep records line-delimited
-                prefix = "\n"
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(prefix + line + "\n")
+    line = (_canonical_json(record) + "\n").encode("utf-8")
+    with open(path, "ab+") as handle:  # reads from anywhere, writes at the end
+        handle.seek(max(handle.seek(0, os.SEEK_END) - 1, 0))
+        if handle.read(1) not in (b"", b"\n"):  # keep records line-delimited
+            line = b"\n" + line
+        handle.write(line)
